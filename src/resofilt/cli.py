@@ -62,6 +62,15 @@ def _pair_spec(text: str):
     return (fx, fy, amp, phase)
 
 
+def _e_policy(text: str):
+    """A number where the text parses as one; any other text is left for
+    PipelineConfig.validate to accept ('mean', 'zero') or reject."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _add_common_estimation(p: _Parser):
     p.add_argument("--base", type=_int_quad, default=(0, 0, 64, 64),
                    metavar="ROW,COL,H,W", help="base region (default 0,0,64,64)")
@@ -86,6 +95,7 @@ def _config_from_args(args, post: str = "none") -> PipelineConfig:
         channel_mode=getattr(args, "channels", "gray"),
         sigma_multiplier=getattr(args, "multiplier", 3.0),
         min_area=getattr(args, "min_area", 4),
+        e_policy=_e_policy(getattr(args, "e_policy", "mean")),
         dc_root=not args.no_dc,
         project_roots=not args.no_project,
         split=args.split,
@@ -125,7 +135,9 @@ def build_parser() -> _Parser:
     _add_common_estimation(p)
     p.add_argument("--channels", choices=("gray", "rgb"), default="gray")
     p.add_argument("--e-policy", default="mean",
-                   help="'mean', 'zero', or an explicit number")
+                   help="flat level: 'mean', 'zero', or an explicit number; a "
+                        "level that yields an all-zero kernel (such as 'zero' "
+                        "with the default unit root) is a numeric failure")
     p.add_argument("--model-out", required=True)
 
     p = sub.add_parser("filter", help="apply designed filters to an image")
@@ -209,16 +221,13 @@ def _cmd_design(args) -> int:
     x, y, h, w = config.base_region
     base_stack = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes))
     model, diag = estimate_model(base_stack.gray(), config)
-    policy = args.e_policy
-    if policy not in ("mean", "zero"):
-        policy = float(policy)
     if args.channels == "gray":
         planes, names = [base_stack.gray()], ["gray"]
     else:
         src = base_stack.planes if base_stack.channels == 3 else base_stack.planes * 3
         planes, names = list(src[:3]), ["r", "g", "b"]
     filters = [
-        design_filter(plane, model, e_policy=policy, channel=name)
+        design_filter(plane, model, e_policy=config.e_policy, channel=name)
         for plane, name in zip(planes, names)
     ]
     dump_json(model_to_doc(model, filters, extra=_diag_doc(diag)), args.model_out)
@@ -234,6 +243,12 @@ def _cmd_filter(args) -> int:
         planes = [stack.gray()]
     else:
         planes = list(stack.planes[:3]) if stack.channels == 3 else [stack.gray()] * 3
+    for plane, f in zip(planes, filters):
+        if plane.shape[0] < f.kernel.shape[0] or plane.shape[1] < f.kernel.shape[1]:
+            raise ConfigError(
+                f"model: {f.channel} kernel {f.kernel.shape} is larger than the "
+                f"image {plane.shape}"
+            )
     filtered = [apply_filter(p, f) for p, f in zip(planes, filters)]
     write_image(args.out, ImageStack(tuple(filtered)))
     return EXIT_OK

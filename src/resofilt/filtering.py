@@ -7,15 +7,17 @@ filtered value leaves the E +- k*sigma band in any colour channel are
 flagged as anomalies carrying their original intensities.
 
 Functions are pure; per-channel designs are independent and may run
-concurrently.  Each output pixel of the convolution is an independent dot
-product, accumulated in a fixed (row-major kernel) order so results do not
-depend on scheduling.
+concurrently.  A rank-one kernel (the default design: a unit root and the
+mean flat level) is applied as a row pass then a column pass, P + Q shifted
+adds instead of P * Q; any other kernel runs the direct double sum.  Both
+paths accumulate taps in a fixed order, so results do not depend on
+scheduling; the two-pass result is not bit-equal to the double sum.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +28,10 @@ from .harmonic import HarmonicModel, spectrum, vandermonde
 # instead of divided by.
 DROP_TOL = 1e-9
 
+# Largest deviation, relative to max|kernel|, of the outer product of a
+# kernel's factors from the kernel itself for the two-pass apply path.
+RANK_ONE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class IRFilter:
@@ -34,12 +40,15 @@ class IRFilter:
     ``kernel`` is the real P x Q transient characteristic, ``flat_level``
     the constant the filter drives own-texture output toward, ``sigma2``
     the dispersion of the filtered base region around that level.
+    ``factors`` is the (column, row) pair whose outer product is the
+    kernel when it has rank one, else None.
     """
 
     kernel: np.ndarray
     flat_level: float
     sigma2: float
     channel: str = "gray"
+    factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float).copy()
@@ -51,6 +60,7 @@ class IRFilter:
             raise ValueError("sigma2 must be non-negative")
         k.setflags(write=False)
         object.__setattr__(self, "kernel", k)
+        object.__setattr__(self, "factors", _rank_one_factors(k))
 
     @property
     def order(self):
@@ -85,8 +95,30 @@ class DetectionMask:
         return (self.values > 0).any(axis=0)
 
 
+def _rank_one_factors(kernel: np.ndarray):
+    """Column and row through the largest entry if their outer product
+    reproduces the kernel within RANK_ONE_TOL, else None (also for an
+    all-zero kernel).  The column is a view of the read-only kernel."""
+    mags = np.abs(kernel)
+    peak = mags.max(initial=0.0)
+    if peak == 0.0:
+        return None
+    i, j = np.unravel_index(np.argmax(mags), kernel.shape)
+    col = kernel[:, j]
+    row = kernel[i, :] / kernel[i, j]
+    if np.abs(np.outer(col, row) - kernel).max() > RANK_ONE_TOL * peak:
+        return None
+    row.setflags(write=False)
+    return col, row
+
+
 def resolve_flat_level(base_region: np.ndarray, policy) -> float:
-    """Flat-level policy: 'mean' (default), 'zero', or an explicit number."""
+    """Flat-level policy: 'mean' (default), 'zero', or an explicit number.
+
+    With a unit root in the model, a zero flat level asks the filter to
+    annihilate the texture's mean as well, which only the null kernel
+    does; ``design_filter`` rejects that design.
+    """
     if policy == "mean":
         return float(np.asarray(base_region).mean())
     if policy == "zero":
@@ -109,7 +141,8 @@ def design_filter(
     filter spectrum, synthesised back into a P x Q kernel through the
     square inverse bases.  Components whose texture amplitude is below
     DROP_TOL relative are dropped; a warning is raised only when the flat
-    target actually needed such a component.  The noise dispersion is the
+    target actually needed such a component.  An all-zero kernel, which
+    flags nothing, raises NumericError.  The noise dispersion is the
     filtered base region's mean squared deviation from the flat level.
     """
     base_region = np.asarray(base_region, dtype=float)
@@ -149,6 +182,11 @@ def design_filter(
             "model is not conjugate-closed"
         )
     kernel = kernel_c.real
+    if not np.any(kernel):
+        raise NumericError(
+            f"flat level {flat:g} gives an all-zero kernel: "
+            "the filter would flag nothing"
+        )
 
     filtered = _correlate_valid(base_region, kernel)
     sig2 = noise_dispersion(filtered, flat)
@@ -160,12 +198,11 @@ def _correlate_valid(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     Accumulated as kernel-sized shifted adds in row-major (m, n) order, so
     every output pixel reproduces the definitional double sum bit for bit.
+    This is the apply path of kernels without rank-one factors, and each
+    1D pass of those with them.
     """
     p, q = kernel.shape
-    ox = image.shape[0] - p + 1
-    oy = image.shape[1] - q + 1
-    if ox < 1 or oy < 1:
-        raise ValueError(f"image {image.shape} smaller than kernel {kernel.shape}")
+    ox, oy = _valid_shape(image.shape, kernel.shape)
     out = np.zeros((ox, oy))
     for m in range(p):
         for n in range(q):
@@ -173,9 +210,26 @@ def _correlate_valid(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+def _valid_shape(image_shape, kernel_shape):
+    ox = image_shape[0] - kernel_shape[0] + 1
+    oy = image_shape[1] - kernel_shape[1] + 1
+    if ox < 1 or oy < 1:
+        raise ValueError(f"image {image_shape} smaller than kernel {kernel_shape}")
+    return ox, oy
+
+
 def apply_filter(image: np.ndarray, irf: IRFilter) -> np.ndarray:
-    """Filter one plane; output shape (n_x - P + 1, n_y - Q + 1)."""
-    return _correlate_valid(np.asarray(image, dtype=float), irf.kernel)
+    """Filter one plane; output shape (n_x - P + 1, n_y - Q + 1).
+
+    A rank-one kernel runs as a row pass of its Q row taps, then a column
+    pass of its P column taps over that result.
+    """
+    image = np.asarray(image, dtype=float)
+    if irf.factors is None:
+        return _correlate_valid(image, irf.kernel)
+    _valid_shape(image.shape, irf.kernel.shape)
+    col, row = irf.factors
+    return _correlate_valid(_correlate_valid(image, row[np.newaxis, :]), col[:, np.newaxis])
 
 
 def noise_dispersion(filtered: np.ndarray, flat_level: float) -> float:

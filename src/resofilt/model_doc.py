@@ -99,9 +99,14 @@ def dump_json(doc: dict, path=None) -> str:
 def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ImageFormatError(f"malformed JSON document: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ImageFormatError(f"cannot read JSON document {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ImageFormatError(f"JSON document {path!r} is not an object")
+    return doc
 
 
 @dataclass

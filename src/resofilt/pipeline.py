@@ -12,6 +12,7 @@ and inputs produce identical reports and masks.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -40,6 +41,13 @@ from .postfilter import (
 _ESTIMATORS = ("ls", "pencil")
 _CHANNEL_MODES = ("gray", "rgb")
 _POSTS = ("hist", "track", "none")
+
+
+def _valid_e_policy(policy) -> bool:
+    if isinstance(policy, str):
+        return policy in ("mean", "zero")
+    number = isinstance(policy, (int, float)) and not isinstance(policy, bool)
+    return number and math.isfinite(policy)
 
 
 @dataclass
@@ -88,6 +96,11 @@ class PipelineConfig:
             raise ConfigError(f"estimator: unknown value {self.estimator!r}")
         if self.estimator == "ls" and self.symmetric and (p % 2 or q % 2):
             raise ConfigError("order: symmetric estimation needs even orders")
+        if not _valid_e_policy(self.e_policy):
+            raise ConfigError(
+                f"e_policy: unknown value {self.e_policy!r}; "
+                "expected 'mean', 'zero' or a finite number"
+            )
         if self.channel_mode not in _CHANNEL_MODES:
             raise ConfigError(f"channel_mode: unknown value {self.channel_mode!r}")
         if not (isinstance(self.sigma_multiplier, (int, float)) and self.sigma_multiplier > 0):

@@ -1,19 +1,28 @@
 """Inverse filter design, convolution application, and the 3-sigma rule."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resofilt import (
     HarmonicModel,
     IRFilter,
+    NumericError,
     apply_filter,
     design_filter,
     detect,
+    doc_to_model,
     estimate_model_ls,
+    estimate_model_pencil,
+    model_to_doc,
     noise_dispersion,
     synth_texture,
 )
-from resofilt.filtering import within_band_fraction
+from resofilt.filtering import _correlate_valid, within_band_fraction
+from resofilt.model_doc import dump_json
 
 from conftest import FOUR_PAIRS, unit_roots
 
@@ -62,10 +71,12 @@ class TestDesignFilter:
         assert min(lo) > 1 / 4 and max(lo) < 4
 
     def test_e_policy_zero(self):
+        # with a unit root in the model only the null kernel drives the
+        # texture's mean to zero; it would flag nothing, so design refuses
         base, model = exact_model(FOUR_PAIRS[:1], 10.0, 32, 32)
-        irf = design_filter(base, model, e_policy="zero")
-        out = apply_filter(base, irf)
-        assert np.abs(out).max() < 1e-8 * np.abs(base).max()
+        for policy in ("zero", 0.0):
+            with pytest.raises(NumericError, match="all-zero kernel"):
+                design_filter(base, model, e_policy=policy)
 
     def test_e_policy_explicit(self):
         base, model = exact_model(FOUR_PAIRS[:1], 10.0, 32, 32)
@@ -131,6 +142,102 @@ class TestApplyFilter:
         irf = IRFilter(np.ones((4, 4)), 0.0, 0.0)
         with pytest.raises(ValueError):
             apply_filter(np.ones((3, 8)), irf)
+
+
+def _direct(image, irf):
+    return _correlate_valid(np.asarray(image, dtype=float), irf.kernel)
+
+
+def _close_to_direct(image, irf):
+    tol = 1e-12 * np.abs(irf.kernel).sum() * np.abs(image).max()
+    return np.abs(apply_filter(image, irf) - _direct(image, irf)).max() <= tol
+
+
+def _patch_scene(seed=0):
+    scene = synth_texture(FOUR_PAIRS, 128, 128, noise_sigma=0.01, seed=seed, mean=128.0)
+    scene[80:91, 80:91] = 200.0
+    return scene
+
+
+class TestSeparableApply:
+    @pytest.mark.parametrize("estimator,order", [("ls", 8), ("ls", 16), ("pencil", 4)])
+    def test_designed_kernels_match_direct(self, estimator, order):
+        scene = _patch_scene()
+        base = scene[:64, :64]
+        if estimator == "ls":
+            model, _ = estimate_model_ls(base, order, order)
+        else:
+            model, _ = estimate_model_pencil(base, order)
+        irf = design_filter(base, model)
+        assert irf.factors is not None
+        assert _close_to_direct(scene, irf)
+        two_pass = detect([apply_filter(scene, irf)], [irf], [scene])
+        direct = detect([_direct(scene, irf)], [irf], [scene])
+        assert two_pass.positive()[80:91, 80:91].any()
+        assert np.array_equal(two_pass.values, direct.values)
+
+    def test_two_pass_order_bit_for_bit(self, rng):
+        image = rng.normal(0, 1, (20, 18))
+        irf = IRFilter(np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)), 0.0, 0.0)
+        col, row = irf.factors
+        # row pass in n order, then column pass in m order over its rows
+        expected = np.zeros((16, 15))
+        for i in range(16):
+            for k in range(15):
+                acc = 0.0
+                for m in range(5):
+                    partial = 0.0
+                    for n in range(4):
+                        partial += row[n] * image[i + m, k + n]
+                    acc += col[m] * partial
+                expected[i, k] = acc
+        assert np.array_equal(apply_filter(image, irf), expected)
+
+    def test_size_error_names_the_whole_kernel(self):
+        irf = IRFilter(np.ones((4, 4)), 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"\(3, 8\) smaller than kernel \(4, 4\)"):
+            apply_filter(np.ones((3, 8)), irf)
+
+    @given(
+        p=st.integers(1, 17),
+        q=st.integers(1, 17),
+        extra=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_kernels_pick_the_right_path(self, p, q, extra, seed):
+        rng = np.random.default_rng(seed)
+        image = rng.normal(0, 10, (p + extra[0], q + extra[1]))
+        outer = IRFilter(np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q)), 0.0, 0.0)
+        assert outer.factors is not None
+        assert _close_to_direct(image, outer)
+        if min(p, q) >= 2:
+            full = IRFilter(rng.normal(0, 1, (p, q)), 0.0, 0.0)
+            assert full.factors is None
+            assert np.array_equal(apply_filter(image, full), _direct(image, full))
+
+    def test_model_document_round_trip_same_output(self):
+        scene = _patch_scene(1)
+        base = scene[:64, :64]
+        model, _ = estimate_model_ls(base, 16, 16)
+        irf = design_filter(base, model)
+        doc = json.loads(dump_json(model_to_doc(model, [irf])))
+        _, (back,) = doc_to_model(doc)
+        assert back.factors is not None
+        assert np.array_equal(apply_filter(scene, back), apply_filter(scene, irf))
+
+    def test_no_dc_design_takes_direct_path(self):
+        scene = _patch_scene(2)
+        base = scene[:64, :64]
+        model, _ = estimate_model_ls(base, 8, 8, dc_root=False)
+        irf = design_filter(base, model)
+        assert irf.factors is None
+        assert np.array_equal(apply_filter(scene, irf), _direct(scene, irf))
+
+    def test_all_zero_kernel_takes_direct_path(self):
+        irf = IRFilter(np.zeros((3, 4)), 0.0, 0.0)
+        assert irf.factors is None
+        assert not apply_filter(np.ones((6, 6)), irf).any()
 
 
 class TestNoiseDispersion:

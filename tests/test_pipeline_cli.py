@@ -141,6 +141,9 @@ class TestConfigValidation:
                 ("track_extension", -1),
                 ("split", 0),
                 ("seed", "zero"),
+                ("e_policy", "abc"),
+                ("e_policy", float("nan")),
+                ("e_policy", True),
             ]
         )
     )
@@ -271,6 +274,45 @@ class TestCli:
         code = main(["detect", "--input", str(flat), "--order", "8,8",
                      "--base", "0,0,64,64"])
         assert code == EXIT_NUMERIC
+
+    def test_filter_unreadable_model_is_input_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        not_object = tmp_path / "list.json"
+        not_object.write_text("[1, 2]\n")
+        for name in ("missing.json", "list.json"):
+            code = main(["filter", "--input", str(tex), "--model", str(tmp_path / name),
+                         "--out", str(tmp_path / "filtered.pgm")])
+            assert code == EXIT_INPUT
+            assert name in capsys.readouterr().err
+
+    def test_filter_image_smaller_than_kernel_names_model(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(model)]) == EXIT_OK
+        small = tmp_path / "small.pgm"
+        assert main(["synth", "--out", str(small), "--size", "6,40"]) == EXIT_OK
+        code = main(["filter", "--input", str(small), "--model", str(model),
+                     "--out", str(tmp_path / "filtered.pgm")])
+        assert code == EXIT_USAGE
+        assert "configuration error: model:" in capsys.readouterr().err
+
+    def test_design_unknown_e_policy_is_config_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        code = main(["design", "--input", str(tex), "--order", "8,8", "--e-policy", "abc",
+                     "--model-out", str(tmp_path / "model.json")])
+        assert code == EXIT_USAGE
+        assert "e_policy" in capsys.readouterr().err
+
+    def test_design_null_kernel_is_numeric_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        for policy in ("zero", "0"):
+            code = main(["design", "--input", str(tex), "--order", "8,8",
+                         "--e-policy", policy, "--model-out", str(model)])
+            assert code == EXIT_NUMERIC
+            assert "all-zero kernel" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_determinism_bytes(self, tmp_path):
         tex = self._synth(tmp_path)
