@@ -57,9 +57,8 @@ from .pencil import (
     gram_inverse_direct,
     gram_inverse_iterative,
     pair_frequencies,
-    pencil_correlation,
     pencil_eigenvalues,
-    svd_correlation,
+    svd_windows,
 )
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .postfilter import (

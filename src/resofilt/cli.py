@@ -27,7 +27,7 @@ from .filtering import apply_filter, design_filter
 from .harmonic import synth_texture
 from .imageio import ImageStack, draw_boxes, read_image, write_image
 from .model_doc import RunReport, doc_to_model, dump_json, load_json, model_to_doc
-from .pipeline import PipelineConfig, _diag_doc, estimate_model, run_pipeline
+from .pipeline import PipelineConfig, _diag_doc, _stage, estimate_model, run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,10 +75,12 @@ def _add_common_estimation(p: _Parser):
     p.add_argument("--base", type=_int_quad, default=(0, 0, 64, 64),
                    metavar="ROW,COL,H,W", help="base region (default 0,0,64,64)")
     p.add_argument("--order", type=_int_pair, default=(16, 16), metavar="P,Q",
-                   help="model order per axis (default 16,16)")
+                   help="model order per axis (default 16,16); the pencil "
+                        "estimator needs P = Q")
     p.add_argument("--estimator", choices=("ls", "pencil"), default="ls")
     p.add_argument("--split", type=int, default=None,
-                   help="splitting parameter of the pencil estimator")
+                   help="splitting parameter of the pencil estimator, in "
+                        "[P, min(H, W) - 2] of the base region")
     p.add_argument("--plain", action="store_true",
                    help="plain (non-palindromic) coefficient solve")
     p.add_argument("--no-dc", action="store_true", help="do not add a unit root")
@@ -204,7 +206,8 @@ def _cmd_estimate(args) -> int:
     config.validate(image_shape=stack.shape)
     x, y, h, w = config.base_region
     base = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes)).gray()
-    model, diag = estimate_model(base, config)
+    with _stage("estimate"):
+        model, diag = estimate_model(base, config)
     doc = model_to_doc(model, extra=_diag_doc(diag))
     text = dump_json(doc, args.model_out)
     if args.report_out:
@@ -220,7 +223,8 @@ def _cmd_design(args) -> int:
     config.validate(image_shape=stack.shape)
     x, y, h, w = config.base_region
     base_stack = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes))
-    model, diag = estimate_model(base_stack.gray(), config)
+    with _stage("estimate"):
+        model, diag = estimate_model(base_stack.gray(), config)
     if args.channels == "gray":
         planes, names = [base_stack.gray()], ["gray"]
     else:

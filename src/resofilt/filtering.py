@@ -52,8 +52,8 @@ class IRFilter:
 
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float).copy()
-        if k.ndim != 2:
-            raise ValueError("kernel must be 2D")
+        if k.ndim != 2 or 0 in k.shape:
+            raise ValueError(f"kernel must be 2D with at least one tap, got shape {k.shape}")
         if not np.all(np.isfinite(k)):
             raise NumericError("kernel has non-finite entries")
         if self.sigma2 < 0.0:

@@ -138,9 +138,12 @@ class RunReport:
     def from_doc(cls, doc: dict) -> "RunReport":
         if doc.get("kind") != "run-report" or doc.get("format_version") != FORMAT_VERSION:
             raise ImageFormatError("not a run-report document")
-        return cls(
-            config=doc["config"],
-            model=doc["model"],
-            frames=doc["frames"],
-            timings=doc.get("timings", {}),
-        )
+        try:
+            return cls(
+                config=doc["config"],
+                model=doc["model"],
+                frames=doc["frames"],
+                timings=doc.get("timings", {}),
+            )
+        except KeyError as exc:
+            raise ImageFormatError(f"run-report document lacks {exc}") from exc

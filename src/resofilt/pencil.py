@@ -1,11 +1,14 @@
-"""Resonance estimation by splitting the 2D correlation matrix.
+"""Resonance estimation by splitting the subspace of sliding lag windows.
 
-The correlation matrix of sliding lag windows is factored by a symmetric
-eigendecomposition; shifted row selections of the principal subspace form
-a matrix pencil whose eigenvalues are the per-axis resonance roots.  The
-Gram matrix of the base selection can be inverted either directly or by
-rank-one (Sherman-Morrison) accumulation; the two must agree and the
-direct path is the default.
+Every (M-L, N-L) lag window of the region is one row of the window
+matrix F; its principal right singular vectors (the eigenvectors of the
+2D lag correlation F^T F) span the signal subspace.  They are taken from
+whichever Gram of F is smaller, so the lag correlation itself is never
+formed when there are fewer window positions than lags.  Shifted row
+selections of that subspace form a matrix pencil whose eigenvalues are
+the per-axis resonance roots.  The Gram matrix of the base selection can
+be inverted either directly or by rank-one (Sherman-Morrison)
+accumulation; the two must agree and the direct path is the default.
 
 Row-extraction convention (frozen; see docs/formats.md): for a data
 window of size (M, N) with splitting parameter L, the lag window is
@@ -21,11 +24,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 
 from .errors import NumericError
 from .harmonic import HarmonicModel, ResonanceRoots, spectrum
-from .linear_symmetry import Correlation2D, correlation_2d
 
 # Extra singular values kept beyond the requested subspace, for reports.
 _DIAG_TAIL = 8
@@ -33,12 +36,13 @@ _DIAG_TAIL = 8
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Principal left singular vectors of a 2D correlation matrix.
+    """Principal right singular vectors of a region's window matrix.
 
     ``vectors`` holds the top ``n_modes`` columns; ``singular_values``
-    carries a short diagnostic tail beyond them.  ``dims`` is the size of
-    the data region the correlation was built from and ``split`` the
-    splitting parameter, so the lag window is (dims - split) per axis.
+    holds the eigenvalues of the lag correlation F^T F (squared singular
+    values of F), with a short diagnostic tail beyond them.  ``dims`` is
+    the size of the data region and ``split`` the splitting parameter, so
+    the lag window is (dims - split) per axis.
     """
 
     vectors: np.ndarray
@@ -66,15 +70,6 @@ class PencilResult:
     paired: list
 
 
-def pencil_correlation(region: np.ndarray, split: int) -> Correlation2D:
-    """Correlation matrix with the symmetric (M-L, N-L) lag window."""
-    region = np.asarray(region, dtype=float)
-    m, n = region.shape
-    if not (1 <= split <= min(m, n) - 2):
-        raise ValueError(f"split {split} out of range [1, {min(m, n) - 2}]")
-    return correlation_2d(region, m - split, n - split)
-
-
 def default_split(dims: tuple, n_modes: int) -> int:
     """floor(min(M, N)/3), clamped into [n_modes, min(M, N) - 2]."""
     lo, hi = n_modes, min(dims) - 2
@@ -85,35 +80,47 @@ def default_split(dims: tuple, n_modes: int) -> int:
     return int(np.clip(min(dims) // 3, lo, hi))
 
 
-def svd_correlation(corr: Correlation2D, n_modes: int) -> SubspaceBasis:
-    """Top-``n_modes`` singular pairs of a symmetric correlation matrix.
+def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
+    """Top-``n_modes`` principal right singular vectors of the window matrix.
 
-    The matrix is symmetric positive semidefinite, so the singular pairs
-    coincide with the eigenpairs and a symmetric eigensolver is used.
-    Raises when the requested subspace exceeds the numerical rank.
+    F stacks every (M-L, N-L) lag window of the region as one row, so its
+    right singular vectors are the eigenvectors of the lag correlation
+    R = F^T F.  The eigenproblem is solved on the smaller Gram: F F^T
+    (positions squared) when there are fewer window positions than lags,
+    with the eigenvectors mapped back as V = F^T U / sqrt(lambda), else
+    R itself.  The nonzero eigenvalues of both Grams coincide; R's others
+    are zero.  Raises when the requested subspace exceeds the numerical
+    rank.
     """
-    r = corr.matrix
-    dim = r.shape[0]
+    region = np.asarray(region, dtype=float)
+    m, n = region.shape
+    if not (1 <= split <= min(m, n) - 2):
+        raise ValueError(f"split {split} out of range [1, {min(m, n) - 2}]")
+    wx, wy = m - split, n - split
+    dim = wx * wy
     if not (1 <= n_modes <= dim):
         raise ValueError(f"n_modes {n_modes} out of range 1..{dim}")
-    m, n = corr.source_size
-    wx, wy = corr.window
-    if m - wx != n - wy:
-        raise ValueError("correlation window is not a symmetric split of the region")
-    split = m - wx
+    f = sliding_window_view(region, (wx, wy)).reshape(-1, dim)
+    by_positions = f.shape[0] < dim
+    gram = f @ f.T if by_positions else f.T @ f
+    size = gram.shape[0]
 
     keep = min(dim, n_modes + _DIAG_TAIL)
-    vals, vecs = eigh(r, subset_by_index=[dim - keep, dim - 1])
+    top = min(size, keep)
+    vals, vecs = eigh(gram, subset_by_index=[size - top, size - 1])
     vals = np.maximum(vals[::-1], 0.0)
-    vecs = vecs[:, ::-1]
+    vals = np.concatenate([vals, np.zeros(keep - top)])
     if vals[n_modes - 1] < 1e-12 * max(vals[0], 1e-300):
         raise NumericError(
             f"requested subspace of {n_modes} exceeds the numerical rank: "
             "model order is overestimated"
         )
+    vecs = vecs[:, ::-1][:, :n_modes]
+    if by_positions:
+        vecs = (f.T @ vecs) / np.sqrt(vals[:n_modes])
     return SubspaceBasis(
-        vectors=vecs[:, :n_modes],
-        singular_values=vals[:keep],
+        vectors=vecs,
+        singular_values=vals,
         split=split,
         dims=(m, n),
     )
@@ -249,8 +256,7 @@ def estimate_model_pencil(
     work = region - region.mean() if dc_root else region
     if split is None:
         split = default_split(region.shape, n_modes)
-    corr = pencil_correlation(work, split)
-    basis = svd_correlation(corr, n_modes)
+    basis = svd_windows(work, split, n_modes)
     u0, ux, uy = extract_submatrices(basis)
     gram_inv = gram_inverse_iterative(u0) if iterative_gram else gram_inverse_direct(u0)
     zx = pencil_eigenvalues(u0, ux, gram_inv)

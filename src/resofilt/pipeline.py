@@ -130,6 +130,25 @@ class PipelineConfig:
         if self.split is not None:
             if not (isinstance(self.split, int) and self.split >= 1):
                 raise ConfigError("split: must be a positive integer or None")
+        if self.estimator == "pencil":
+            if p != q:
+                raise ConfigError(
+                    f"order: the pencil estimator takes one mode count for "
+                    f"both axes, got {p},{q}"
+                )
+            if self.split is not None:
+                hi = min(h, w) - 2
+                if not p <= self.split <= hi:
+                    raise ConfigError(
+                        f"split: {self.split} outside [{p}, {hi}] for order "
+                        f"{p} on a {h}x{w} base region"
+                    )
+                rows = (h - self.split - 1) * (w - self.split - 1)
+                if rows < p:
+                    raise ConfigError(
+                        f"split: {self.split} leaves {rows} pencil rows for "
+                        f"{p} modes on a {h}x{w} base region"
+                    )
         if not isinstance(self.seed, int):
             raise ConfigError("seed: must be an integer")
         if image_shape is not None:

@@ -155,3 +155,19 @@ class TestModelDocument:
         assert back.timings == {}  # excluded by default
         with_timing = json.loads(dump_json(report.to_doc(include_timings=True)))
         assert RunReport.from_doc(with_timing).timings == report.timings
+
+    def test_report_missing_section_is_format_error(self):
+        full = RunReport(config={}, model={}, frames=[]).to_doc()
+        for key in ("config", "model", "frames"):
+            doc = dict(full)
+            del doc[key]
+            with pytest.raises(ImageFormatError, match=key):
+                RunReport.from_doc(doc)
+
+    def test_empty_kernel_is_format_error(self):
+        model, filters = self._model_and_filters()
+        for kernel in ([[]], [[], []]):
+            doc = model_to_doc(model, filters)
+            doc["filters"][0]["kernel"] = kernel
+            with pytest.raises(ImageFormatError, match="at least one tap"):
+                doc_to_model(doc)

@@ -2,38 +2,57 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from resofilt import (
     NumericError,
+    apply_filter,
     correlation_2d,
+    design_filter,
+    detect,
     estimate_model_ls,
     estimate_model_pencil,
     extract_submatrices,
     gram_inverse_direct,
     gram_inverse_iterative,
     pair_frequencies,
-    pencil_correlation,
     pencil_eigenvalues,
-    svd_correlation,
+    svd_windows,
     synth_texture,
 )
+from resofilt import pencil
 from resofilt.pencil import SubspaceBasis, default_split, extraction_indices
 
-from conftest import conj_freqs, pairs_subset, root_set_error
+from conftest import FOUR_PAIRS, conj_freqs, pairs_subset, root_set_error
 
 
 def _pencil_roots(region, n_modes, split):
-    corr = pencil_correlation(region, split)
-    basis = svd_correlation(corr, n_modes)
+    return _basis_roots(svd_windows(region, split, n_modes))
+
+
+def _basis_roots(basis):
     u0, ux, uy = extract_submatrices(basis)
     gram = gram_inverse_direct(u0)
     return pencil_eigenvalues(u0, ux, gram), pencil_eigenvalues(u0, uy, gram)
 
 
+def _oracle_basis(region, split, n_modes):
+    """Reference subspace: full eigendecomposition of the lag correlation."""
+    m, n = region.shape
+    r = correlation_2d(region, m - split, n - split).matrix
+    vals, vecs = np.linalg.eigh(r)
+    keep = min(r.shape[0], n_modes + 8)
+    return SubspaceBasis(
+        vectors=vecs[:, ::-1][:, :n_modes],
+        singular_values=np.maximum(vals[::-1][:keep], 0.0),
+        split=split,
+        dims=(m, n),
+    )
+
+
 class TestSvdCorrelation:
     def test_rank_one_constant_image(self):
-        corr = correlation_2d(np.full((12, 12), 3.0), 4, 4)
-        basis = svd_correlation(corr, 1)
+        basis = svd_windows(np.full((12, 12), 3.0), 8, 1)
         sv = basis.singular_values
         assert sv[0] > 0
         assert (sv[1:] < 1e-10 * sv[0]).all()
@@ -42,29 +61,80 @@ class TestSvdCorrelation:
         # independent rank oracle: eigendecomposition of the full matrix
         for k in (1, 2, 3):
             region = synth_texture(pairs_subset(k), 48, 48)
-            corr = pencil_correlation(region, split=36)
+            corr = correlation_2d(region, 12, 12)
             eigs = np.sort(np.linalg.eigvalsh(corr.matrix))[::-1]
             significant = int(np.sum(eigs > 1e-10 * eigs[0]))
             assert significant == 2 * k
-            basis = svd_correlation(corr, 2 * k)
+            basis = svd_windows(region, 36, 2 * k)
             assert basis.n_modes == 2 * k
 
     def test_overestimated_order_rejected(self):
         region = synth_texture(pairs_subset(2), 48, 48)
-        corr = pencil_correlation(region, split=36)
         with pytest.raises(NumericError):
-            svd_correlation(corr, 6)
+            svd_windows(region, 36, 6)
 
     def test_orthonormal_vectors(self, rng):
-        corr = correlation_2d(rng.normal(0, 1, (20, 20)), 5, 5)
-        basis = svd_correlation(corr, 6)
+        basis = svd_windows(rng.normal(0, 1, (20, 20)), 15, 6)
         gram = basis.vectors.T @ basis.vectors
         assert np.abs(gram - np.eye(6)).max() < 1e-10
 
-    def test_asymmetric_split_rejected(self):
-        corr = correlation_2d(np.random.default_rng(0).normal(size=(16, 16)), 4, 5)
-        with pytest.raises(ValueError):
-            svd_correlation(corr, 2)
+    def test_split_out_of_range_rejected(self):
+        region = np.random.default_rng(0).normal(size=(16, 16))
+        for split in (0, 15):
+            with pytest.raises(ValueError, match="split"):
+                svd_windows(region, split, 2)
+        for n_modes in (0, 17):  # split 12 leaves a 4x4 lag window
+            with pytest.raises(ValueError, match="n_modes"):
+                svd_windows(region, 12, n_modes)
+
+
+class TestSvdWindows:
+    # split 21 (the default on 64x64) has 22^2 = 484 window positions for
+    # 43^2 = 1849 lags: the position Gram.  Split 50 has 225 positions for
+    # 196 lags: the lag Gram, which is the correlation matrix itself.
+    @pytest.mark.parametrize("split", [21, 50])
+    def test_matches_full_correlation_oracle(self, split):
+        region = synth_texture(pairs_subset(2), 64, 64)
+        basis = svd_windows(region, split, 4)
+        oracle = _oracle_basis(region, split, 4)
+        sv, ref = basis.singular_values, oracle.singular_values
+        assert sv.shape == ref.shape
+        assert np.abs(sv[:4] - ref[:4]).max() <= 1e-12 * ref[:4].min()
+        assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
+        assert subspace_angles(basis.vectors, oracle.vectors).max() < 1e-8
+        for got, want in zip(_basis_roots(basis), _basis_roots(oracle)):
+            assert root_set_error(got.roots, want.roots) < 1e-10
+
+    def test_short_position_gram_pads_zero_eigenvalues(self, rng):
+        # split 2 on 12x12: 9 window positions for 100 lags, so the lag
+        # correlation has 9 nonzero eigenvalues and a tail of 10 ends in 0
+        region = rng.normal(0, 1, (12, 12))
+        basis = svd_windows(region, 2, 2)
+        ref = _oracle_basis(region, 2, 2).singular_values
+        assert basis.singular_values.shape == (10,)
+        assert basis.singular_values[-1] == 0.0
+        assert np.abs(basis.singular_values - ref).max() <= 1e-12 * ref[0]
+        with pytest.raises(NumericError):
+            svd_windows(region, 2, 10)
+
+    def test_orthonormal_vectors_position_gram(self, rng):
+        basis = svd_windows(rng.normal(0, 1, (64, 64)), 21, 8)
+        assert basis.vectors.shape == (43 * 43, 8)
+        gram = basis.vectors.T @ basis.vectors
+        assert np.abs(gram - np.eye(8)).max() < 1e-10
+
+    def test_same_detect_mask_as_full_correlation(self, monkeypatch):
+        scene = synth_texture(FOUR_PAIRS, 128, 128, noise_sigma=0.01, mean=128.0)
+        scene[80:91, 80:91] = 200.0
+        base = scene[:64, :64]
+        masks = []
+        for subspace in (svd_windows, _oracle_basis):
+            monkeypatch.setattr(pencil, "svd_windows", subspace)
+            model, _ = estimate_model_pencil(base, 4)
+            irf = design_filter(base, model)
+            masks.append(detect([apply_filter(scene, irf)], [irf], [scene]))
+        assert masks[0].positive()[80:91, 80:91].any()
+        assert np.array_equal(masks[0].values, masks[1].values)
 
 
 class TestExtraction:
@@ -92,22 +162,19 @@ class TestExtraction:
         assert np.array_equal(uy, np.eye(9)[[1, 2, 4, 5], :1])
 
     def test_equal_row_counts(self, rng):
-        corr = correlation_2d(rng.normal(0, 1, (16, 16)), 6, 6)
-        basis = svd_correlation(corr, 4)
+        basis = svd_windows(rng.normal(0, 1, (16, 16)), 10, 4)
         u0, ux, uy = extract_submatrices(basis)
         assert u0.shape == ux.shape == uy.shape
 
     def test_degenerate_split_boundary(self, rng):
         # split at its upper bound leaves a 2x2 lag window: one pencil row
         region = rng.normal(0, 1, (8, 8))
-        corr = pencil_correlation(region, split=6)
-        basis = svd_correlation(corr, 2)
+        basis = svd_windows(region, 6, 2)
         with pytest.raises(NumericError):
             extract_submatrices(basis)
 
     def test_split_below_mode_count_rejected(self, rng):
-        corr = pencil_correlation(rng.normal(0, 1, (12, 12)), split=3)
-        basis = svd_correlation(corr, 3)
+        basis = svd_windows(rng.normal(0, 1, (12, 12)), 3, 3)
         bad = SubspaceBasis(
             vectors=basis.vectors,
             singular_values=basis.singular_values,

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resofilt import ConfigError, ImageStack, synth_texture
+from resofilt import ConfigError, ImageStack, NumericError, synth_texture
+from resofilt import cli
 from resofilt.cli import main
 from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 from resofilt.model_doc import dump_json
-from resofilt.pipeline import PipelineConfig, run_pipeline
+from resofilt.pipeline import PipelineConfig, estimate_model, run_pipeline
 
 from conftest import FOUR_PAIRS
 
@@ -155,6 +156,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert str(err.value).split(":")[0] in (name, "order")
+
+    @pytest.mark.parametrize(
+        "order,split,name",
+        [
+            ((4, 8), None, "order"),  # one mode count for both axes
+            ((4, 4), 3, "split"),  # below the mode count
+            ((4, 4), 63, "split"),  # above min(h, w) - 2
+            ((4, 4), 62, "split"),  # 2x2 lag window: one pencil row
+        ],
+    )
+    def test_pencil_order_and_split_rejected_by_name(self, order, split, name):
+        cfg = PipelineConfig(estimator="pencil", order=order, split=split)
+        with pytest.raises(ConfigError, match=f"^{name}:"):
+            cfg.validate()
+
+    @given(
+        h=st.integers(3, 16),
+        w=st.integers(3, 16),
+        p=st.integers(1, 6),
+        split=st.one_of(st.none(), st.integers(1, 16)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_validated_pencil_configs_reach_the_estimator(self, h, w, p, split):
+        # a pencil config that validates fails, if at all, in the math
+        cfg = PipelineConfig(
+            base_region=(0, 0, h, w), order=(p, p), estimator="pencil", split=split
+        )
+        try:
+            cfg.validate()
+        except ConfigError:
+            return
+        region = np.random.default_rng(h * 17 + w).normal(size=(h, w))
+        try:
+            estimate_model(region, cfg)
+        except NumericError:
+            pass
 
     def test_fuzzed_configs_never_reach_numeric_core(self, rng):
         # invalid configs must fail in validation, not in the math
@@ -313,6 +350,69 @@ class TestCli:
             assert code == EXIT_NUMERIC
             assert "all-zero kernel" in capsys.readouterr().err
         assert not model.exists()
+
+    def test_pencil_order_pair_must_match(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        code = main(["design", "--input", str(tex), "--estimator", "pencil",
+                     "--order", "4,8", "--model-out", str(model)])
+        assert code == EXIT_USAGE
+        assert "configuration error: order:" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "command,split,reason",
+        [
+            ("estimate", "100", "outside [4, 62]"),
+            ("estimate", "2", "outside [4, 62]"),
+            ("detect", "100", "outside [4, 62]"),
+            ("estimate", "62", "leaves 1 pencil rows"),
+        ],
+    )
+    def test_pencil_split_is_config_error(self, tmp_path, capsys, command, split, reason):
+        tex = self._synth(tmp_path)
+        code = main([command, "--input", str(tex), "--estimator", "pencil",
+                     "--order", "4,4", "--split", split])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "configuration error: split:" in err and reason in err
+
+    @pytest.mark.parametrize("command", ["estimate", "design"])
+    @pytest.mark.parametrize(
+        "failure", [ValueError("window mismatch"), np.linalg.LinAlgError("singular")]
+    )
+    def test_estimate_failures_are_numeric(self, tmp_path, capsys, monkeypatch,
+                                           command, failure):
+        def failing_estimate(base, config):
+            raise failure
+
+        monkeypatch.setattr(cli, "estimate_model", failing_estimate)
+        tex = self._synth(tmp_path)
+        code = main([command, "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(tmp_path / "model.json")])
+        assert code == EXIT_NUMERIC
+        assert f"numeric failure: estimate: {failure}" in capsys.readouterr().err
+
+    def test_report_missing_section_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text('{"kind": "run-report", "format_version": 1}\n')
+        assert main(["report", "--path", str(path)]) == EXIT_INPUT
+        assert "config" in capsys.readouterr().err
+
+    def test_filter_empty_kernel_is_input_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(model)]) == EXIT_OK
+        doc = json.loads(model.read_text())
+        doc["filters"][0]["kernel"] = [[]]
+        model.write_text(json.dumps(doc))
+        filtered = tmp_path / "filtered.pgm"
+        code = main(["filter", "--input", str(tex), "--model", str(model),
+                     "--out", str(filtered)])
+        assert code == EXIT_INPUT
+        assert "at least one tap" in capsys.readouterr().err
+        assert not filtered.exists()
 
     def test_determinism_bytes(self, tmp_path):
         tex = self._synth(tmp_path)
