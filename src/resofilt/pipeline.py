@@ -24,7 +24,7 @@ from .harmonic import HarmonicModel
 from .imageio import ImageStack
 from .linear_symmetry import estimate_model_ls
 from .model_doc import RunReport, model_to_doc
-from .pencil import estimate_model_pencil
+from .pencil import default_split, estimate_model_pencil
 from .postfilter import (
     TrackedObject,
     TrackState,
@@ -136,7 +136,16 @@ class PipelineConfig:
                     f"order: the pencil estimator takes one mode count for "
                     f"both axes, got {p},{q}"
                 )
-            if self.split is not None:
+            if self.split is None:
+                # the default split is derived, so a shortfall is the order's
+                split = default_split((h, w), p)
+                rows = (h - split - 1) * (w - split - 1)
+                if rows < p:
+                    raise ConfigError(
+                        f"order: the default split {split} leaves {rows} "
+                        f"pencil rows for {p} modes on a {h}x{w} base region"
+                    )
+            else:
                 hi = min(h, w) - 2
                 if not p <= self.split <= hi:
                     raise ConfigError(

@@ -171,6 +171,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{name}:"):
             cfg.validate()
 
+    @pytest.mark.parametrize("size,p", [(6, 4), (7, 5)])
+    def test_pencil_default_split_short_of_rows_is_order_error(self, size, p):
+        # the default split clamps up to the mode count, leaving one pencil row
+        cfg = PipelineConfig(
+            base_region=(0, 0, size, size), order=(p, p), estimator="pencil"
+        )
+        with pytest.raises(ConfigError, match="^order: the default split"):
+            cfg.validate()
+
     @given(
         h=st.integers(3, 16),
         w=st.integers(3, 16),
@@ -376,6 +385,14 @@ class TestCli:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "configuration error: split:" in err and reason in err
+
+    def test_pencil_default_split_is_config_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        code = main(["estimate", "--input", str(tex), "--estimator", "pencil",
+                     "--order", "4,4", "--base", "0,0,6,6"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "configuration error: order:" in err and "leaves 1 pencil rows" in err
 
     @pytest.mark.parametrize("command", ["estimate", "design"])
     @pytest.mark.parametrize(
