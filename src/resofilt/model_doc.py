@@ -4,7 +4,8 @@ Everything is JSON.  Complex values are stored as [re, im] pairs and
 floats rely on the encoder's shortest round-trip decimal form, so a
 parse(write(x)) cycle reproduces every double exactly.  Documents carry a
 ``format_version`` field; see docs/formats.md for the schema and a golden
-example.
+example.  ``dump_json`` writes through ``imageio.write_bytes``, so a
+document rewrites an existing file in place.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import ImageFormatError
 from .filtering import IRFilter
 from .harmonic import HarmonicModel, ResonanceRoots
+from .imageio import write_bytes
 
 FORMAT_VERSION = 1
 
@@ -89,10 +91,10 @@ def doc_to_model(doc: dict):
 
 
 def dump_json(doc: dict, path=None) -> str:
+    """Encode ``doc``; with a path, also write the text plus a newline as UTF-8."""
     text = json.dumps(doc, indent=2, sort_keys=True)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_bytes(path, (text + "\n").encode("utf-8"))
     return text
 
 

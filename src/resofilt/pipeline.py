@@ -130,6 +130,11 @@ class PipelineConfig:
         if self.split is not None:
             if not (isinstance(self.split, int) and self.split >= 1):
                 raise ConfigError("split: must be a positive integer or None")
+            if self.estimator != "pencil":
+                raise ConfigError(
+                    f"split: only the pencil estimator takes a split, "
+                    f"not {self.estimator!r}"
+                )
         if self.estimator == "pencil":
             if p != q:
                 raise ConfigError(

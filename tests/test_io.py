@@ -1,11 +1,13 @@
 """Raster formats and structured-text documents."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from resofilt import (
+    ConfigError,
     HarmonicModel,
     IRFilter,
     ImageFormatError,
@@ -17,10 +19,12 @@ from resofilt import (
     synth_texture,
     write_image,
 )
-from resofilt.imageio import draw_boxes
+from resofilt.cli import main
+from resofilt.errors import EXIT_OK
+from resofilt.imageio import draw_boxes, write_bytes
 from resofilt.model_doc import RunReport, dump_json, load_json
 
-from conftest import unit_roots
+from conftest import FOUR_PAIRS, unit_roots
 
 
 class TestPgm:
@@ -171,3 +175,96 @@ class TestModelDocument:
             doc["filters"][0]["kernel"] = kernel
             with pytest.raises(ImageFormatError, match="at least one tap"):
                 doc_to_model(doc)
+
+
+class TestWriteBytes:
+    """Outputs are rewritten in place: no truncation to zero bytes first."""
+
+    @pytest.mark.parametrize("old,new", [(1000, 100), (100, 1000)])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old, new):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"\xaa" * old)
+        data = bytes(range(256)) * 4
+        write_bytes(path, data[:new])
+        assert path.read_bytes() == data[:new]
+
+    def test_creates_a_new_file_with_the_open_mode(self, tmp_path):
+        path = tmp_path / "new.bin"
+        write_bytes(path, b"fresh")
+        reference = tmp_path / "reference.bin"
+        reference.write_bytes(b"fresh")
+        assert path.read_bytes() == b"fresh"
+        assert path.stat().st_mode == reference.stat().st_mode
+
+    def test_keeps_inode_links_and_mode(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old bytes, longer than the new ones")
+        path.chmod(0o640)
+        hard = tmp_path / "hard.bin"
+        os.link(path, hard)
+        sym = tmp_path / "sym.bin"
+        sym.symlink_to(path)
+        inode = path.stat().st_ino
+        write_bytes(sym, b"new")
+        assert sym.is_symlink()
+        assert path.stat().st_ino == inode
+        assert hard.read_bytes() == b"new"
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_devnull(self):
+        write_bytes(os.devnull, b"discarded")
+
+    @pytest.mark.parametrize("target", ["missing/out.bin", "."])
+    def test_unwritable_path_is_config_error_naming_it(self, tmp_path, target):
+        path = tmp_path / target
+        with pytest.raises(ConfigError, match="^output: cannot write") as err:
+            write_bytes(path, b"x")
+        assert str(path) in str(err.value)
+
+    def test_cli_outputs_never_open_with_truncation(self, tmp_path, monkeypatch):
+        # Truncating a written file to zero bytes makes ext4 (auto_da_alloc)
+        # start writeback on close: 60-90 ms per output file on a 2-vCPU VM.
+        real_open = os.open
+        opened = []
+
+        def spy(path, flags, *args, **kwargs):
+            assert not flags & os.O_TRUNC, f"{path} opened with O_TRUNC"
+            opened.append(os.fspath(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        tex = _write_scene(tmp_path / "tex.pgm")
+        monkeypatch.setattr(os, "open", spy)
+        outs = [str(tmp_path / name) for name in ("mask.pgm", "overlay.pgm", "r.json")]
+        for _ in range(2):
+            assert main(["detect", "--input", str(tex), "--order", "8,8",
+                         "--hist-epsilon", "0.05", "--mask-out", outs[0],
+                         "--overlay-out", outs[1], "--report-out", outs[2]]) == EXIT_OK
+        model = str(tmp_path / "model.json")
+        assert main(["design", "--input", str(tex), "--order", "8,8",
+                     "--model-out", model]) == EXIT_OK
+        assert set(outs + [model]) <= set(opened)
+
+    def test_cli_rewrite_matches_fresh_outputs(self, tmp_path):
+        tex = _write_scene(tmp_path / "tex.pgm")
+        names = ("mask.pgm", "overlay.pgm", "report.json")
+
+        def detect(prefix):
+            paths = [tmp_path / f"{prefix}_{name}" for name in names]
+            assert main(["detect", "--input", str(tex), "--order", "8,8",
+                         "--hist-epsilon", "0.05", "--mask-out", str(paths[0]),
+                         "--overlay-out", str(paths[1]),
+                         "--report-out", str(paths[2])]) == EXIT_OK
+            return [p.read_bytes() for p in paths]
+
+        fresh = detect("fresh")
+        for name in names:  # stale content longer than every output
+            (tmp_path / f"again_{name}").write_bytes(b"\xff" * (len(fresh[0]) * 4))
+        assert detect("again") == fresh
+        assert detect("again") == fresh
+
+
+def _write_scene(path):
+    image = synth_texture(FOUR_PAIRS[:2], 128, 128, noise_sigma=0.01, seed=3, mean=128.0)
+    image[80:91, 80:91] = 220.0
+    write_image(path, ImageStack((image,)))
+    return path

@@ -171,6 +171,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{name}:"):
             cfg.validate()
 
+    def test_split_without_pencil_estimator_rejected_by_name(self):
+        cfg = PipelineConfig(estimator="ls", split=21)
+        with pytest.raises(ConfigError, match="^split: only the pencil estimator"):
+            cfg.validate()
+
     @pytest.mark.parametrize("size,p", [(6, 4), (7, 5)])
     def test_pencil_default_split_short_of_rows_is_order_error(self, size, p):
         # the default split clamps up to the mode count, leaving one pencil row
@@ -385,6 +390,37 @@ class TestCli:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "configuration error: split:" in err and reason in err
+
+    def test_split_with_ls_estimator_is_config_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        code = main(["estimate", "--input", str(tex), "--order", "8,8", "--split", "100"])
+        assert code == EXIT_USAGE
+        assert "configuration error: split:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,option,target",
+        [
+            ("detect", "--report-out", "missing/r.json"),
+            ("detect", "--mask-out", "."),
+            ("design", "--model-out", "missing/model.json"),
+            ("filter", "--out", "."),
+        ],
+    )
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command,
+                                               option, target):
+        tex = self._synth(tmp_path)
+        args = ["--input", str(tex)]
+        if command == "filter":
+            model = tmp_path / "model.json"
+            assert main(["design", *args, "--order", "8,8",
+                         "--model-out", str(model)]) == EXIT_OK
+            args += ["--model", str(model)]
+        else:
+            args += ["--order", "8,8"]
+        out = str(tmp_path / target)
+        assert main([command, *args, option, out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "configuration error: output: cannot write" in err and out in err
 
     def test_pencil_default_split_is_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
