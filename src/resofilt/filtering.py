@@ -74,25 +74,33 @@ class DetectionMask:
     ``values[c][i, k]`` holds the original pixel value where the pixel is
     anomalous and 0 elsewhere.  Only the top-left valid region (the part
     fully covered by filter windows) can be nonzero; ``valid_shape`` gives
-    its extent from the (0, 0) corner.
+    its extent from the (0, 0) corner.  ``values`` is held as a read-only
+    view, and the positive raster is computed once at construction and
+    kept read-only, so the two cannot drift apart.
     """
 
     values: np.ndarray
     valid_shape: tuple
+    _positive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=float).view()
         if v.ndim != 3:
             raise ValueError("mask values must be (channels, rows, cols)")
+        positive = (v > 0).any(axis=0)
+        v.setflags(write=False)
+        positive.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_positive", positive)
 
     @property
     def channels(self) -> int:
         return self.values.shape[0]
 
     def positive(self) -> np.ndarray:
-        """Boolean raster: anomalous in any channel."""
-        return (self.values > 0).any(axis=0)
+        """Boolean raster, anomalous in any channel: the same read-only
+        array on every call."""
+        return self._positive
 
 
 def _rank_one_factors(kernel: np.ndarray):
@@ -260,14 +268,18 @@ def detect(
         raise ValueError("at least one channel is required")
     shape = np.asarray(original_planes[0]).shape
     out_shape = np.asarray(filtered_channels[0]).shape
+    ox, oy = out_shape
 
     flagged = np.zeros(out_shape, dtype=bool)
+    deviation = np.empty(out_shape)
     for filt_plane, irf in zip(filtered_channels, filters):
         filt_plane = np.asarray(filt_plane, dtype=float)
         if filt_plane.shape != out_shape:
             raise ValueError("filtered channels disagree in shape")
         band = multiplier * np.sqrt(irf.sigma2)
-        flagged |= np.abs(filt_plane - irf.flat_level) > band
+        np.subtract(filt_plane, irf.flat_level, out=deviation)
+        np.abs(deviation, out=deviation)
+        flagged |= deviation > band
 
     tiny = np.nextafter(0.0, 1.0)
     values = np.zeros((len(original_planes),) + shape)
@@ -275,10 +287,9 @@ def detect(
         plane = np.asarray(plane, dtype=float)
         if plane.shape != shape:
             raise ValueError("original channels disagree in shape")
-        region = plane[: out_shape[0], : out_shape[1]]
-        marked = np.where(flagged, region, 0.0)
-        marked[flagged & (region == 0.0)] = tiny
-        values[c, : out_shape[0], : out_shape[1]] = marked
+        region = plane[:ox, :oy]
+        np.copyto(values[c, :ox, :oy], region, where=flagged)
+        np.copyto(values[c, :ox, :oy], tiny, where=flagged & (region == 0.0))
     return DetectionMask(values=values, valid_shape=out_shape)
 
 

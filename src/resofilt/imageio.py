@@ -91,11 +91,19 @@ class _Reader:
 
 
 def read_image(path) -> ImageStack:
-    """Read a PGM (P5), PPM (P6), or (optionally) PNG file."""
-    if not os.path.exists(path):
-        raise ImageFormatError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a PGM (P5), PPM (P6), or (optionally) PNG file.
+
+    P6 data is de-interleaved once, so each returned plane is a
+    C-contiguous array of its own.  An input that cannot be opened or read
+    raises ``ImageFormatError`` naming the path.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise ImageFormatError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ImageFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if data[:8] == b"\x89PNG\r\n\x1a\n":
         return _read_png(path)
     rd = _Reader(data)
@@ -117,11 +125,11 @@ def read_image(path) -> ImageStack:
     if len(payload) < need:
         rd.pos += len(payload)
         rd.fail(f"truncated pixel data: expected {need} bytes")
-    raw = np.frombuffer(payload, dtype=np.uint8).astype(float)
+    raw = np.frombuffer(payload, dtype=np.uint8)
     if channels == 1:
-        return ImageStack((raw.reshape(height, width),))
-    interleaved = raw.reshape(height, width, 3)
-    return ImageStack(tuple(interleaved[:, :, c] for c in range(3)))
+        return ImageStack((raw.reshape(height, width).astype(float),))
+    planar = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(float, order="C")
+    return ImageStack(tuple(planar))
 
 
 def _quantize(plane: np.ndarray) -> np.ndarray:

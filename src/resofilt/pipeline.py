@@ -326,12 +326,14 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
                     for b in boxes
                 )
                 state = TrackState(
-                    masks=tuple(m.positive().astype(float) for m in masks[start : start + window]),
+                    masks=tuple(m.positive() for m in masks[start : start + window]),
                     objects=objects,
                     r_threshold=config.track_threshold,
                 )
                 ratios = [binary_correlation(state, i) for i in range(len(objects))]
-                confirmed = track_filter(state, extension=config.track_extension)
+                confirmed = track_filter(
+                    state, extension=config.track_extension, ratios=ratios
+                )
                 confirmed_all.append(confirmed)
                 frames_doc.append(
                     {

@@ -90,8 +90,10 @@ class TrackedObject:
 class TrackState:
     """Immutable snapshot of L consecutive detection masks plus candidates.
 
-    ``masks`` are positive-valued rasters (mask convention of the
-    detector); ``objects`` are the frame-0 candidates to confirm.
+    ``masks`` are kept as boolean support rasters (positive entries of
+    the given rasters, mask convention of the detector).  A boolean raster,
+    such as ``DetectionMask.positive()``, is kept as given, not copied;
+    ``objects`` are the frame-0 candidates to confirm.
     """
 
     masks: tuple
@@ -103,12 +105,17 @@ class TrackState:
             raise ValueError("at least one frame is required")
         if not (0.0 <= self.r_threshold <= 1.0):
             raise ValueError("r_threshold must lie in [0, 1]")
-        object.__setattr__(self, "masks", tuple(np.asarray(m, float) for m in self.masks))
+        object.__setattr__(self, "masks", tuple(_support(m) for m in self.masks))
         object.__setattr__(self, "objects", tuple(self.objects))
 
     @property
     def window(self) -> int:
         return len(self.masks)
+
+
+def _support(raster) -> np.ndarray:
+    raster = np.asarray(raster)
+    return raster if raster.dtype == bool else raster > 0
 
 
 def connected_components(mask, min_area: int = 1):
@@ -120,26 +127,26 @@ def connected_components(mask, min_area: int = 1):
     labels, count = ndimage.label(raster, structure=np.ones((3, 3), dtype=int))
     if count == 0:
         return []
-    areas = np.bincount(labels.ravel())
-    boxes = []
-    for idx, slc in enumerate(ndimage.find_objects(labels), start=1):
-        if slc is None or areas[idx] < min_area:
-            continue
-        boxes.append(
-            ObjectBox(
-                x0=slc[0].start,
-                y0=slc[1].start,
-                x1=slc[0].stop - 1,
-                y1=slc[1].stop - 1,
-            )
-        )
-    return boxes
+    # Relabel the kept components 1..k in label order, so that find_objects
+    # scans only them and keeps their order.
+    kept = np.bincount(labels[raster], minlength=count + 1) >= min_area
+    kept[0] = False
+    relabel = np.zeros(count + 1, dtype=labels.dtype)
+    relabel[kept] = np.arange(1, np.count_nonzero(kept) + 1)
+    return [
+        ObjectBox(x0=sx.start, y0=sy.start, x1=sx.stop - 1, y1=sy.stop - 1)
+        for sx, sy in ndimage.find_objects(np.take(relabel, labels))
+    ]
+
+
+def _bins(values: np.ndarray, levels: int) -> np.ndarray:
+    """Integer bin 0..levels-1 of every value (floored, then clipped)."""
+    return np.clip(np.floor(values).astype(int), 0, levels - 1)
 
 
 def _histogram(values: np.ndarray, levels: int) -> np.ndarray:
     """Unit-mass histogram over integer bins 0..levels-1 (values clipped)."""
-    bins = np.clip(np.floor(values.ravel()).astype(int), 0, levels - 1)
-    h = np.bincount(bins, minlength=levels).astype(float)
+    h = np.bincount(_bins(values.ravel(), levels), minlength=levels).astype(float)
     total = h.sum()
     return h / total if total > 0 else h
 
@@ -173,14 +180,18 @@ def histogram_difference(
         raise ValueError("empty ring: extension does not clear the object box")
     g_ring = _histogram(ring_values, levels)
 
+    # All row histograms in one bincount of row * levels + bin, all column
+    # histograms in one of bin * cols + column; each row (column) holds
+    # cols (rows) samples, the unit-mass divisor of _histogram.
     rows = box.height
     cols = box.width
-    g_row = np.empty((rows, levels))
-    for i in range(rows):
-        g_row[i] = _histogram(image_gray[box.x0 + i, box.y0 : box.y1 + 1], levels) - g_ring
-    g_col = np.empty((levels, cols))
-    for j in range(cols):
-        g_col[:, j] = _histogram(image_gray[box.x0 : box.x1 + 1, box.y0 + j], levels) - g_ring
+    bins = _bins(image_gray[box.x0 : box.x1 + 1, box.y0 : box.y1 + 1], levels)
+    row_keys = np.arange(rows)[:, np.newaxis] * levels + bins
+    col_keys = bins * cols + np.arange(cols)
+    row_counts = np.bincount(row_keys.ravel(), minlength=rows * levels)
+    col_counts = np.bincount(col_keys.ravel(), minlength=levels * cols)
+    g_row = row_counts.reshape(rows, levels) / float(cols) - g_ring
+    g_col = col_counts.reshape(levels, cols) / float(rows) - g_ring[:, np.newaxis]
 
     return HistogramEvidence(g_row=g_row, g_col=g_col, product=g_row @ g_col, levels=levels)
 
@@ -254,11 +265,11 @@ def binary_correlation(track: TrackState, object_index: int) -> float:
     """
     obj = track.objects[object_index]
     sx, sy = _window_slices(obj.center, obj.size, track.masks[0].shape)
-    ref = track.masks[0][sx, sy] > 0
+    ref = track.masks[0][sx, sy]
     numerator = 0
     denominator = 0
     for frame in track.masks:
-        cur = frame[sx, sy] > 0
+        cur = frame[sx, sy]
         numerator += int(np.count_nonzero(ref & cur))
         denominator += int(np.count_nonzero(cur))
     if denominator == 0:
@@ -267,12 +278,19 @@ def binary_correlation(track: TrackState, object_index: int) -> float:
     return numerator / denominator
 
 
-def track_filter(track: TrackState, extension: int = 7):
-    """Confirmed objects, re-emitted with their background-extended boxes."""
+def track_filter(track: TrackState, extension: int = 7, ratios=None):
+    """Confirmed objects, re-emitted with their background-extended boxes.
+
+    ``ratios`` are the objects' ``binary_correlation`` values when the
+    caller has them already; by default they are computed here.
+    """
+    if ratios is None:
+        ratios = [binary_correlation(track, i) for i in range(len(track.objects))]
+    if len(ratios) != len(track.objects):
+        raise ValueError("one correlation ratio per object is required")
     shape = track.masks[0].shape
     confirmed = []
-    for idx, obj in enumerate(track.objects):
-        r = binary_correlation(track, idx)
+    for obj, r in zip(track.objects, ratios):
         if r > track.r_threshold:
             confirmed.append(replace(obj.box.extended(extension, shape), frame_index=obj.box.frame_index))
     return confirmed

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resofilt import (
+    DetectionMask,
     HarmonicModel,
     IRFilter,
     NumericError,
@@ -292,6 +293,43 @@ class TestDetect:
         original = np.zeros((5, 5))
         mask = detect([filt], [irf], [original])
         assert mask.values[0, 1, 1] > 0.0
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_values_equal_where_formulation(self, rng, channels):
+        # reference: the union flag, then np.where per channel with the
+        # exact-zero rule, written into a zero raster
+        shape, out_shape = (20, 22), (17, 18)
+        filtered = [rng.normal(0.0, 1.0, out_shape) for _ in range(channels)]
+        filters = [IRFilter(np.ones((4, 5)), 0.1 * c, 0.5 + c) for c in range(channels)]
+        originals = [rng.integers(-3, 4, shape).astype(float) for _ in range(channels)]
+        originals[0][:4, :4] = 0.0
+        originals[-1][5, :] = -0.0
+        mask = detect(filtered, filters, originals, multiplier=1.5)
+        flagged = np.zeros(out_shape, dtype=bool)
+        for f, irf in zip(filtered, filters):
+            flagged |= np.abs(f - irf.flat_level) > 1.5 * np.sqrt(irf.sigma2)
+        expected = np.zeros((channels,) + shape)
+        for c, plane in enumerate(originals):
+            region = plane[: out_shape[0], : out_shape[1]]
+            marked = np.where(flagged, region, 0.0)
+            marked[flagged & (region == 0.0)] = np.nextafter(0.0, 1.0)
+            expected[c, : out_shape[0], : out_shape[1]] = marked
+        assert flagged.any() and (expected < 0).any()
+        assert np.array_equal(mask.values, expected)
+        assert np.array_equal(np.signbit(mask.values), np.signbit(expected))
+
+    def test_positive_raster_cached_read_only(self):
+        values = np.zeros((3, 5, 5))
+        values[1, 2, 3] = 4.0
+        values[2, 0, 0] = -1.0
+        mask = DetectionMask(values=values, valid_shape=(5, 5))
+        pos = mask.positive()
+        assert pos is mask.positive()
+        assert not pos.flags.writeable and not mask.values.flags.writeable
+        assert values.flags.writeable  # the caller's array is left alone
+        assert pos.dtype == bool and pos.sum() == 1 and pos[2, 3]
+        with pytest.raises(ValueError):
+            pos[0, 0] = True
 
     def test_channel_count_mismatch(self):
         irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)

@@ -44,6 +44,16 @@ class TestPgm:
         assert np.array_equal(stack.planes[0], [[10.0, 40.0], [70.0, 100.0]])
         assert np.array_equal(stack.planes[2], [[30.0, 60.0], [90.0, 120.0]])
 
+    def test_ppm_planes_contiguous_and_equal_to_interleaved_bytes(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
+        path = tmp_path / "planar.ppm"
+        path.write_bytes(b"P6\n7 5\n255\n" + pixels.tobytes())
+        stack = read_image(path)
+        for c, plane in enumerate(stack.planes):
+            assert plane.flags.c_contiguous and plane.dtype == float
+            assert np.array_equal(plane, pixels[:, :, c])
+        assert not np.shares_memory(stack.planes[0], stack.planes[1])
+
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([7, 9]))
@@ -95,6 +105,11 @@ class TestPgm:
     def test_missing_file(self):
         with pytest.raises(ImageFormatError):
             read_image("/definitely/not/here.pgm")
+
+    def test_unreadable_input_names_the_path(self, tmp_path):
+        with pytest.raises(ImageFormatError, match="cannot read") as err:
+            read_image(tmp_path)
+        assert str(tmp_path) in str(err.value)
 
 
 class TestOverlay:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resofilt import ConfigError, ImageStack, NumericError, synth_texture
-from resofilt import cli
+from resofilt import cli, pipeline, postfilter
 from resofilt.cli import main
 from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 from resofilt.model_doc import dump_json
@@ -70,6 +70,33 @@ class TestRunPipeline:
         record = result.report.frames[0]
         dropped = sum(1 for r in record["correlations"] if r <= cfg.track_threshold)
         assert dropped >= 1  # speckle trains decorrelate and drop
+
+    def test_track_work_counts(self, monkeypatch):
+        # each object of each window is correlated exactly once, and the
+        # windows hold the detector's own positive rasters, not copies
+        calls, states = [], []
+        correlate, confirm = postfilter.binary_correlation, postfilter.track_filter
+
+        def spy_correlation(state, index):
+            calls.append((id(state), index))
+            return correlate(state, index)
+
+        def spy_filter(state, *args, **kwargs):
+            states.append(state)
+            return confirm(state, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "binary_correlation", spy_correlation)
+        monkeypatch.setattr(postfilter, "binary_correlation", spy_correlation)
+        monkeypatch.setattr(pipeline, "track_filter", spy_filter)
+        frames = [patch_scene(seed=s) for s in range(4)]
+        cfg = PipelineConfig(order=(8, 8), post="track", track_window=3, min_area=1)
+        result = run_pipeline(cfg, frames)
+        assert len(states) == 2
+        expected = [(id(st), i) for st in states for i in range(len(st.objects))]
+        assert expected and sorted(calls) == sorted(expected)
+        for start, state in enumerate(states):
+            for offset, raster in enumerate(state.masks):
+                assert np.shares_memory(raster, result.masks[start + offset].positive())
 
     def test_post_none_keeps_candidates(self):
         cfg = PipelineConfig(order=(8, 8), post="none")
@@ -312,6 +339,11 @@ class TestCli:
         bad = tmp_path / "trunc.pgm"
         bad.write_bytes(b"P5\n10 10\n255\n")
         assert main(["detect", "--input", str(bad), "--order", "8,8"]) == EXIT_INPUT
+
+    def test_directory_input_is_input_error(self, tmp_path, capsys):
+        assert main(["detect", "--input", str(tmp_path), "--order", "8,8"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from resofilt import (
     ObjectBox,
@@ -14,7 +17,7 @@ from resofilt import (
     histogram_difference,
     track_filter,
 )
-from resofilt.postfilter import combine_binaries, default_evidence_threshold
+from resofilt.postfilter import _histogram, combine_binaries, default_evidence_threshold
 
 
 class TestConnectedComponents:
@@ -42,6 +45,22 @@ class TestConnectedComponents:
         boxes = connected_components(mask, min_area=2)
         assert len(boxes) == 1
         assert boxes[0].area == 9
+
+    @pytest.mark.parametrize("min_area", range(1, 7))
+    def test_same_boxes_as_full_labelling(self, rng, min_area):
+        # reference: find_objects over every label, areas from the whole
+        # label raster, small components skipped in label order
+        mask = rng.random((64, 80)) < 0.12
+        mask[10:14, 20:23] = True
+        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        areas = np.bincount(labels.ravel())
+        expected = [
+            (sx.start, sy.start, sx.stop - 1, sy.stop - 1)
+            for idx, (sx, sy) in enumerate(ndimage.find_objects(labels), start=1)
+            if areas[idx] >= min_area
+        ]
+        boxes = connected_components(mask.astype(float), min_area=min_area)
+        assert [(b.x0, b.y0, b.x1, b.y1) for b in boxes] == expected
 
 
 class TestHistogramDifference:
@@ -89,6 +108,48 @@ class TestHistogramDifference:
             means.append(abs(ev.product.mean()))
         assert means[1] < means[0]
         assert means[1] < 3.0 / 36  # loose 3-sigma style band
+
+
+def _histogram_reference(image, box, e, levels):
+    """Row and column evidence from one _histogram call per box row and column."""
+    outer = box.extended(e, image.shape)
+    ring = np.ones((outer.height, outer.width), dtype=bool)
+    ring[box.x0 - outer.x0 : box.x1 - outer.x0 + 1, box.y0 - outer.y0 : box.y1 - outer.y0 + 1] = False
+    g_ring = _histogram(image[outer.x0 : outer.x1 + 1, outer.y0 : outer.y1 + 1][ring], levels)
+    g_row = np.empty((box.height, levels))
+    for i in range(box.height):
+        g_row[i] = _histogram(image[box.x0 + i, box.y0 : box.y1 + 1], levels) - g_ring
+    g_col = np.empty((levels, box.width))
+    for j in range(box.width):
+        g_col[:, j] = _histogram(image[box.x0 : box.x1 + 1, box.y0 + j], levels) - g_ring
+    return g_row, g_col, g_row @ g_col
+
+
+class TestHistogramEquivalence:
+    @given(
+        height=st.integers(1, 12),
+        width=st.integers(1, 12),
+        e=st.integers(1, 4),
+        levels=st.integers(2, 299),
+        integral=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bit_equal_to_per_row_and_column_histograms(
+        self, height, width, e, levels, integral, seed
+    ):
+        # values span negatives, fractions and values at or above levels,
+        # so the floor and both clips are exercised
+        rng = np.random.default_rng(seed)
+        image = rng.uniform(-0.5 * levels, 1.5 * levels, (height + 2 * e, width + 2 * e))
+        if integral:
+            image = np.floor(image)
+        box = ObjectBox(e, e, e + height - 1, e + width - 1)
+        ev = histogram_difference(image, box, e=e, levels=levels)
+        g_row, g_col, product = _histogram_reference(image, box, e, levels)
+        assert np.array_equal(ev.g_row, g_row)
+        assert np.array_equal(ev.g_col, g_col)
+        assert np.array_equal(ev.product, product)
 
 
 class TestBinarize:
@@ -199,7 +260,43 @@ class TestBinaryCorrelation:
                 assert 0.0 <= r <= 1.0
 
 
+class TestTrackStateMasks:
+    def test_masks_kept_as_boolean_support(self):
+        m = np.array([[0.0, 2.0], [-1.0, 5e-324]])
+        state = _track([m], [])
+        assert state.masks[0].dtype == bool
+        assert state.masks[0].tolist() == [[False, True], [False, True]]
+
+    def test_boolean_raster_is_not_copied(self):
+        m = np.zeros((6, 6), dtype=bool)
+        m[2:4, 2:4] = True
+        state = _track([m], [])
+        assert state.masks[0] is m
+
+    def test_float_and_boolean_masks_equal_ratios(self, rng):
+        for _ in range(10):
+            masks = [rng.random((24, 24)) * (rng.random((24, 24)) < 0.3) for _ in range(3)]
+            masks[1][masks[0] > 0] *= -1.0  # negative entries are not support
+            boxes = connected_components(masks[0]) or [ObjectBox(4, 4, 8, 8)]
+            floats = _track(masks, boxes)
+            bools = _track([m > 0 for m in masks], boxes)
+            for i in range(len(boxes)):
+                assert binary_correlation(floats, i) == binary_correlation(bools, i)
+
+
 class TestTrackFilter:
+    def test_given_ratios_replace_the_correlation(self):
+        m = np.zeros((30, 30))
+        m[5:9, 5:9] = 1.0
+        m[20:24, 20:24] = 1.0
+        state = _track([m, m, m], connected_components(m))
+        assert len(track_filter(state, extension=1)) == 2
+        assert len(track_filter(state, extension=1, ratios=[1.0, 1.0])) == 2
+        kept = track_filter(state, extension=1, ratios=[0.0, 1.0])
+        assert [(b.x0, b.y0) for b in kept] == [(19, 19)]
+        with pytest.raises(ValueError):
+            track_filter(state, ratios=[1.0])
+
     def test_unity_confirmed_zero_dropped(self):
         keep = np.zeros((40, 40))
         keep[10:15, 10:15] = 5.0
