@@ -27,7 +27,14 @@ from .filtering import apply_filter, design_filter
 from .harmonic import synth_texture
 from .imageio import ImageStack, draw_boxes, read_image, write_image
 from .model_doc import RunReport, doc_to_model, dump_json, load_json, model_to_doc
-from .pipeline import PipelineConfig, _diag_doc, _stage, estimate_model, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    _channels,
+    _diag_doc,
+    _stage,
+    estimate_model,
+    run_pipeline,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,11 +232,7 @@ def _cmd_design(args) -> int:
     base_stack = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes))
     with _stage("estimate"):
         model, diag = estimate_model(base_stack.gray(), config)
-    if args.channels == "gray":
-        planes, names = [base_stack.gray()], ["gray"]
-    else:
-        src = base_stack.planes if base_stack.channels == 3 else base_stack.planes * 3
-        planes, names = list(src[:3]), ["r", "g", "b"]
+    planes, names = _channels(base_stack, config.channel_mode)
     filters = [
         design_filter(plane, model, e_policy=config.e_policy, channel=name)
         for plane, name in zip(planes, names)
@@ -243,10 +246,7 @@ def _cmd_filter(args) -> int:
     model, filters = doc_to_model(load_json(args.model))
     if not filters:
         raise ConfigError("model: the document carries no designed filters")
-    if len(filters) == 1:
-        planes = [stack.gray()]
-    else:
-        planes = list(stack.planes[:3]) if stack.channels == 3 else [stack.gray()] * 3
+    planes, _ = _channels(stack, "gray" if len(filters) == 1 else "rgb")
     for plane, f in zip(planes, filters):
         if plane.shape[0] < f.kernel.shape[0] or plane.shape[1] < f.kernel.shape[1]:
             raise ConfigError(
@@ -258,18 +258,16 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _run_and_write(args, frames, post: str) -> int:
+def _run(args, frames, post: str):
     config = _config_from_args(args, post=post)
     t0 = time.perf_counter()
     result = run_pipeline(config, frames)
     result.report.timings["total_s"] = time.perf_counter() - t0
-    if getattr(args, "mask_out", None):
-        mask = result.masks[0]
-        write_image(args.mask_out, ImageStack(tuple(mask.values)))
-    if getattr(args, "overlay_out", None):
-        boxes = result.confirmed[0] if result.confirmed else []
-        write_image(args.overlay_out, draw_boxes(frames[0], boxes))
-    if getattr(args, "report_out", None):
+    return result
+
+
+def _write_report(args, result) -> int:
+    if args.report_out:
         include = bool(getattr(args, "timings", False))
         dump_json(result.report.to_doc(include_timings=include), args.report_out)
     for frame_doc in result.report.frames:
@@ -283,12 +281,18 @@ def _run_and_write(args, frames, post: str) -> int:
 
 def _cmd_detect(args) -> int:
     stack = read_image(args.input)
-    return _run_and_write(args, [stack], post=args.post)
+    result = _run(args, [stack], post=args.post)
+    if args.mask_out:
+        write_image(args.mask_out, ImageStack(tuple(result.mask.values)))
+    if args.overlay_out:
+        write_image(args.overlay_out, draw_boxes(stack, result.confirmed[0]))
+    return _write_report(args, result)
 
 
 def _cmd_track(args) -> int:
-    frames = [read_image(path) for path in args.inputs]
-    return _run_and_write(args, frames, post="track")
+    # a generator: the pipeline reads each frame when it reaches it
+    frames = (read_image(path) for path in args.inputs)
+    return _write_report(args, _run(args, frames, post="track"))
 
 
 def _cmd_report(args) -> int:

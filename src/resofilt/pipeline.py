@@ -2,9 +2,12 @@
 
 The pipeline estimates resonance roots on the base region of the first
 frame (shared across channels), fits amplitudes and designs one inverse
-filter per channel, filters and applies the union threshold rule per
-frame, extracts candidate boxes, and finally runs either the static
-histogram post-filter or the dynamic cross-frame correlation filter.
+filter per channel, then streams the frames: each one is filtered,
+thresholded by the union rule and split into candidate boxes, which the
+static histogram post-filter judges at once and the dynamic cross-frame
+correlation filter judges once the window of L frames they open is
+complete.  A run holds one frame at a time, plus the boolean rasters of
+the last L frames and frame 0's mask.
 
 Stages run sequentially and deterministically: identical configuration
 and inputs produce identical reports and masks.
@@ -13,13 +16,15 @@ and inputs produce identical reports and masks.
 from __future__ import annotations
 
 import math
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, ImageFormatError, NumericError, ResofiltError
-from .filtering import apply_filter, design_filter, detect
+from .filtering import DetectionMask, apply_filter, design_filter, detect
 from .harmonic import HarmonicModel
 from .imageio import ImageStack
 from .linear_symmetry import estimate_model_ls
@@ -82,7 +87,7 @@ class PipelineConfig:
     track_extension: int = 7
     seed: int = 0
 
-    def validate(self, image_shape=None, n_frames: int = 1):
+    def validate(self, image_shape=None):
         x, y, h, w = self._require_int_tuple("base_region", self.base_region, 4)
         if x < 0 or y < 0 or h < 1 or w < 1:
             raise ConfigError("base_region: origin must be >= 0 and size positive")
@@ -168,8 +173,6 @@ class PipelineConfig:
         if image_shape is not None:
             if x + h > image_shape[0] or y + w > image_shape[1]:
                 raise ConfigError("base_region: falls outside the image")
-        if self.post == "track" and n_frames < self.track_window:
-            raise ConfigError("track_window: more frames than provided are required")
 
     @staticmethod
     def _require_int_tuple(name, value, n):
@@ -184,12 +187,25 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
+    """Outcome of one run.
+
+    ``mask`` is frame 0's detection mask, the only one a run keeps.
+    ``boxes`` holds each frame's candidates; ``confirmed`` holds one list
+    per report record (a frame, or a track window).
+    """
+
     report: RunReport
     model: HarmonicModel
     filters: list
-    masks: list
+    mask: DetectionMask
     boxes: list
     confirmed: list
+
+    @property
+    def masks(self) -> tuple:
+        """Frame 0's mask as a one-element tuple; later frames' masks are
+        not kept."""
+        return (self.mask,)
 
 
 @contextmanager
@@ -207,11 +223,13 @@ def _stage(name: str):
 
 
 def _channels(stack: ImageStack, mode: str):
+    """Planes and channel names of a mode: the gray plane, or three planes
+    (an image without three planes gives its gray plane three times)."""
     if mode == "gray":
         return [stack.gray()], ["gray"]
-    if stack.channels == 1:
-        return [stack.planes[0]] * 3, ["r", "g", "b"]
-    return list(stack.planes[:3]), ["r", "g", "b"]
+    if stack.channels == 3:
+        return list(stack.planes), ["r", "g", "b"]
+    return [stack.gray()] * 3, ["r", "g", "b"]
 
 
 def estimate_model(base: np.ndarray, config: PipelineConfig):
@@ -283,16 +301,73 @@ def _hist_verdicts(stack: ImageStack, boxes, config: PipelineConfig):
     return records
 
 
+def _size(stack: ImageStack) -> str:
+    rows, cols = stack.shape
+    return f"{rows}x{cols} with {stack.channels} channel(s)"
+
+
+def _track_window(start: int, recent, config: PipelineConfig):
+    """Correlate the frame-``start`` candidates over the window ``recent``
+    of (positive raster, boxes) pairs; return the confirmed boxes and the
+    window's report record."""
+    boxes = recent[0][1]
+    objects = tuple(
+        TrackedObject(center=b.center, size=(b.height, b.width), box=b) for b in boxes
+    )
+    state = TrackState(
+        masks=tuple(raster for raster, _ in recent),
+        objects=objects,
+        r_threshold=config.track_threshold,
+    )
+    ratios = [binary_correlation(state, i) for i in range(len(objects))]
+    confirmed = track_filter(state, extension=config.track_extension, ratios=ratios)
+    record = {
+        "frame": start,
+        "boxes": [_box_doc(b) for b in boxes],
+        "correlations": [float(r) for r in ratios],
+        "confirmed": [_box_doc(b) for b in confirmed],
+    }
+    return confirmed, record
+
+
+def _frame_verdicts(index: int, frame: ImageStack, boxes, config: PipelineConfig):
+    """Histogram verdicts (or none) of one frame's candidates; return the
+    kept boxes and the frame's report record."""
+    if config.post == "hist":
+        records = _hist_verdicts(frame, boxes, config)
+    else:
+        records = [(b, True, None) for b in boxes]
+    kept = [b for b, verdict, _ in records if verdict]
+    record = {
+        "frame": index,
+        "boxes": [_box_doc(b) for b in boxes],
+        "verdicts": [bool(v) for _, v, _ in records],
+        "cell_fill_max": [None if f is None else float(f) for _, _, f in records],
+        "confirmed": [_box_doc(b) for b in kept],
+    }
+    return kept, record
+
+
 def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
-    """Run the full chain over one frame (static) or a frame list (dynamic)."""
-    frames = list(frames)
-    if not frames:
+    """Run the full chain over an iterable of frames, one frame at a time.
+
+    Frame 0 supplies the base region and fixes the shape and channel count
+    of every later frame.  Each frame is filtered, detected and, for the
+    hist and none post-filters, judged before the next one is taken from
+    ``frames``.  The track post-filter keeps the positive rasters and boxes
+    of the last ``track_window`` frames and correlates the window starting
+    at frame k - L + 1 once frame k has been detected.  Of the detection
+    masks only frame 0's is kept.
+    """
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
         raise ConfigError("frames: at least one frame is required")
-    config.validate(image_shape=frames[0].shape, n_frames=len(frames))
+    config.validate(image_shape=first.shape)
     x, y, h, w = (int(v) for v in config.base_region)
 
     with _stage("estimate"):
-        base_stack = ImageStack(tuple(p[x : x + h, y : y + w] for p in frames[0].planes))
+        base_stack = ImageStack(tuple(p[x : x + h, y : y + w] for p in first.planes))
         base_gray = base_stack.gray()
         model, diag = estimate_model(base_gray, config)
 
@@ -303,64 +378,39 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
             for plane, name in zip(base_planes, names)
         ]
 
-    masks = []
+    first_mask = None
+    recent = deque(maxlen=config.track_window)
     per_frame_boxes = []
-    with _stage("filter+detect"):
-        for index, frame in enumerate(frames):
+    frames_doc = []
+    confirmed_all = []
+    # Frames are taken outside every stage, so a frame that cannot be read
+    # keeps its own error type and message.
+    for index, frame in enumerate(chain((first,), frames)):
+        if (frame.shape, frame.channels) != (first.shape, first.channels):
+            raise ConfigError(
+                f"frames: frame {index} is {_size(frame)}, frame 0 is {_size(first)}"
+            )
+        with _stage("filter+detect"):
             planes, _ = _channels(frame, config.channel_mode)
             filtered = [apply_filter(plane, irf) for plane, irf in zip(planes, filters)]
             mask = detect(filtered, filters, planes, multiplier=config.sigma_multiplier)
-            masks.append(mask)
             boxes = connected_components(mask, min_area=config.min_area)
-            per_frame_boxes.append(boxes)
-
-    frames_doc = []
-    confirmed_all = []
-    if config.post == "track":
-        with _stage("track"):
-            window = config.track_window
-            for start in range(0, len(frames) - window + 1):
-                boxes = per_frame_boxes[start]
-                objects = tuple(
-                    TrackedObject(center=b.center, size=(b.height, b.width), box=b)
-                    for b in boxes
-                )
-                state = TrackState(
-                    masks=tuple(m.positive() for m in masks[start : start + window]),
-                    objects=objects,
-                    r_threshold=config.track_threshold,
-                )
-                ratios = [binary_correlation(state, i) for i in range(len(objects))]
-                confirmed = track_filter(
-                    state, extension=config.track_extension, ratios=ratios
-                )
-                confirmed_all.append(confirmed)
-                frames_doc.append(
-                    {
-                        "frame": start,
-                        "boxes": [_box_doc(b) for b in boxes],
-                        "correlations": [float(r) for r in ratios],
-                        "confirmed": [_box_doc(b) for b in confirmed],
-                    }
-                )
-    else:
-        with _stage("post-filter"):
-            for index, boxes in enumerate(per_frame_boxes):
-                if config.post == "hist":
-                    records = _hist_verdicts(frames[index], boxes, config)
-                else:
-                    records = [(b, True, None) for b in boxes]
-                kept = [b for b, verdict, _ in records if verdict]
-                confirmed_all.append(kept)
-                frames_doc.append(
-                    {
-                        "frame": index,
-                        "boxes": [_box_doc(b) for b in boxes],
-                        "verdicts": [bool(v) for _, v, _ in records],
-                        "cell_fill_max": [None if f is None else float(f) for _, _, f in records],
-                        "confirmed": [_box_doc(b) for b in kept],
-                    }
-                )
+        if index == 0:
+            first_mask = mask
+        per_frame_boxes.append(boxes)
+        if config.post == "track":
+            recent.append((mask.positive(), boxes))
+            if len(recent) < recent.maxlen:
+                continue
+            with _stage("track"):
+                confirmed, record = _track_window(index + 1 - len(recent), recent, config)
+        else:
+            with _stage("post-filter"):
+                confirmed, record = _frame_verdicts(index, frame, boxes, config)
+        confirmed_all.append(confirmed)
+        frames_doc.append(record)
+    if config.post == "track" and len(per_frame_boxes) < config.track_window:
+        raise ConfigError("track_window: more frames than provided are required")
 
     model_doc = model_to_doc(model, filters, extra=_diag_doc(diag))
     report = RunReport(
@@ -372,7 +422,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
         report=report,
         model=model,
         filters=filters,
-        masks=masks,
+        mask=first_mask,
         boxes=per_frame_boxes,
         confirmed=confirmed_all,
     )

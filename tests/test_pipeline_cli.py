@@ -1,16 +1,20 @@
 """End-to-end pipeline behaviour and the command-line surface."""
 
 import json
+import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resofilt import ConfigError, ImageStack, NumericError, synth_texture
+from resofilt import ConfigError, ImageFormatError, ImageStack, NumericError, synth_texture
 from resofilt import cli, pipeline, postfilter
 from resofilt.cli import main
 from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
+from resofilt.imageio import read_image, write_image
 from resofilt.model_doc import dump_json
 from resofilt.pipeline import PipelineConfig, estimate_model, run_pipeline
 
@@ -74,8 +78,13 @@ class TestRunPipeline:
     def test_track_work_counts(self, monkeypatch):
         # each object of each window is correlated exactly once, and the
         # windows hold the detector's own positive rasters, not copies
-        calls, states = [], []
+        calls, states, masks = [], [], []
         correlate, confirm = postfilter.binary_correlation, postfilter.track_filter
+        find = pipeline.detect
+
+        def spy_detect(*args, **kwargs):
+            masks.append(find(*args, **kwargs))
+            return masks[-1]
 
         def spy_correlation(state, index):
             calls.append((id(state), index))
@@ -85,18 +94,20 @@ class TestRunPipeline:
             states.append(state)
             return confirm(state, *args, **kwargs)
 
+        monkeypatch.setattr(pipeline, "detect", spy_detect)
         monkeypatch.setattr(pipeline, "binary_correlation", spy_correlation)
         monkeypatch.setattr(postfilter, "binary_correlation", spy_correlation)
         monkeypatch.setattr(pipeline, "track_filter", spy_filter)
         frames = [patch_scene(seed=s) for s in range(4)]
         cfg = PipelineConfig(order=(8, 8), post="track", track_window=3, min_area=1)
         result = run_pipeline(cfg, frames)
-        assert len(states) == 2
+        assert len(states) == 2 and len(masks) == 4
+        assert result.mask is masks[0]
         expected = [(id(st), i) for st in states for i in range(len(st.objects))]
         assert expected and sorted(calls) == sorted(expected)
         for start, state in enumerate(states):
             for offset, raster in enumerate(state.masks):
-                assert np.shares_memory(raster, result.masks[start + offset].positive())
+                assert np.shares_memory(raster, masks[start + offset].positive())
 
     def test_post_none_keeps_candidates(self):
         cfg = PipelineConfig(order=(8, 8), post="none")
@@ -109,8 +120,7 @@ class TestRunPipeline:
         a = run_pipeline(cfg, [stack])
         b = run_pipeline(cfg, [stack])
         assert dump_json(a.report.to_doc()) == dump_json(b.report.to_doc())
-        for ma, mb in zip(a.masks, b.masks):
-            assert np.array_equal(ma.values, mb.values)
+        assert np.array_equal(a.mask.values, b.mask.values)
 
     def test_rgb_union_rule(self):
         base = synth_texture(FOUR_PAIRS[:2], 128, 128, noise_sigma=0.01, seed=3, mean=128.0)
@@ -120,6 +130,18 @@ class TestRunPipeline:
         cfg = PipelineConfig(order=(4, 4), channel_mode="rgb", post="none", min_area=4)
         result = run_pipeline(cfg, [stack])
         assert any(b.x0 <= 74 <= b.x1 and b.y0 <= 74 <= b.y1 for b in result.boxes[0])
+
+    def test_rgb_mode_without_three_planes_uses_the_gray_plane(self):
+        plane = patch_scene().planes[0]
+        stack = ImageStack((plane, patch_scene(seed=8).planes[0]))
+        rgb = run_pipeline(PipelineConfig(order=(8, 8), channel_mode="rgb", post="none"),
+                           [stack])
+        gray = run_pipeline(PipelineConfig(order=(8, 8), post="none"),
+                            [ImageStack((stack.gray(),))])
+        assert [f.channel for f in rgb.filters] == ["r", "g", "b"]
+        for f in rgb.filters:
+            assert np.array_equal(f.kernel, gray.filters[0].kernel)
+            assert f.flat_level == gray.filters[0].flat_level
 
     def test_report_carries_diagnostics(self):
         cfg = PipelineConfig(order=(8, 8), post="none")
@@ -132,6 +154,101 @@ class TestRunPipeline:
         cfg = PipelineConfig(base_region=(100, 100, 64, 64), order=(8, 8))
         with pytest.raises(ConfigError):
             run_pipeline(cfg, [patch_scene(n=128)])
+
+
+def texture_frames(n, refs, alive, size=96):
+    """Yield n seeded texture frames and keep no reference to one once it
+    is yielded.  Before making frame k, record in ``alive`` which earlier
+    frames are still alive; ``refs`` gets a weak reference to each frame."""
+    for k in range(n):
+        alive.append({i for i, ref in enumerate(refs) if ref() is not None})
+        img = synth_texture(FOUR_PAIRS, size, size, noise_sigma=0.01, seed=100 + k, mean=128.0)
+        frame = ImageStack((img,))
+        del img
+        refs.append(weakref.ref(frame))
+        yield frame
+        del frame
+
+
+class TestStreaming:
+    @staticmethod
+    def _config(post="track"):
+        return PipelineConfig(order=(4, 4), base_region=(0, 0, 32, 32), post=post,
+                              track_window=3, hist_epsilon=0.05)
+
+    @staticmethod
+    def _count_detects(monkeypatch):
+        count = []
+        find = pipeline.detect
+
+        def spy_detect(*args, **kwargs):
+            count.append(1)
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "detect", spy_detect)
+        return count
+
+    @pytest.mark.parametrize("post", ["hist", "none", "track"])
+    def test_holds_frame_zero_and_the_current_frame(self, post):
+        refs, alive = [], []
+        result = run_pipeline(self._config(post), texture_frames(8, refs, alive))
+        assert len(alive) == 8 and len(result.boxes) == 8
+        for k, seen in enumerate(alive):
+            # frame k - 1 is the one the pipeline has just finished
+            assert seen <= {0, k - 1}, f"frames {sorted(seen)} alive before frame {k}"
+
+    def test_peak_memory_does_not_grow_with_frames(self):
+        window = self._config().track_window
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_pipeline(self._config(), texture_frames(n, [], []))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(window)  # warm-up: lazy imports and caches are not per-frame memory
+        short, long = peak(window), peak(4 * window)
+        assert long <= 1.25 * short, (short, long)
+
+    def test_same_windows_from_a_generator_and_a_list(self):
+        frames = list(texture_frames(5, [], []))
+        listed = run_pipeline(self._config(), frames)
+        streamed = run_pipeline(self._config(), (f for f in frames))
+        assert dump_json(listed.report.to_doc()) == dump_json(streamed.report.to_doc())
+        assert [r["frame"] for r in streamed.report.frames] == [0, 1, 2]
+        assert listed.confirmed == streamed.confirmed
+
+    def test_empty_generator_is_config_error(self):
+        with pytest.raises(ConfigError, match="frames: at least one frame is required"):
+            run_pipeline(self._config(), (f for f in ()))
+
+    def test_short_generator_is_config_error_after_streaming(self, monkeypatch):
+        detects = self._count_detects(monkeypatch)
+        with pytest.raises(ConfigError,
+                           match="track_window: more frames than provided are required"):
+            run_pipeline(self._config(), texture_frames(2, [], []))
+        assert len(detects) == 2  # both frames were streamed before the count check
+
+    def test_unreadable_frame_keeps_its_input_error(self, tmp_path, monkeypatch):
+        good = tmp_path / "good.pgm"
+        write_image(str(good), next(texture_frames(1, [], [])))
+        paths = [good, good, tmp_path / "missing.pgm", good]
+        detects = self._count_detects(monkeypatch)
+        with pytest.raises(ImageFormatError) as info:
+            run_pipeline(self._config(), (read_image(str(p)) for p in paths))
+        assert str(info.value) == f"no such file: {tmp_path / 'missing.pgm'}"
+        assert len(detects) == 2  # frames 0 and 1 ran before frame 2 was read
+
+    def test_frame_of_another_shape_is_config_error(self):
+        frames = list(texture_frames(3, [], []))
+        narrow = ImageStack((frames[1].planes[0][:, :80],))
+        rgb = ImageStack(frames[1].planes * 3)
+        for other, size in ((narrow, "96x80 with 1"), (rgb, "96x96 with 3")):
+            message = f"frames: frame 1 is {size} channel(s), frame 0 is 96x96 with 1 channel(s)"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                run_pipeline(self._config(), iter([frames[0], other, frames[2]]))
 
 
 class TestConfigValidation:
@@ -321,6 +438,36 @@ class TestCli:
         assert code == EXIT_OK
         assert "confirmed" in capsys.readouterr().out
         assert json.loads(report.read_text())["frames"]
+
+    def test_track_frames_of_another_shape_is_config_error(self, tmp_path, capsys):
+        a = self._synth(tmp_path, "a.pgm")
+        b = tmp_path / "b.pgm"
+        assert main(["synth", "--out", str(b), "--size", "96,96",
+                     "--pair", "0.11,0.23,40,0.3", "--mean", "128"]) == EXIT_OK
+        report = tmp_path / "track.json"
+        code = main(["track", "--inputs", str(a), str(b), str(a), "--order", "8,8",
+                     "--report-out", str(report)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ("configuration error: frames: frame 1 is 96x96 with 1 channel(s), "
+                "frame 0 is 128x128 with 1 channel(s)") in err
+        assert not report.exists()
+
+    def test_track_missing_later_frame_is_input_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        missing = tmp_path / "missing.pgm"
+        code = main(["track", "--inputs", str(tex), str(tex), str(missing), str(tex),
+                     "--order", "8,8"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"resofilt: input error: no such file: {missing}\n"
+
+    def test_track_fewer_frames_than_window_is_config_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        code = main(["track", "--inputs", str(tex), str(tex), "--order", "8,8"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "configuration error: track_window: more frames than provided" in err
 
     def test_report_pretty_print(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
