@@ -217,7 +217,7 @@ def _cmd_estimate(args) -> int:
         model, diag = estimate_model(base, config)
     doc = model_to_doc(model, extra=_diag_doc(diag))
     text = dump_json(doc, args.model_out)
-    if args.report_out:
+    if getattr(args, "report_out", None):
         dump_json(doc.get("diagnostics", {}), args.report_out)
     if not args.model_out:
         print(text)
@@ -258,16 +258,18 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _run(args, frames, post: str):
+def _run_and_write(args, frames, post: str, overlay_frame=None) -> int:
+    """Run the pipeline and write what ``args`` asks for; ``overlay_frame``
+    is the frame ``--overlay-out`` draws on."""
     config = _config_from_args(args, post=post)
     t0 = time.perf_counter()
     result = run_pipeline(config, frames)
     result.report.timings["total_s"] = time.perf_counter() - t0
-    return result
-
-
-def _write_report(args, result) -> int:
-    if args.report_out:
+    if getattr(args, "mask_out", None):
+        write_image(args.mask_out, ImageStack(tuple(result.mask.values)))
+    if getattr(args, "overlay_out", None):
+        write_image(args.overlay_out, draw_boxes(overlay_frame, result.confirmed[0]))
+    if getattr(args, "report_out", None):
         include = bool(getattr(args, "timings", False))
         dump_json(result.report.to_doc(include_timings=include), args.report_out)
     for frame_doc in result.report.frames:
@@ -281,18 +283,13 @@ def _write_report(args, result) -> int:
 
 def _cmd_detect(args) -> int:
     stack = read_image(args.input)
-    result = _run(args, [stack], post=args.post)
-    if args.mask_out:
-        write_image(args.mask_out, ImageStack(tuple(result.mask.values)))
-    if args.overlay_out:
-        write_image(args.overlay_out, draw_boxes(stack, result.confirmed[0]))
-    return _write_report(args, result)
+    return _run_and_write(args, [stack], post=args.post, overlay_frame=stack)
 
 
 def _cmd_track(args) -> int:
     # a generator: the pipeline reads each frame when it reaches it
     frames = (read_image(path) for path in args.inputs)
-    return _write_report(args, _run(args, frames, post="track"))
+    return _run_and_write(args, frames, post="track")
 
 
 def _cmd_report(args) -> int:

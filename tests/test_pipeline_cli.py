@@ -156,15 +156,15 @@ class TestRunPipeline:
             run_pipeline(cfg, [patch_scene(n=128)])
 
 
-def texture_frames(n, refs, alive, size=96):
+def texture_frames(n, refs, alive):
     """Yield n seeded texture frames and keep no reference to one once it
     is yielded.  Before making frame k, record in ``alive`` which earlier
     frames are still alive; ``refs`` gets a weak reference to each frame."""
     for k in range(n):
         alive.append({i for i, ref in enumerate(refs) if ref() is not None})
-        img = synth_texture(FOUR_PAIRS, size, size, noise_sigma=0.01, seed=100 + k, mean=128.0)
-        frame = ImageStack((img,))
-        del img
+        frame = ImageStack(
+            (synth_texture(FOUR_PAIRS, 96, 96, noise_sigma=0.01, seed=100 + k, mean=128.0),)
+        )
         refs.append(weakref.ref(frame))
         yield frame
         del frame
