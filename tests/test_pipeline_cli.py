@@ -453,7 +453,21 @@ class TestCli:
                 "frame 0 is 128x128 with 1 channel(s)") in err
         assert not report.exists()
 
-    def test_track_missing_later_frame_is_input_error(self, tmp_path, capsys):
+    def test_track_missing_later_frame_is_input_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        events = []
+        read, find = cli.read_image, pipeline.detect
+
+        def spy_read(path):
+            events.append("read")
+            return read(path)
+
+        def spy_detect(*args, **kwargs):
+            events.append("detect")
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_image", spy_read)
+        monkeypatch.setattr(pipeline, "detect", spy_detect)
         tex = self._synth(tmp_path)
         missing = tmp_path / "missing.pgm"
         code = main(["track", "--inputs", str(tex), str(tex), str(missing), str(tex),
@@ -461,6 +475,8 @@ class TestCli:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err == f"resofilt: input error: no such file: {missing}\n"
+        # each frame is read when the pipeline reaches it
+        assert events == ["read", "detect", "read", "detect", "read"]
 
     def test_track_fewer_frames_than_window_is_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
