@@ -50,17 +50,15 @@ from .linear_symmetry import (
 )
 from .model_doc import RunReport, doc_to_model, model_to_doc
 from .pencil import (
-    PencilResult,
     SubspaceBasis,
     estimate_model_pencil,
     extract_submatrices,
     gram_inverse_direct,
     gram_inverse_iterative,
-    pair_frequencies,
     pencil_eigenvalues,
     svd_windows,
 )
-from .pipeline import PipelineConfig, PipelineResult, run_pipeline
+from .pipeline import PipelineConfig, PipelineResult, design, estimate, run_pipeline
 from .postfilter import (
     HistogramEvidence,
     ObjectBox,

@@ -8,6 +8,7 @@ parse error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -23,18 +24,16 @@ from .errors import (
     NumericError,
     ResofiltError,
 )
-from .filtering import apply_filter, design_filter
+from .filtering import apply_filter
 from .harmonic import synth_texture
 from .imageio import ImageStack, draw_boxes, read_image, write_image
 from .model_doc import RunReport, doc_to_model, dump_json, load_json, model_to_doc
-from .pipeline import (
-    PipelineConfig,
-    _channels,
-    _diag_doc,
-    _stage,
-    estimate_model,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, _channels, _diag_doc, design, estimate, run_pipeline
+
+# Not called here: the benchmark's tracer (perfbench/tracing.py BINDINGS)
+# wraps these two names of this module and fails when they are missing.
+from .filtering import design_filter  # noqa: F401
+from .pipeline import estimate_model  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,18 +45,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated integers")
-    return tuple(int(p) for p in parts)
+def _ints(count: int):
+    """argparse type of ``count`` comma-separated integers."""
+    word = {2: "two", 4: "four"}[count]
 
+    def parse(text: str):
+        try:
+            values = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {word} comma-separated integers")
+        return values
 
-def _int_quad(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated integers")
-    return tuple(int(p) for p in parts)
+    return parse
 
 
 def _pair_spec(text: str):
@@ -79,9 +80,9 @@ def _e_policy(text: str):
 
 
 def _add_common_estimation(p: _Parser):
-    p.add_argument("--base", type=_int_quad, default=(0, 0, 64, 64),
+    p.add_argument("--base", type=_ints(4), default=(0, 0, 64, 64),
                    metavar="ROW,COL,H,W", help="base region (default 0,0,64,64)")
-    p.add_argument("--order", type=_int_pair, default=(16, 16), metavar="P,Q",
+    p.add_argument("--order", type=_ints(2), default=(16, 16), metavar="P,Q",
                    help="model order per axis (default 16,16); the pencil "
                         "estimator needs P = Q")
     p.add_argument("--estimator", choices=("ls", "pencil"), default="ls")
@@ -121,13 +122,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic texture")
     p.add_argument("--out", required=True)
-    p.add_argument("--size", type=_int_pair, default=(128, 128), metavar="NX,NY")
+    p.add_argument("--size", type=_ints(2), default=(128, 128), metavar="NX,NY")
     p.add_argument("--pair", type=_pair_spec, action="append", default=[],
                    metavar="FX,FY,AMP[,PHASE]", help="harmonic pair (repeatable)")
     p.add_argument("--mean", type=float, default=128.0)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patch", type=_int_quad, default=None, metavar="ROW,COL,H,W",
+    p.add_argument("--patch", type=_ints(4), default=None, metavar="ROW,COL,H,W",
                    help="insert a constant patch")
     p.add_argument("--patch-value", type=float, default=200.0)
     p.add_argument("--frames", type=int, default=1,
@@ -187,9 +188,22 @@ def build_parser() -> _Parser:
 
 def _cmd_synth(args) -> int:
     nx, ny = args.size
-    image = synth_texture(args.pair, nx, ny, noise_sigma=0.0, mean=args.mean)
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"size: {nx},{ny} is not a positive size")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise ConfigError(f"noise: {args.noise} is not a finite number >= 0")
+    if args.frames < 1:
+        raise ConfigError(f"frames: {args.frames} is not a positive count")
+    try:
+        image = synth_texture(args.pair, nx, ny, noise_sigma=0.0, mean=args.mean)
+    except ValueError as exc:
+        raise ConfigError(f"pair: {exc}") from exc
     if args.patch is not None:
         r, c, h, w = args.patch
+        if r < 0 or c < 0 or h < 1 or w < 1 or r + h > nx or c + w > ny:
+            raise ConfigError(
+                f"patch: {r},{c},{h},{w} is not wholly inside the {nx}x{ny} image"
+            )
         image[r : r + h, c : c + w] = args.patch_value
     if args.frames == 1:
         out = image.copy()
@@ -208,13 +222,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    stack = read_image(args.input)
-    config = _config_from_args(args)
-    config.validate(image_shape=stack.shape)
-    x, y, h, w = config.base_region
-    base = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes)).gray()
-    with _stage("estimate"):
-        model, diag = estimate_model(base, config)
+    _, model, diag = estimate(read_image(args.input), _config_from_args(args))
     doc = model_to_doc(model, extra=_diag_doc(diag))
     text = dump_json(doc, args.model_out)
     if getattr(args, "report_out", None):
@@ -225,18 +233,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    stack = read_image(args.input)
     config = _config_from_args(args)
-    config.validate(image_shape=stack.shape)
-    x, y, h, w = config.base_region
-    base_stack = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes))
-    with _stage("estimate"):
-        model, diag = estimate_model(base_stack.gray(), config)
-    planes, names = _channels(base_stack, config.channel_mode)
-    filters = [
-        design_filter(plane, model, e_policy=config.e_policy, channel=name)
-        for plane, name in zip(planes, names)
-    ]
+    base, model, diag = estimate(read_image(args.input), config)
+    filters = design(base, model, config)
     dump_json(model_to_doc(model, filters, extra=_diag_doc(diag)), args.model_out)
     return EXIT_OK
 
@@ -303,8 +302,8 @@ def _cmd_report(args) -> int:
                   f"{len(frame_doc.get('confirmed', []))} confirmed")
     elif doc.get("kind") == "resonance-model":
         model, filters = doc_to_model(doc)
-        print(f"resonance model: order {doc['order']}, "
-              f"fit residual {doc['fit_residual']:.3g}, {len(filters)} filter(s)")
+        print(f"resonance model: order {list(model.order)}, "
+              f"fit residual {model.fit_residual:.3g}, {len(filters)} filter(s)")
         for f in filters:
             print(f"  channel {f.channel}: flat level {f.flat_level:.4g}, "
                   f"sigma2 {f.sigma2:.4g}")

@@ -5,8 +5,9 @@ A textured raster is modelled as a sum of 2D complex exponentials
 module holds the model types (polynomial coefficients, resonance roots,
 amplitude model) and the operations on them: the linear shift operator in
 companion form, root extraction, Vandermonde bases, forward and inverse
-spectral transforms, kernel shifting, and a synthetic-texture generator
-used throughout the tests.
+spectral transforms, the unit-root amplitude fit that ends both
+estimators, kernel shifting, and a synthetic-texture generator used
+throughout the tests.
 
 Everything here is a pure function over immutable inputs; concurrent use
 needs no locking.
@@ -14,6 +15,7 @@ needs no locking.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,16 +263,30 @@ class HarmonicModel:
         amp = spectrum(region, zx, zy)
         return cls(zx, zy, amp, fit_residual=fit_residual(region, zx, zy, amp))
 
-    def degenerate_axes(self, tol: float = 1e-12):
-        """Indices of all-zero amplitude rows/columns (model over-specified).
 
-        Diagnostic only: a well-ordered model should have none.
-        """
-        mags = np.abs(self.amplitudes)
-        cut = tol * max(mags.max(), 1e-300)
-        rows = [i for i in range(mags.shape[0]) if np.all(mags[i, :] < cut)]
-        cols = [j for j in range(mags.shape[1]) if np.all(mags[:, j] < cut)]
-        return rows, cols
+def fit_estimate(
+    region: np.ndarray, zx: ResonanceRoots, zy: ResonanceRoots, dc_root: bool
+) -> HarmonicModel:
+    """Shared ending of both estimators: roots estimated on a region to a model.
+
+    With ``dc_root`` a unit root is appended to each axis, unless the axis
+    already carries one, which is warned about at the estimator's caller.
+    The amplitudes are fitted on the raw region, so the mean rides on the
+    unit-root component.
+    """
+    if dc_root:
+        axes = []
+        for roots in (zx, zy):
+            if np.abs(roots.roots - 1.0).min() < 1e-6:
+                warnings.warn(
+                    "estimate already carries a unit root; skipping the mean component",
+                    stacklevel=3,
+                )
+            else:
+                roots = roots.with_appended(1.0)
+            axes.append(roots)
+        zx, zy = axes
+    return HarmonicModel.fit(region, zx, zy)
 
 
 def reconstruct(model: HarmonicModel, n_x: int, n_y: int) -> np.ndarray:
@@ -279,17 +295,6 @@ def reconstruct(model: HarmonicModel, n_x: int, n_y: int) -> np.ndarray:
         vandermonde(model.zx, n_x) @ model.amplitudes @ vandermonde(model.zy, n_y).T
     )
     return synth.real
-
-
-def reconstruction_imag_residue(model: HarmonicModel, n_x: int, n_y: int) -> float:
-    """Largest imaginary part left over by the synthesis, relative to its scale.
-
-    Near zero whenever roots and amplitudes come in conjugate pairs.
-    """
-    synth = (
-        vandermonde(model.zx, n_x) @ model.amplitudes @ vandermonde(model.zy, n_y).T
-    )
-    return float(np.abs(synth.imag).max() / max(1e-300, np.abs(synth.real).max()))
 
 
 def shift_kernel(

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
-from .harmonic import PolynomialCoeffs
+from .harmonic import PolynomialCoeffs, fit_estimate, polynomial_roots
 
 # Condition number beyond which a correlation matrix is treated as rank
 # deficient and solved through a tiny ridge.
@@ -314,9 +314,6 @@ def estimate_model_ls(
     amplitudes are fitted on the raw region so the mean rides on it.
     Returns (HarmonicModel, LsDiagnostics).
     """
-    from .harmonic import HarmonicModel, polynomial_roots
-    from .pencil import _append_unit_root
-
     region = np.asarray(region, dtype=float)
     work = region - region.mean() if dc_root else region
     corr = correlation_2d(work, order_x + 1, order_y + 1)
@@ -326,9 +323,7 @@ def estimate_model_ls(
     sol_y = solver(marg.ry, order_y)
     zx = polynomial_roots(sol_x.coeffs, project=project)
     zy = polynomial_roots(sol_y.coeffs, project=project)
-    if dc_root:
-        zx, zy = _append_unit_root(zx), _append_unit_root(zy)
-    model = HarmonicModel.fit(region, zx, zy)
+    model = fit_estimate(region, zx, zy, dc_root)
     diag = LsDiagnostics(
         sigma2_x=sol_x.sigma2,
         sigma2_y=sol_y.sigma2,

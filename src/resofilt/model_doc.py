@@ -141,7 +141,7 @@ class RunReport:
         if doc.get("kind") != "run-report" or doc.get("format_version") != FORMAT_VERSION:
             raise ImageFormatError("not a run-report document")
         try:
-            return cls(
+            report = cls(
                 config=doc["config"],
                 model=doc["model"],
                 frames=doc["frames"],
@@ -149,3 +149,11 @@ class RunReport:
             )
         except KeyError as exc:
             raise ImageFormatError(f"run-report document lacks {exc}") from exc
+        if not isinstance(report.model, dict):
+            raise ImageFormatError("run-report model is not an object")
+        if not (
+            isinstance(report.frames, list)
+            and all(isinstance(f, dict) for f in report.frames)
+        ):
+            raise ImageFormatError("run-report frames is not a list of objects")
+        return report

@@ -6,9 +6,7 @@ matrix F; its principal right singular vectors (the eigenvectors of the
 whichever Gram of F is smaller, so the lag correlation itself is never
 formed when there are fewer window positions than lags.  Shifted row
 selections of that subspace form a matrix pencil whose eigenvalues are
-the per-axis resonance roots.  The Gram matrix of the base selection can
-be inverted either directly or by rank-one (Sherman-Morrison)
-accumulation; the two must agree and the direct path is the default.
+the per-axis resonance roots.
 
 Row-extraction convention (frozen; see docs/formats.md): for a data
 window of size (M, N) with splitting parameter L, the lag window is
@@ -20,7 +18,6 @@ moves i_y up by one.  All three have the same row count.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 
 from .errors import NumericError
-from .harmonic import HarmonicModel, ResonanceRoots, spectrum
+from .harmonic import ResonanceRoots, fit_estimate
 
 # Extra singular values kept beyond the requested subspace, for reports.
 _DIAG_TAIL = 8
@@ -57,17 +54,6 @@ class SubspaceBasis:
     @property
     def lag_window(self) -> tuple:
         return (self.dims[0] - self.split, self.dims[1] - self.split)
-
-
-@dataclass(frozen=True)
-class PencilResult:
-    """Per-axis roots with damping diagnostics and amplitude-ranked pairs."""
-
-    zx: ResonanceRoots
-    zy: ResonanceRoots
-    dampings_x: np.ndarray
-    dampings_y: np.ndarray
-    paired: list
 
 
 def default_split(dims: tuple, n_modes: int) -> int:
@@ -171,8 +157,7 @@ def gram_inverse_iterative(u0: np.ndarray) -> np.ndarray:
 
     Seeded with the exact inverse of the Gram of the first k rows, then
     updated row by row: E <- E - (E u^H)(u E) / (1 + u E u^H).  Must match
-    the direct inverse to 1e-8 max-abs; the direct path stays the default
-    and this one is an opt-in optimisation.
+    the direct inverse, which the estimator uses, to 1e-8 max-abs.
     """
     u0 = np.asarray(u0)
     n, k = u0.shape
@@ -205,29 +190,6 @@ def pencil_eigenvalues(u0: np.ndarray, u_shift: np.ndarray, gram_inv: np.ndarray
     return ResonanceRoots(vals[order])
 
 
-def pair_frequencies(zx: ResonanceRoots, zy: ResonanceRoots, region: np.ndarray) -> PencilResult:
-    """Joint amplitudes over the Cartesian root grid; no discrete pairing.
-
-    The least-squares amplitude fit over all (zx_i, zy_j) candidates keeps
-    every combination, so the result is a full amplitude matrix; dominant
-    pairs are reported by amplitude magnitude for diagnostics.
-    """
-    amp = spectrum(region, zx, zy)
-    mags = np.abs(amp)
-    order = np.argsort(mags, axis=None)[::-1]
-    paired = [
-        (zx.roots[i // amp.shape[1]], zy.roots[i % amp.shape[1]], amp.flat[i])
-        for i in order
-    ]
-    return PencilResult(
-        zx=zx,
-        zy=zy,
-        dampings_x=zx.dampings,
-        dampings_y=zy.dampings,
-        paired=paired,
-    )
-
-
 @dataclass(frozen=True)
 class PencilDiagnostics:
     singular_values: np.ndarray
@@ -243,7 +205,6 @@ def estimate_model_pencil(
     split: int = None,
     project: bool = True,
     dc_root: bool = True,
-    iterative_gram: bool = False,
 ):
     """Full pencil estimate of a region: roots of both axes plus amplitudes.
 
@@ -258,15 +219,13 @@ def estimate_model_pencil(
         split = default_split(region.shape, n_modes)
     basis = svd_windows(work, split, n_modes)
     u0, ux, uy = extract_submatrices(basis)
-    gram_inv = gram_inverse_iterative(u0) if iterative_gram else gram_inverse_direct(u0)
+    gram_inv = gram_inverse_direct(u0)
     zx = pencil_eigenvalues(u0, ux, gram_inv)
     zy = pencil_eigenvalues(u0, uy, gram_inv)
     raw_dampings = (zx.dampings, zy.dampings)
     if project:
         zx, zy = zx.projected(), zy.projected()
-    if dc_root:
-        zx, zy = _append_unit_root(zx), _append_unit_root(zy)
-    model = HarmonicModel.fit(region, zx, zy)
+    model = fit_estimate(region, zx, zy, dc_root)
     diag = PencilDiagnostics(
         singular_values=basis.singular_values,
         dampings_x=raw_dampings[0],
@@ -276,12 +235,3 @@ def estimate_model_pencil(
     )
     return model, diag
 
-
-def _append_unit_root(roots: ResonanceRoots) -> ResonanceRoots:
-    if np.abs(roots.roots - 1.0).min() < 1e-6:
-        warnings.warn(
-            "estimate already carries a unit root; skipping the mean component",
-            stacklevel=3,
-        )
-        return roots
-    return roots.with_appended(1.0)

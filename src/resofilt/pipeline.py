@@ -146,28 +146,26 @@ class PipelineConfig:
                     f"order: the pencil estimator takes one mode count for "
                     f"both axes, got {p},{q}"
                 )
-            if self.split is None:
-                # the default split is derived, so a shortfall is the order's
-                split = default_split((h, w), p)
-                rows = (h - split - 1) * (w - split - 1)
-                if rows < p:
-                    raise ConfigError(
-                        f"order: the default split {split} leaves {rows} "
-                        f"pencil rows for {p} modes on a {h}x{w} base region"
-                    )
-            else:
+            if self.split is not None:
                 hi = min(h, w) - 2
                 if not p <= self.split <= hi:
                     raise ConfigError(
                         f"split: {self.split} outside [{p}, {hi}] for order "
                         f"{p} on a {h}x{w} base region"
                     )
-                rows = (h - self.split - 1) * (w - self.split - 1)
-                if rows < p:
-                    raise ConfigError(
-                        f"split: {self.split} leaves {rows} pencil rows for "
-                        f"{p} modes on a {h}x{w} base region"
-                    )
+            split = default_split((h, w), p) if self.split is None else self.split
+            rows = (h - split - 1) * (w - split - 1)
+            if rows < p:
+                # the default split is derived, so its shortfall is the order's
+                cause = (
+                    f"order: the default split {split}"
+                    if self.split is None
+                    else f"split: {split}"
+                )
+                raise ConfigError(
+                    f"{cause} leaves {rows} pencil rows for {p} modes on a "
+                    f"{h}x{w} base region"
+                )
         if not isinstance(self.seed, int):
             raise ConfigError("seed: must be an integer")
         if image_shape is not None:
@@ -251,6 +249,30 @@ def estimate_model(base: np.ndarray, config: PipelineConfig):
         project=config.project_roots,
         dc_root=config.dc_root,
     )
+
+
+def estimate(stack: ImageStack, config: PipelineConfig):
+    """Estimate stage: validate ``config`` against the frame's shape, cut
+    the base region once and estimate the model on its gray plane.
+
+    Returns (base region as an ImageStack, HarmonicModel, diagnostics).
+    """
+    config.validate(image_shape=stack.shape)
+    x, y, h, w = (int(v) for v in config.base_region)
+    with _stage("estimate"):
+        base = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes))
+        model, diag = estimate_model(base.gray(), config)
+    return base, model, diag
+
+
+def design(base: ImageStack, model: HarmonicModel, config: PipelineConfig) -> list:
+    """Design stage: one inverse filter per channel of the base region."""
+    with _stage("design"):
+        planes, names = _channels(base, config.channel_mode)
+        return [
+            design_filter(plane, model, e_policy=config.e_policy, channel=name)
+            for plane, name in zip(planes, names)
+        ]
 
 
 def _diag_doc(diag) -> dict:
@@ -363,20 +385,8 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     first = next(frames, None)
     if first is None:
         raise ConfigError("frames: at least one frame is required")
-    config.validate(image_shape=first.shape)
-    x, y, h, w = (int(v) for v in config.base_region)
-
-    with _stage("estimate"):
-        base_stack = ImageStack(tuple(p[x : x + h, y : y + w] for p in first.planes))
-        base_gray = base_stack.gray()
-        model, diag = estimate_model(base_gray, config)
-
-    with _stage("design"):
-        base_planes, names = _channels(base_stack, config.channel_mode)
-        filters = [
-            design_filter(plane, model, e_policy=config.e_policy, channel=name)
-            for plane, name in zip(base_planes, names)
-        ]
+    base, model, diag = estimate(first, config)
+    filters = design(base, model, config)
 
     first_mask = None
     recent = deque(maxlen=config.track_window)

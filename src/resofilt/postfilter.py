@@ -15,7 +15,7 @@ Coordinates follow (row, column) = (x, y) throughout, boxes inclusive.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -76,7 +76,6 @@ class HistogramEvidence:
     g_col: np.ndarray
     product: np.ndarray
     levels: int
-    binary: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -292,5 +291,5 @@ def track_filter(track: TrackState, extension: int = 7, ratios=None):
     confirmed = []
     for obj, r in zip(track.objects, ratios):
         if r > track.r_threshold:
-            confirmed.append(replace(obj.box.extended(extension, shape), frame_index=obj.box.frame_index))
+            confirmed.append(obj.box.extended(extension, shape))
     return confirmed

@@ -18,7 +18,7 @@ from resofilt import (
     synth_texture,
     vandermonde,
 )
-from resofilt.harmonic import reconstruction_imag_residue
+from resofilt.harmonic import fit_estimate
 
 from conftest import FOUR_PAIRS, unit_roots
 
@@ -200,7 +200,28 @@ class TestReconstruct:
         zx = unit_roots([0.11, -0.11, 0.27, -0.27])
         zy = unit_roots([0.23, -0.23, 0.08, -0.08])
         model = HarmonicModel.fit(region, zx, zy)
-        assert reconstruction_imag_residue(model, 32, 32) < 1e-8
+        synth = vandermonde(zx, 32) @ model.amplitudes @ vandermonde(zy, 32).T
+        residue = np.abs(synth.imag).max() / max(1e-300, np.abs(synth.real).max())
+        assert residue < 1e-8
+
+
+class TestFitEstimate:
+    def test_appends_one_unit_root_per_axis_and_fits_the_raw_region(self):
+        region = synth_texture(FOUR_PAIRS[:1], 24, 24, mean=7.0)
+        zx, zy = unit_roots([0.11, -0.11]), unit_roots([0.23, -0.23])
+        model = fit_estimate(region, zx, zy, dc_root=True)
+        assert model.order == (3, 3)
+        assert model.zx.roots[-1] == 1.0 and model.zy.roots[-1] == 1.0
+        assert model.fit_residual < 1e-8  # the mean rides on the unit root
+        assert fit_estimate(region, zx, zy, dc_root=False).order == (2, 2)
+
+    def test_present_unit_root_is_kept_once_with_a_warning(self):
+        region = synth_texture(FOUR_PAIRS[:1], 24, 24, mean=7.0)
+        zx, zy = unit_roots([0.0, 0.11, -0.11]), unit_roots([0.23, -0.23])
+        with pytest.warns(UserWarning, match="already carries a unit root") as record:
+            model = fit_estimate(region, zx, zy, dc_root=True)
+        assert len(record) == 1
+        assert model.order == (3, 3)
 
 
 class TestShiftKernel:

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resofilt import (
     ConfigError,
@@ -110,6 +112,43 @@ class TestPgm:
         with pytest.raises(ImageFormatError, match="cannot read") as err:
             read_image(tmp_path)
         assert str(tmp_path) in str(err.value)
+
+    @given(
+        rgb=st.booleans(),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["set", "insert", "delete", "truncate"]),
+                st.integers(0, 80),
+                st.binary(min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_bytes_read_or_raise_input_error(self, tmp_path_factory, rgb, edits):
+        # header and payload bytes alike: a result or ImageFormatError, nothing else
+        planes = (np.arange(20.0).reshape(4, 5),) * (3 if rgb else 1)
+        path = tmp_path_factory.getbasetemp() / "mutated.pnm"
+        write_image(path, ImageStack(planes))
+        data = bytearray(path.read_bytes())
+        for op, at, chunk in edits:
+            at = min(at, len(data))
+            if op == "set":
+                data[at : at + len(chunk)] = chunk
+            elif op == "insert":
+                data[at:at] = chunk
+            elif op == "delete":
+                del data[at : at + len(chunk)]
+            else:
+                del data[at:]
+        write_bytes(path, bytes(data))  # in place: a truncating rewrite flushes on close
+        try:
+            stack = read_image(path)
+        except ImageFormatError:
+            return
+        assert stack.channels in (1, 3)
+        assert all(plane.ndim == 2 and plane.size > 0 for plane in stack.planes)
 
 
 class TestOverlay:

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resofilt import ConfigError, ImageFormatError, ImageStack, NumericError, synth_texture
+from resofilt import (
+    ConfigError,
+    ImageFormatError,
+    ImageStack,
+    NumericError,
+    ResofiltError,
+    synth_texture,
+)
 from resofilt import cli, pipeline, postfilter
 from resofilt.cli import main
 from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
@@ -366,6 +373,73 @@ class TestConfigValidation:
             run_pipeline(cfg, [stack])  # validated configs must run
 
 
+def _draw_base_order_split(data, shape, estimator):
+    """Base region, order and split for a frame of ``shape``: most validate,
+    some overhang the frame, leave no room for the order or miss the split
+    range."""
+    rows, cols = shape
+    h = data.draw(st.integers(3, rows))
+    w = data.draw(st.integers(3, cols))
+    x = data.draw(st.integers(0, rows - h + 1))
+    y = data.draw(st.integers(0, cols - w + 1))
+    p = data.draw(st.integers(1, max(1, min(h - 2, 8))))
+    if estimator == "pencil" and data.draw(st.booleans()):
+        q = p
+    else:
+        q = data.draw(st.integers(1, max(1, min(w - 2, 8))))
+    split = None
+    if data.draw(st.booleans()):
+        split = data.draw(st.integers(1, max(1, min(h, w) - 1)))
+    return (x, y, h, w), (p, q), split
+
+
+class TestStageProperties:
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(6, 40), st.integers(6, 40)),
+        channels=st.sampled_from([1, 3]),
+        scene=st.sampled_from(["texture", "noise", "flat"]),
+        estimator=st.sampled_from(["ls", "pencil"]),
+        symmetric=st.booleans(),
+        dc_root=st.booleans(),
+        channel_mode=st.sampled_from(["gray", "rgb"]),
+        post=st.sampled_from(["hist", "track", "none"]),
+        n_frames=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stages_give_a_result_or_a_typed_error(
+        self, data, shape, channels, scene, estimator, symmetric, dc_root,
+        channel_mode, post, n_frames, seed,
+    ):
+        base, order, split = _draw_base_order_split(data, shape, estimator)
+        rows, cols = shape
+        if scene == "texture":
+            planes = [synth_texture(FOUR_PAIRS[:2], rows, cols, noise_sigma=1.0,
+                                    seed=seed + c, mean=100.0) for c in range(channels)]
+        elif scene == "noise":
+            rng = np.random.default_rng(seed)
+            planes = [rng.uniform(0, 255, shape) for _ in range(channels)]
+        else:
+            planes = [np.full(shape, 100.0)] * channels
+        stack = ImageStack(tuple(planes))
+        cfg = PipelineConfig(
+            base_region=base, order=order, estimator=estimator, symmetric=symmetric,
+            split=split, dc_root=dc_root, channel_mode=channel_mode, post=post,
+        )
+        try:
+            base_stack, model, _ = pipeline.estimate(stack, cfg)
+            filters = pipeline.design(base_stack, model, cfg)
+            result = run_pipeline(cfg, [stack] * n_frames)
+        except ResofiltError:
+            return
+        assert base_stack.shape == (base[2], base[3])
+        assert len(filters) == (1 if channel_mode == "gray" else 3)
+        p, q = filters[0].kernel.shape
+        assert result.mask.values.shape == (len(filters), rows, cols)
+        assert result.mask.valid_shape == (rows - p + 1, cols - q + 1)
+
+
 class TestCli:
     def _synth(self, tmp_path, name="tex.pgm", extra=()):
         out = tmp_path / name
@@ -634,12 +708,57 @@ class TestCli:
         def failing_estimate(base, config):
             raise failure
 
-        monkeypatch.setattr(cli, "estimate_model", failing_estimate)
+        monkeypatch.setattr(pipeline, "estimate_model", failing_estimate)
         tex = self._synth(tmp_path)
         code = main([command, "--input", str(tex), "--order", "8,8",
                      "--model-out", str(tmp_path / "model.json")])
         assert code == EXIT_NUMERIC
         assert f"numeric failure: estimate: {failure}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,option",
+        [
+            (["--pair", "0.7,0.1,1"], "pair"),  # frequency outside (-0.5, 0.5]
+            (["--pair", "0.1,0.2,1", "--pair", "0.1,0.2,3"], "pair"),  # duplicate
+            (["--noise", "-1"], "noise"),
+            (["--size", "0,0"], "size"),
+            (["--frames", "0"], "frames"),
+            (["--patch", "60,60,8,8"], "patch"),  # overhangs the 64x64 image
+            (["--patch=-2,10,4,4"], "patch"),  # negative origin
+            (["--patch", "10,10,0,4"], "patch"),  # empty
+        ],
+    )
+    def test_synth_bad_option_is_config_error(self, tmp_path, capsys, extra, option):
+        out = tmp_path / "s{i}.pgm"  # also a valid pattern for --frames
+        code = main(["synth", "--out", str(out), "--size", "64,64", *extra])
+        assert code == EXIT_USAGE
+        assert f"configuration error: {option}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_model_without_order_prints_the_parsed_order(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(model)]) == EXIT_OK
+        doc = json.loads(model.read_text())
+        del doc["order"]
+        model.write_text(json.dumps(doc))
+        assert main(["report", "--path", str(model)]) == EXIT_OK
+        assert "resonance model: order [9, 9]," in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "section,value",
+        [("frames", {"frame": 0}), ("frames", 3), ("frames", [1]), ("model", 5)],
+    )
+    def test_report_malformed_section_is_input_error(self, tmp_path, capsys,
+                                                     section, value):
+        doc = {"kind": "run-report", "format_version": 1, "config": {},
+               "model": {"order": [9, 9]}, "frames": []}
+        doc[section] = value
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--path", str(path)]) == EXIT_INPUT
+        assert f"run-report {section}" in capsys.readouterr().err
 
     def test_report_missing_section_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "r.json"
