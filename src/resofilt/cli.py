@@ -72,7 +72,7 @@ def _pair_spec(text: str):
 
 def _e_policy(text: str):
     """A number where the text parses as one; any other text is left for
-    PipelineConfig.validate to accept ('mean', 'zero') or reject."""
+    PipelineConfig.validate to accept ('mean') or reject."""
     try:
         return float(text)
     except ValueError:
@@ -91,7 +91,6 @@ def _add_common_estimation(p: _Parser):
                         "[P, min(H, W) - 2] of the base region")
     p.add_argument("--plain", action="store_true",
                    help="plain (non-palindromic) coefficient solve")
-    p.add_argument("--no-dc", action="store_true", help="do not add a unit root")
     p.add_argument("--no-project", action="store_true",
                    help="keep raw root moduli (no unit-circle projection)")
 
@@ -106,7 +105,7 @@ def _config_from_args(args, post: str = "none") -> PipelineConfig:
         sigma_multiplier=getattr(args, "multiplier", 3.0),
         min_area=getattr(args, "min_area", 4),
         e_policy=_e_policy(getattr(args, "e_policy", "mean")),
-        dc_root=not args.no_dc,
+        dc_root=not getattr(args, "no_dc", False),
         project_roots=not args.no_project,
         split=args.split,
         post=post,
@@ -137,6 +136,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="estimate the resonance model")
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
+    p.add_argument("--no-dc", action="store_true",
+                   help="do not add a unit root (such a model cannot be designed)")
     p.add_argument("--model-out", default=None)
     p.add_argument("--report-out", default=None, help="diagnostics dump")
 
@@ -145,9 +146,9 @@ def build_parser() -> _Parser:
     _add_common_estimation(p)
     p.add_argument("--channels", choices=("gray", "rgb"), default="gray")
     p.add_argument("--e-policy", default="mean",
-                   help="flat level: 'mean', 'zero', or an explicit number; a "
-                        "level that yields an all-zero kernel (such as 'zero' "
-                        "with the default unit root) is a numeric failure")
+                   help="flat level: 'mean' (of the base region) or an "
+                        "explicit number; 0 gives an all-zero kernel, which "
+                        "is a numeric failure")
     p.add_argument("--model-out", required=True)
 
     p = sub.add_parser("filter", help="apply designed filters to an image")
@@ -194,6 +195,11 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"noise: {args.noise} is not a finite number >= 0")
     if args.frames < 1:
         raise ConfigError(f"frames: {args.frames} is not a positive count")
+    values = [("mean", args.mean), ("patch-value", args.patch_value)]
+    values += [("pair", v) for pair in args.pair for v in pair[2:]]  # amplitude, phase
+    for name, value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: {value} is not a finite number")
     try:
         image = synth_texture(args.pair, nx, ny, noise_sigma=0.0, mean=args.mean)
     except ValueError as exc:

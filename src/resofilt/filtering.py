@@ -1,32 +1,33 @@
 """Inverse resonance filter: design, application, and the 3-sigma detector.
 
-The filter kernel is synthesised so that convolving it over a texture in
-the model span returns a flat level E everywhere; residual fluctuation on
-the training (base) region defines the noise dispersion, and pixels whose
-filtered value leaves the E +- k*sigma band in any colour channel are
-flagged as anomalies carrying their original intensities.
+The filter kernel is the scaled outer product of the two axes' unit-root
+Lagrange polynomials, so convolving it over a texture in the model span
+returns a flat level E everywhere; residual fluctuation on the training
+(base) region defines the noise dispersion, and pixels whose filtered value
+leaves the E +- k*sigma band in any colour channel are flagged as anomalies
+carrying their original intensities.
 
 Functions are pure; per-channel designs are independent and may run
-concurrently.  A rank-one kernel (the default design: a unit root and the
-mean flat level) is applied as a row pass then a column pass, P + Q shifted
-adds instead of P * Q; any other kernel runs the direct double sum.  Both
-paths accumulate taps in a fixed order, so results do not depend on
-scheduling; the two-pass result is not bit-equal to the double sum.
+concurrently.  A rank-one kernel (every designed kernel is c * hx (x) hy)
+is applied as a row pass then a column pass, P + Q shifted adds instead of
+P * Q; any other kernel, which only a loaded model document can carry,
+runs the direct double sum.  Both paths accumulate taps in a fixed order,
+so results do not depend on scheduling; the two-pass result is not
+bit-equal to the double sum.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
-from .harmonic import HarmonicModel, spectrum, vandermonde
+from .errors import ModelError, NumericError
+from .harmonic import UNIT_ROOT_TOL, HarmonicModel, ResonanceRoots, spectrum
 
-# Relative amplitude floor below which a spectral component is dropped
-# instead of divided by.
-DROP_TOL = 1e-9
+# Unit-root amplitude, relative to the base region's largest, at or below
+# which the region has no mean component to design on.
+MEAN_TOL = 1e-9
 
 # Largest deviation, relative to max|kernel|, of the outer product of a
 # kernel's factors from the kernel itself for the two-pass apply path.
@@ -120,20 +121,14 @@ def _rank_one_factors(kernel: np.ndarray):
     return col, row
 
 
-def resolve_flat_level(base_region: np.ndarray, policy) -> float:
-    """Flat-level policy: 'mean' (default), 'zero', or an explicit number.
-
-    With a unit root in the model, a zero flat level asks the filter to
-    annihilate the texture's mean as well, which only the null kernel
-    does; ``design_filter`` rejects that design.
-    """
-    if policy == "mean":
-        return float(np.asarray(base_region).mean())
-    if policy == "zero":
-        return 0.0
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        return float(policy)
-    raise ValueError(f"unknown flat-level policy {policy!r}")
+def _unit_lagrange(roots: ResonanceRoots, axis: str):
+    """Unit-root index and ascending coefficients of the unit root's Lagrange
+    polynomial prod_{i != u} (z - z_i) / (1 - z_i): 1 at z = 1, 0 at the rest."""
+    u = roots.unit_root_index()
+    if u is None:
+        raise ModelError(f"axis {axis}: no root within {UNIT_ROOT_TOL:g} of 1 to design on")
+    others = np.delete(roots.roots, u)
+    return u, np.atleast_1d(np.poly(others))[::-1] / np.prod(1.0 - others)
 
 
 def design_filter(
@@ -144,45 +139,32 @@ def design_filter(
 ) -> IRFilter:
     """Design the inverse filter of a base region under a harmonic model.
 
-    The amplitude matrix of the base region and of the constant flat-level
-    image are fitted in the model basis; their elementwise ratio is the
-    filter spectrum, synthesised back into a P x Q kernel through the
-    square inverse bases.  Components whose texture amplitude is below
-    DROP_TOL relative are dropped; a warning is raised only when the flat
-    target actually needed such a component.  An all-zero kernel, which
-    flags nothing, raises NumericError.  The noise dispersion is the
-    filtered base region's mean squared deviation from the flat level.
+    The kernel is (E / A_uu) hx hy^T: hx and hy are the axes' unit-root
+    Lagrange polynomials and A_uu is the base region's unit-root amplitude,
+    so every texture in the model span filters to the flat level E, the
+    region's mean (``e_policy='mean'``) or a given number.  A model without
+    a unit root raises ModelError; no mean component, a model that is not
+    conjugate-closed or an all-zero kernel (E = 0, which flags nothing)
+    raise NumericError.  The noise dispersion is the filtered base region's
+    mean squared deviation from E.
     """
     base_region = np.asarray(base_region, dtype=float)
     p, q = model.order
     if base_region.shape[0] < p + 1 or base_region.shape[1] < q + 1:
-        raise ValueError(
-            f"base region {base_region.shape} must exceed the model order ({p}, {q})"
-        )
-    flat = resolve_flat_level(base_region, e_policy)
+        raise ValueError(f"base region {base_region.shape} must exceed the model order ({p}, {q})")
+    if e_policy == "mean":
+        flat = float(base_region.mean())
+    elif isinstance(e_policy, (int, float)) and not isinstance(e_policy, bool):
+        flat = float(e_policy)
+    else:
+        raise ValueError(f"unknown flat-level policy {e_policy!r}")
+    ux, hx = _unit_lagrange(model.zx, "x")
+    uy, hy = _unit_lagrange(model.zy, "y")
 
     amp = spectrum(base_region, model.zx, model.zy)
-    flat_spec = spectrum(np.full_like(base_region, flat), model.zx, model.zy)
-
-    mags = np.abs(amp)
-    floor = DROP_TOL * max(mags.max(), 1e-300)
-    small = mags < floor
-    ratio = np.zeros_like(amp)
-    ratio[~small] = flat_spec[~small] / amp[~small]
-    needed = small & (np.abs(flat_spec) > DROP_TOL * max(np.abs(flat_spec).max(), 1e-300))
-    if np.any(needed):
-        warnings.warn(
-            f"dropped {int(needed.sum())} spectral component(s) with vanishing "
-            "texture amplitude; the model over-specifies this texture",
-            stacklevel=2,
-        )
-
-    try:
-        zx_inv = np.linalg.inv(vandermonde(model.zx, p))
-        zy_inv = np.linalg.inv(vandermonde(model.zy, q))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("coincident roots: square basis not invertible") from exc
-    kernel_c = zx_inv.T @ ratio @ zy_inv
+    if not abs(amp[ux, uy]) > MEAN_TOL * np.abs(amp).max():
+        raise NumericError("no mean component: the base region's unit-root amplitude vanishes")
+    kernel_c = (flat / amp[ux, uy]) * np.outer(hx, hy)
     residue = np.abs(kernel_c.imag).max() / max(1.0, np.abs(kernel_c.real).max())
     if residue > 1e-8:
         raise NumericError(

@@ -25,6 +25,9 @@ from .errors import ModelError, NumericError
 # Relative singular-value cutoff for pseudoinverses of Vandermonde bases.
 PINV_RCOND = 1e-10
 
+# Largest distance from 1 at which a root counts as the unit (mean) root.
+UNIT_ROOT_TOL = 1e-6
+
 _TWO_PI = 2.0 * np.pi
 
 
@@ -110,6 +113,11 @@ class ResonanceRoots:
         if np.any(mod == 0.0):
             raise NumericError("cannot project a zero root onto the unit circle")
         return ResonanceRoots(self.roots / mod, source_moduli=self.source_moduli)
+
+    def unit_root_index(self):
+        """Index of the root nearest 1 if it lies within UNIT_ROOT_TOL, else None."""
+        u = int(np.argmin(np.abs(self.roots - 1.0)))
+        return u if abs(self.roots[u] - 1.0) < UNIT_ROOT_TOL else None
 
     def with_appended(self, value: complex) -> "ResonanceRoots":
         return ResonanceRoots(
@@ -277,7 +285,7 @@ def fit_estimate(
     if dc_root:
         axes = []
         for roots in (zx, zy):
-            if np.abs(roots.roots - 1.0).min() < 1e-6:
+            if roots.unit_root_index() is not None:
                 warnings.warn(
                     "estimate already carries a unit root; skipping the mean component",
                     stacklevel=3,

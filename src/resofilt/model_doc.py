@@ -156,4 +156,11 @@ class RunReport:
             and all(isinstance(f, dict) for f in report.frames)
         ):
             raise ImageFormatError("run-report frames is not a list of objects")
+        for i, frame in enumerate(report.frames):
+            index = frame.get("frame")
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise ImageFormatError(f"run-report frames[{i}] lacks an integer 'frame'")
+            for key in ("boxes", "confirmed"):
+                if not isinstance(frame.get(key, []), list):
+                    raise ImageFormatError(f"run-report frames[{i}].{key} is not a list")
         return report

@@ -50,7 +50,7 @@ _POSTS = ("hist", "track", "none")
 
 def _valid_e_policy(policy) -> bool:
     if isinstance(policy, str):
-        return policy in ("mean", "zero")
+        return policy == "mean"
     number = isinstance(policy, (int, float)) and not isinstance(policy, bool)
     return number and math.isfinite(policy)
 
@@ -104,7 +104,7 @@ class PipelineConfig:
         if not _valid_e_policy(self.e_policy):
             raise ConfigError(
                 f"e_policy: unknown value {self.e_policy!r}; "
-                "expected 'mean', 'zero' or a finite number"
+                "expected 'mean' or a finite number"
             )
         if self.channel_mode not in _CHANNEL_MODES:
             raise ConfigError(f"channel_mode: unknown value {self.channel_mode!r}")
@@ -198,12 +198,6 @@ class PipelineResult:
     mask: DetectionMask
     boxes: list
     confirmed: list
-
-    @property
-    def masks(self) -> tuple:
-        """Frame 0's mask as a one-element tuple; later frames' masks are
-        not kept."""
-        return (self.mask,)
 
 
 @contextmanager

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from resofilt import (
     DetectionMask,
     HarmonicModel,
+    ImageStack,
     IRFilter,
+    ModelError,
     NumericError,
+    PipelineConfig,
     apply_filter,
     design_filter,
     detect,
@@ -20,12 +23,15 @@ from resofilt import (
     estimate_model_pencil,
     model_to_doc,
     noise_dispersion,
+    spectrum,
     synth_texture,
+    vandermonde,
 )
+from resofilt import pipeline
 from resofilt.filtering import _correlate_valid, within_band_fraction
 from resofilt.model_doc import dump_json
 
-from conftest import FOUR_PAIRS, unit_roots
+from conftest import FOUR_PAIRS, pairs_subset, unit_roots
 
 
 def exact_model(pairs, mean, nx, ny):
@@ -75,9 +81,10 @@ class TestDesignFilter:
         # with a unit root in the model only the null kernel drives the
         # texture's mean to zero; it would flag nothing, so design refuses
         base, model = exact_model(FOUR_PAIRS[:1], 10.0, 32, 32)
-        for policy in ("zero", 0.0):
-            with pytest.raises(NumericError, match="all-zero kernel"):
-                design_filter(base, model, e_policy=policy)
+        with pytest.raises(NumericError, match="all-zero kernel"):
+            design_filter(base, model, e_policy=0.0)
+        with pytest.raises(ValueError, match="unknown flat-level policy 'zero'"):
+            design_filter(base, model, e_policy="zero")
 
     def test_e_policy_explicit(self):
         base, model = exact_model(FOUR_PAIRS[:1], 10.0, 32, 32)
@@ -85,16 +92,21 @@ class TestDesignFilter:
         out = apply_filter(base, irf)
         assert np.abs(out - 55.0).max() < 1e-7 * max(np.abs(base).max(), 55.0)
 
-    def test_vanishing_component_warns(self):
-        # model carries a pair the texture does not contain while the flat
-        # target needs the unit root: the empty pair is dropped silently,
-        # but an empty unit-root component would have to warn
+    def test_vanishing_mean_component_is_numeric_error(self):
+        # the flat target rides on the unit-root component; a texture
+        # without one cannot be driven to a nonzero level
         base = synth_texture(FOUR_PAIRS[:1], 32, 32)  # zero mean, no DC content
         zx = unit_roots([0.0, 0.11, -0.11])
         zy = unit_roots([0.0, 0.23, -0.23])
         model = HarmonicModel.fit(base, zx, zy)
-        with pytest.warns(UserWarning):
+        with pytest.raises(NumericError, match="no mean component"):
             design_filter(base, model, e_policy=7.0)
+
+    def test_no_dc_model_cannot_be_designed(self):
+        base = _patch_scene(2)[:64, :64]
+        model, _ = estimate_model_ls(base, 8, 8, dc_root=False)
+        with pytest.raises(ModelError, match="axis x: no root within 1e-06 of 1"):
+            design_filter(base, model)
 
     def test_small_region_rejected(self):
         base, model = exact_model(FOUR_PAIRS[:2], 0.0, 32, 32)
@@ -227,18 +239,100 @@ class TestSeparableApply:
         assert back.factors is not None
         assert np.array_equal(apply_filter(scene, back), apply_filter(scene, irf))
 
-    def test_no_dc_design_takes_direct_path(self):
-        scene = _patch_scene(2)
-        base = scene[:64, :64]
-        model, _ = estimate_model_ls(base, 8, 8, dc_root=False)
-        irf = design_filter(base, model)
-        assert irf.factors is None
-        assert np.array_equal(apply_filter(scene, irf), _direct(scene, irf))
-
     def test_all_zero_kernel_takes_direct_path(self):
         irf = IRFilter(np.zeros((3, 4)), 0.0, 0.0)
         assert irf.factors is None
         assert not apply_filter(np.ones((6, 6)), irf).any()
+
+
+def _reference_design(base, model, flat, exact_flat=False):
+    """Inverse-Vandermonde synthesis of the inverse filter: fit the base
+    region and the constant flat image in the model basis, divide the two
+    spectra (components below 1e-9 of the largest texture amplitude are
+    dropped) and map the ratio back through the square inverse bases.
+    With ``exact_flat`` the flat image's spectrum is taken as its exact
+    value, ``flat`` at the unit-root component and 0 elsewhere."""
+    p, q = model.order
+    amp = spectrum(base, model.zx, model.zy)
+    if exact_flat:
+        flat_spec = np.zeros_like(amp)
+        flat_spec[model.zx.unit_root_index(), model.zy.unit_root_index()] = flat
+    else:
+        flat_spec = spectrum(np.full_like(base, flat), model.zx, model.zy)
+    keep = np.abs(amp) >= 1e-9 * np.abs(amp).max()
+    ratio = np.zeros_like(amp)
+    ratio[keep] = flat_spec[keep] / amp[keep]
+    zx_inv = np.linalg.inv(vandermonde(model.zx, p))
+    zy_inv = np.linalg.inv(vandermonde(model.zy, q))
+    kernel = (zx_inv.T @ ratio @ zy_inv).real
+    return kernel, noise_dispersion(_correlate_valid(base, kernel), flat)
+
+
+def _rgb_scene(noise_sigma):
+    rng = np.random.default_rng(8)
+    planes = tuple(
+        synth_texture(pairs_subset(4, rng), 64, 64, noise_sigma=noise_sigma, seed=c, mean=m)
+        for c, m in enumerate((128.0, 100.0, 90.0))
+    )
+    return ImageStack(planes)
+
+
+class TestClosedFormDesign:
+    # The fitted flat spectrum carries rounding residue of about 1e-16 * E
+    # off the unit-root component, which the synthesis divides by the base
+    # region's amplitudes there.  At the benchmark scenes' noise level
+    # (sigma 1) that moves the synthesised kernel by about 1e-11; at sigma
+    # 0.01 the amplitudes are small enough to move it by up to 2e-8, so the
+    # low-noise scene is compared with the synthesis of the exact flat
+    # spectrum instead.
+    @pytest.mark.parametrize("noise_sigma,exact_flat", [(1.0, False), (0.01, True)])
+    @pytest.mark.parametrize("channel_mode", ["gray", "rgb"])
+    @pytest.mark.parametrize("estimator,order", [("ls", 8), ("ls", 16), ("pencil", 4)])
+    def test_matches_inverse_vandermonde_reference(self, estimator, order, channel_mode,
+                                                   noise_sigma, exact_flat):
+        cfg = PipelineConfig(order=(order, order), estimator=estimator,
+                             channel_mode=channel_mode)
+        base, model, _ = pipeline.estimate(_rgb_scene(noise_sigma), cfg)
+        filters = pipeline.design(base, model, cfg)
+        planes, _ = pipeline._channels(base, channel_mode)
+        assert len(filters) == len(planes)
+        for plane, irf in zip(planes, filters):
+            assert irf.factors is not None
+            kernel, sigma2 = _reference_design(plane, model, irf.flat_level, exact_flat)
+            assert np.abs(irf.kernel - kernel).max() <= 1e-9 * np.abs(kernel).max()
+            assert abs(irf.sigma2 - sigma2) <= 1e-9 * sigma2
+
+    # Frequencies lie on a 1/16 grid.  The kernel's tap sum grows like the
+    # product of 1 / |1 - z_i| over the other roots: 1e5 for the 9 roots
+    # 0, +-1/16 .. +-4/16, but 4e8 at a 1/25 spacing, where rounding in the
+    # filter sum alone (of this design and of the inverse-Vandermonde one)
+    # exceeds criterion 5's bound.
+    @given(
+        fx=st.lists(st.integers(1, 7), max_size=4, unique=True),
+        fy=st.lists(st.integers(1, 7), max_size=4, unique=True),
+        nyquist=st.tuples(st.booleans(), st.booleans()),
+        shape=st.tuples(st.integers(32, 48), st.integers(32, 48)),
+        mean=st.floats(50.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unit_circle_models_flatten_their_span(self, fx, fy, nyquist, shape, mean,
+                                                    seed):
+        # conjugate-closed root sets with the unit root, 1 to 9 roots per axis
+        axes = []
+        for steps, half in zip((fx, fy), nyquist):
+            freqs = [0.0] + [s * f / 16 for f in steps for s in (1, -1)]
+            axes.append(unit_roots(freqs + [0.5] if half and len(steps) < 4 else freqs))
+        zx, zy = axes
+        rng = np.random.default_rng(seed)
+        amp = rng.normal(0, 1, (len(zx), len(zy))) + 1j * rng.normal(0, 1, (len(zx), len(zy)))
+        amp[0, 0] = 0.0
+        base = (vandermonde(zx, shape[0]) @ amp @ vandermonde(zy, shape[1]).T).real + mean
+        irf = design_filter(base, HarmonicModel.fit(base, zx, zy))
+        assert irf.factors is not None
+        out = apply_filter(base, irf)
+        assert np.abs(out - irf.flat_level).max() < 1e-8 * np.abs(base).max()
+        assert irf.sigma2 < 1e-16 * irf.flat_level**2
 
 
 class TestNoiseDispersion:

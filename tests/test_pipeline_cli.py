@@ -619,20 +619,30 @@ class TestCli:
 
     def test_design_unknown_e_policy_is_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
-        code = main(["design", "--input", str(tex), "--order", "8,8", "--e-policy", "abc",
-                     "--model-out", str(tmp_path / "model.json")])
-        assert code == EXIT_USAGE
-        assert "e_policy" in capsys.readouterr().err
+        for policy in ("abc", "zero"):
+            code = main(["design", "--input", str(tex), "--order", "8,8",
+                         "--e-policy", policy, "--model-out", str(tmp_path / "model.json")])
+            assert code == EXIT_USAGE
+            assert "e_policy" in capsys.readouterr().err
 
     def test_design_null_kernel_is_numeric_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
         model = tmp_path / "model.json"
-        for policy in ("zero", "0"):
-            code = main(["design", "--input", str(tex), "--order", "8,8",
-                         "--e-policy", policy, "--model-out", str(model)])
-            assert code == EXIT_NUMERIC
-            assert "all-zero kernel" in capsys.readouterr().err
+        code = main(["design", "--input", str(tex), "--order", "8,8",
+                     "--e-policy", "0", "--model-out", str(model)])
+        assert code == EXIT_NUMERIC
+        assert "all-zero kernel" in capsys.readouterr().err
         assert not model.exists()
+
+    def test_no_dc_is_an_estimate_option_only(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        code = main(["detect", "--input", str(tex), "--order", "8,8", "--no-dc"])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --no-dc" in capsys.readouterr().err
+        model = tmp_path / "model.json"
+        assert main(["estimate", "--input", str(tex), "--order", "8,8", "--no-dc",
+                     "--model-out", str(model)]) == EXIT_OK
+        assert json.loads(model.read_text())["order"] == [8, 8]
 
     def test_pencil_order_pair_must_match(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
@@ -726,6 +736,11 @@ class TestCli:
             (["--patch", "60,60,8,8"], "patch"),  # overhangs the 64x64 image
             (["--patch=-2,10,4,4"], "patch"),  # negative origin
             (["--patch", "10,10,0,4"], "patch"),  # empty
+            (["--mean", "nan"], "mean"),
+            (["--mean", "inf"], "mean"),
+            (["--patch", "2,2,4,4", "--patch-value", "nan"], "patch-value"),
+            (["--pair", "0.1,0.1,inf"], "pair"),  # amplitude
+            (["--pair", "0.1,0.1,1,nan"], "pair"),  # phase
         ],
     )
     def test_synth_bad_option_is_config_error(self, tmp_path, capsys, extra, option):
@@ -748,7 +763,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "section,value",
-        [("frames", {"frame": 0}), ("frames", 3), ("frames", [1]), ("model", 5)],
+        [("frames", {"frame": 0}), ("frames", 3), ("frames", [1]), ("model", 5),
+         ("frames", [{"boxes": []}]), ("frames", [{"frame": "0"}]),
+         ("frames", [{"frame": 0, "boxes": 5}]), ("frames", [{"frame": 0, "confirmed": 5}])],
     )
     def test_report_malformed_section_is_input_error(self, tmp_path, capsys,
                                                      section, value):
