@@ -14,11 +14,18 @@ P * Q; any other kernel, which only a loaded model document can carry,
 runs the direct double sum.  Both paths accumulate taps in a fixed order,
 so results do not depend on scheduling; the two-pass result is not
 bit-equal to the double sum.
+
+The filter runs in strips of output rows sized by STRIP_BYTES, so its
+temporaries stay in L2; a strip sums the same taps in the same order as a
+whole-plane pass, so strips do not change the result.  The detector ORs
+its verdicts into one boolean raster, strip by strip as well; a mask's
+float values are built from that raster only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +39,10 @@ MEAN_TOL = 1e-9
 # Largest deviation, relative to max|kernel|, of the outer product of a
 # kernel's factors from the kernel itself for the two-pass apply path.
 RANK_ONE_TOL = 1e-12
+
+# Bytes of float64 output held per row strip by apply_filter and detect;
+# a strip's temporaries are a few times this, sized to stay in L2.
+STRIP_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -68,40 +79,60 @@ class IRFilter:
         return self.kernel.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionMask:
-    """Per-channel anomaly verdicts at original-image coordinates.
+    """Anomaly verdicts of one frame at original-image coordinates.
 
-    ``values[c][i, k]`` holds the original pixel value where the pixel is
-    anomalous and 0 elsewhere.  Only the top-left valid region (the part
-    fully covered by filter windows) can be nonzero; ``valid_shape`` gives
-    its extent from the (0, 0) corner.  ``values`` is held as a read-only
-    view, and the positive raster is computed once at construction and
-    kept read-only, so the two cannot drift apart.
+    ``verdicts`` is the detector's boolean raster, of the frame's shape:
+    True where the pixel is anomalous in any channel.  Only the top-left
+    valid region (the part fully covered by filter windows) can be True;
+    ``valid_shape`` gives its extent from the (0, 0) corner.  ``originals``
+    are the frame's planes, one per channel.  Both are held as read-only
+    views (the caller's arrays stay writable).
     """
 
-    values: np.ndarray
+    verdicts: np.ndarray
+    originals: tuple
     valid_shape: tuple
-    _positive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).view()
-        if v.ndim != 3:
-            raise ValueError("mask values must be (channels, rows, cols)")
-        positive = (v > 0).any(axis=0)
-        v.setflags(write=False)
-        positive.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_positive", positive)
+        verdicts = np.asarray(self.verdicts, dtype=bool).view()
+        originals = tuple(np.asarray(p, dtype=float).view() for p in self.originals)
+        if verdicts.ndim != 2:
+            raise ValueError("verdicts must be a (rows, cols) raster")
+        if not originals or any(p.shape != verdicts.shape for p in originals):
+            raise ValueError("original channels must match the verdict raster's shape")
+        verdicts.setflags(write=False)
+        for plane in originals:
+            plane.setflags(write=False)
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "originals", originals)
 
     @property
     def channels(self) -> int:
-        return self.values.shape[0]
+        return len(self.originals)
 
     def positive(self) -> np.ndarray:
         """Boolean raster, anomalous in any channel: the same read-only
         array on every call."""
-        return self._positive
+        return self.verdicts
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """(channels, rows, cols) original values at anomalous pixels, 0
+        elsewhere; read-only, built on first access and kept.
+
+        An anomalous pixel whose original value is exactly zero holds the
+        smallest positive double, so it stays distinguishable from the
+        unflagged zeros; negative originals stay negative.
+        """
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.zeros((self.channels,) + self.verdicts.shape)
+        for out, plane in zip(values, self.originals):
+            np.copyto(out, plane, where=self.verdicts)
+            np.copyto(out, tiny, where=self.verdicts & (plane == 0.0))
+        values.setflags(write=False)
+        return values
 
 
 def _rank_one_factors(kernel: np.ndarray):
@@ -183,20 +214,25 @@ def design_filter(
     return IRFilter(kernel=kernel, flat_level=flat, sigma2=sig2, channel=channel)
 
 
-def _correlate_valid(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _correlate_valid(image: np.ndarray, kernel: np.ndarray, out=None) -> np.ndarray:
     """Valid-region sliding sum: out[i,k] = sum_{m,n} h[m,n] d[m+i, n+k].
 
-    Accumulated as kernel-sized shifted adds in row-major (m, n) order, so
-    every output pixel reproduces the definitional double sum bit for bit.
-    This is the apply path of kernels without rank-one factors, and each
-    1D pass of those with them.
+    Accumulated as kernel-sized shifted adds in row-major (m, n) order from
+    zero, so every output pixel reproduces the definitional double sum bit
+    for bit.  This is the apply path of kernels without rank-one factors,
+    and each 1D pass of those with them.  ``out``, when given, must have
+    the valid shape and receives the result.
     """
     p, q = kernel.shape
     ox, oy = _valid_shape(image.shape, kernel.shape)
-    out = np.zeros((ox, oy))
+    if out is None:
+        out = np.empty((ox, oy))
+    out.fill(0.0)
+    term = np.empty_like(out)
     for m in range(p):
         for n in range(q):
-            out += kernel[m, n] * image[m : m + ox, n : n + oy]
+            np.multiply(image[m : m + ox, n : n + oy], kernel[m, n], out=term)
+            out += term
     return out
 
 
@@ -208,18 +244,45 @@ def _valid_shape(image_shape, kernel_shape):
     return ox, oy
 
 
+def _strip_rows(cols: int) -> int:
+    """Rows of a float64 strip ``cols`` wide that fit in STRIP_BYTES (at
+    least one)."""
+    return max(1, STRIP_BYTES // (8 * cols))
+
+
 def apply_filter(image: np.ndarray, irf: IRFilter) -> np.ndarray:
     """Filter one plane; output shape (n_x - P + 1, n_y - Q + 1).
 
-    A rank-one kernel runs as a row pass of its Q row taps, then a column
-    pass of its P column taps over that result.
+    Output rows are computed in strips: rows a..b-1 of the result read
+    image rows a..b+P-2, so temporaries stay strip-sized and every output
+    pixel sums the same taps in the same order as a whole-plane pass.  A
+    rank-one kernel runs, per strip, as a row pass of its Q row taps, then
+    a column pass of its P column taps over that result; the last P - 1
+    row-pass rows of a strip are carried over to the next, not recomputed.
     """
     image = np.asarray(image, dtype=float)
+    p = irf.kernel.shape[0]
+    ox, oy = _valid_shape(image.shape, irf.kernel.shape)
+    step = _strip_rows(oy)
+    out = np.empty((ox, oy))
     if irf.factors is None:
-        return _correlate_valid(image, irf.kernel)
-    _valid_shape(image.shape, irf.kernel.shape)
+        for a in range(0, ox, step):
+            b = min(a + step, ox)
+            _correlate_valid(image[a : b + p - 1], irf.kernel, out=out[a:b])
+        return out
     col, row = irf.factors
-    return _correlate_valid(_correlate_valid(image, row[np.newaxis, :]), col[:, np.newaxis])
+    rows = np.empty((min(step, ox) + p - 1, oy))
+    for a in range(0, ox, step):
+        b = min(a + step, ox)
+        if a == 0:
+            _correlate_valid(image[: b + p - 1], row[np.newaxis, :], out=rows[: b + p - 1])
+        else:
+            # every strip but the last is `step` rows tall
+            rows[: p - 1] = rows[step : step + p - 1]
+            fresh = rows[p - 1 : b - a + p - 1]
+            _correlate_valid(image[a + p - 1 : b + p - 1], row[np.newaxis, :], out=fresh)
+        _correlate_valid(rows[: b - a + p - 1], col[:, np.newaxis], out=out[a:b])
+    return out
 
 
 def noise_dispersion(filtered: np.ndarray, flat_level: float) -> float:
@@ -239,10 +302,9 @@ def detect(
     """Union 3-sigma rule across channels.
 
     A pixel is anomalous when |filtered - E| exceeds multiplier * sigma in
-    any channel; anomalous pixels copy their original values into the mask
-    (all channels), others are zero.  An anomalous pixel whose original
-    value is exactly zero is stored as the smallest positive double so the
-    v > 0 convention stays faithful.
+    any channel.  The verdicts form one boolean raster of the originals'
+    shape, built strip by strip; the mask's ``values`` (original values at
+    anomalous pixels, all channels) are derived from it when read.
     """
     if len(filtered_channels) != len(filters) or len(filters) != len(original_planes):
         raise ValueError("channel counts of filtered, filters and original differ")
@@ -251,28 +313,24 @@ def detect(
     shape = np.asarray(original_planes[0]).shape
     out_shape = np.asarray(filtered_channels[0]).shape
     ox, oy = out_shape
+    if ox > shape[0] or oy > shape[1]:
+        raise ValueError("filtered channels exceed the original planes")
 
-    flagged = np.zeros(out_shape, dtype=bool)
-    deviation = np.empty(out_shape)
+    verdicts = np.zeros(shape, dtype=bool)
+    flagged = verdicts[:ox, :oy]
+    step = _strip_rows(oy)
+    deviation = np.empty((min(step, ox), oy))
     for filt_plane, irf in zip(filtered_channels, filters):
         filt_plane = np.asarray(filt_plane, dtype=float)
         if filt_plane.shape != out_shape:
             raise ValueError("filtered channels disagree in shape")
         band = multiplier * np.sqrt(irf.sigma2)
-        np.subtract(filt_plane, irf.flat_level, out=deviation)
-        np.abs(deviation, out=deviation)
-        flagged |= deviation > band
-
-    tiny = np.nextafter(0.0, 1.0)
-    values = np.zeros((len(original_planes),) + shape)
-    for c, plane in enumerate(original_planes):
-        plane = np.asarray(plane, dtype=float)
-        if plane.shape != shape:
-            raise ValueError("original channels disagree in shape")
-        region = plane[:ox, :oy]
-        np.copyto(values[c, :ox, :oy], region, where=flagged)
-        np.copyto(values[c, :ox, :oy], tiny, where=flagged & (region == 0.0))
-    return DetectionMask(values=values, valid_shape=out_shape)
+        for a in range(0, ox, step):
+            dev = deviation[: min(step, ox - a)]
+            np.subtract(filt_plane[a : a + step], irf.flat_level, out=dev)
+            np.abs(dev, out=dev)
+            flagged[a : a + step] |= dev > band
+    return DetectionMask(verdicts=verdicts, originals=original_planes, valid_shape=out_shape)
 
 
 def within_band_fraction(filtered: np.ndarray, irf: IRFilter, multiplier: float = 3.0) -> float:

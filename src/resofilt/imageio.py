@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ImageFormatError
+from .filtering import STRIP_BYTES
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,16 @@ def read_image(path) -> ImageStack:
 
 
 def _quantize(plane: np.ndarray) -> np.ndarray:
-    # np.rint rounds half to even.
-    return np.clip(np.rint(np.asarray(plane, dtype=float)), 0, 255).astype(np.uint8)
+    """Round (half to even) and clip to 0..255 into a uint8 plane, in row
+    chunks whose float temporaries fit in STRIP_BYTES."""
+    plane = np.asarray(plane, dtype=float)
+    out = np.empty(plane.shape, dtype=np.uint8)
+    step = max(1, STRIP_BYTES // (8 * max(1, plane.shape[1])))
+    for a in range(0, plane.shape[0], step):
+        chunk = np.rint(plane[a : a + step])
+        np.clip(chunk, 0, 255, out=chunk)
+        out[a : a + step] = chunk
+    return out
 
 
 def write_image(path, stack: ImageStack):

@@ -259,8 +259,20 @@ def estimate(stack: ImageStack, config: PipelineConfig):
     return base, model, diag
 
 
+def _require_designable(config: PipelineConfig):
+    if not config.dc_root:
+        raise ConfigError(
+            "dc_root: filter design needs the unit root; only estimate runs without it"
+        )
+
+
 def design(base: ImageStack, model: HarmonicModel, config: PipelineConfig) -> list:
-    """Design stage: one inverse filter per channel of the base region."""
+    """Design stage: one inverse filter per channel of the base region.
+
+    A config without ``dc_root`` is a ConfigError: the design is built on
+    the unit root.
+    """
+    _require_designable(config)
     with _stage("design"):
         planes, names = _channels(base, config.channel_mode)
         return [
@@ -379,6 +391,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     first = next(frames, None)
     if first is None:
         raise ConfigError("frames: at least one frame is required")
+    _require_designable(config)
     base, model, diag = estimate(first, config)
     filters = design(base, model, config)
 
@@ -396,8 +409,13 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
             )
         with _stage("filter+detect"):
             planes, _ = _channels(frame, config.channel_mode)
-            filtered = [apply_filter(plane, irf) for plane, irf in zip(planes, filters)]
-            mask = detect(filtered, filters, planes, multiplier=config.sigma_multiplier)
+            # the filtered planes are freed once detect returns its verdicts
+            mask = detect(
+                [apply_filter(plane, irf) for plane, irf in zip(planes, filters)],
+                filters,
+                planes,
+                multiplier=config.sigma_multiplier,
+            )
             boxes = connected_components(mask, min_area=config.min_area)
         if index == 0:
             first_mask = mask

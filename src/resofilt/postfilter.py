@@ -123,18 +123,20 @@ def connected_components(mask, min_area: int = 1):
         raster = mask.positive()
     else:
         raster = np.asarray(mask) > 0
-    labels, count = ndimage.label(raster, structure=np.ones((3, 3), dtype=int))
+    labels = np.empty(raster.shape, dtype=np.intp)
+    count = ndimage.label(raster, structure=np.ones((3, 3), dtype=int), output=labels)
     if count == 0:
         return []
-    # Relabel the kept components 1..k in label order, so that find_objects
-    # scans only them and keeps their order.
+    # Relabel the kept components 1..k in label order, in place, so that
+    # find_objects scans only them and keeps their order.
     kept = np.bincount(labels[raster], minlength=count + 1) >= min_area
     kept[0] = False
-    relabel = np.zeros(count + 1, dtype=labels.dtype)
+    relabel = np.zeros(count + 1, dtype=np.intp)
     relabel[kept] = np.arange(1, np.count_nonzero(kept) + 1)
+    np.take(relabel, labels, out=labels, mode="clip")
     return [
         ObjectBox(x0=sx.start, y0=sy.start, x1=sx.stop - 1, y1=sy.stop - 1)
-        for sx, sy in ndimage.find_objects(np.take(relabel, labels))
+        for sx, sy in ndimage.find_objects(labels)
     ]
 
 

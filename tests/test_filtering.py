@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resofilt import (
-    DetectionMask,
     HarmonicModel,
     ImageStack,
     IRFilter,
@@ -27,7 +26,7 @@ from resofilt import (
     synth_texture,
     vandermonde,
 )
-from resofilt import pipeline
+from resofilt import filtering, pipeline
 from resofilt.filtering import _correlate_valid, within_band_fraction
 from resofilt.model_doc import dump_json
 
@@ -413,17 +412,34 @@ class TestDetect:
         assert np.array_equal(np.signbit(mask.values), np.signbit(expected))
 
     def test_positive_raster_cached_read_only(self):
-        values = np.zeros((3, 5, 5))
-        values[1, 2, 3] = 4.0
-        values[2, 0, 0] = -1.0
-        mask = DetectionMask(values=values, valid_shape=(5, 5))
+        filtered = [np.zeros((4, 4)) for _ in range(3)]
+        filtered[1][2, 3] = 9.0
+        irf = IRFilter(np.ones((2, 2)), flat_level=0.0, sigma2=1.0)
+        originals = [np.full((5, 5), v) for v in (2.0, 4.0, -1.0)]
+        mask = detect(filtered, [irf] * 3, originals)
         pos = mask.positive()
-        assert pos is mask.positive()
-        assert not pos.flags.writeable and not mask.values.flags.writeable
-        assert values.flags.writeable  # the caller's array is left alone
-        assert pos.dtype == bool and pos.sum() == 1 and pos[2, 3]
+        values = mask.values
+        assert pos is mask.positive() and values is mask.values
+        assert not pos.flags.writeable and not values.flags.writeable
+        # the caller's arrays are left alone
+        assert all(a.flags.writeable for a in filtered + originals)
+        assert pos.dtype == bool and pos.shape == (5, 5)
+        assert pos.sum() == 1 and pos[2, 3]
+        assert values.dtype == float and values[:, 2, 3].tolist() == [2.0, 4.0, -1.0]
         with pytest.raises(ValueError):
             pos[0, 0] = True
+        with pytest.raises(ValueError):
+            values[0, 0, 0] = 1.0
+
+    def test_negative_valued_anomaly_is_positive(self):
+        # the verdict, not the sign of the original value, decides
+        filt = np.zeros((6, 6))
+        filt[2, 3] = 9.0
+        irf = IRFilter(np.ones((3, 3)), flat_level=0.0, sigma2=1.0)
+        original = np.full((8, 8), -128.0)
+        mask = detect([filt], [irf], [original])
+        assert mask.positive().sum() == 1 and mask.positive()[2, 3]
+        assert mask.values[0, 2, 3] == -128.0
 
     def test_channel_count_mismatch(self):
         irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)
@@ -471,6 +487,88 @@ class TestDetect:
             mask = detect([apply_filter(scene, irf)], [irf], [scene])
             counts.append(int(mask.positive().sum()))
         assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+def whole_plane_apply(image, irf):
+    """Reference: the filter as one whole-plane pass (the direct double sum,
+    or the row pass then the column pass of a rank-one kernel)."""
+
+    def correlate(img, kernel):
+        p, q = kernel.shape
+        ox, oy = img.shape[0] - p + 1, img.shape[1] - q + 1
+        out = np.zeros((ox, oy))
+        for m in range(p):
+            for n in range(q):
+                out += kernel[m, n] * img[m : m + ox, n : n + oy]
+        return out
+
+    if irf.factors is None:
+        return correlate(image, irf.kernel)
+    col, row = irf.factors
+    return correlate(correlate(image, row[np.newaxis, :]), col[:, np.newaxis])
+
+
+def whole_plane_detect(filtered, filters, originals, multiplier):
+    """Reference: union flags over whole planes, then the flagged originals
+    with exact zeros stored as the smallest positive double."""
+    ox, oy = filtered[0].shape
+    flagged = np.zeros((ox, oy), dtype=bool)
+    for f, irf in zip(filtered, filters):
+        flagged |= np.abs(f - irf.flat_level) > multiplier * np.sqrt(irf.sigma2)
+    verdicts = np.zeros(originals[0].shape, dtype=bool)
+    verdicts[:ox, :oy] = flagged
+    values = np.zeros((len(originals),) + originals[0].shape)
+    for c, plane in enumerate(originals):
+        region = plane[:ox, :oy]
+        np.copyto(values[c, :ox, :oy], region, where=flagged)
+        np.copyto(values[c, :ox, :oy], np.nextafter(0.0, 1.0), where=flagged & (region == 0.0))
+    return verdicts, values
+
+
+class TestStrips:
+    @given(
+        p=st.integers(1, 17),
+        q=st.integers(1, 17),
+        extra_cols=st.integers(0, 12),
+        strip=st.integers(1, 6),
+        strips=st.integers(1, 3),
+        offset=st.integers(-1, 1),
+        rank_one=st.booleans(),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_strip_boundaries_are_bit_exact(
+        self, p, q, extra_cols, strip, strips, offset, rank_one, channels, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ox, oy = max(1, strips * strip + offset), extra_cols + 1
+        shape = (ox + p - 1, oy + q - 1)
+        if rank_one:
+            kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
+        else:
+            kernel = rng.normal(0, 1, (p, q))
+        originals = [rng.integers(-3, 4, shape).astype(float) for _ in range(channels)]
+        originals[0][rng.random(shape) < 0.2] = -0.0
+        with pytest.MonkeyPatch.context() as mp:
+            # strips of `strip` output rows
+            mp.setattr(filtering, "STRIP_BYTES", 8 * oy * strip)
+            filters = []
+            filtered = []
+            for c, plane in enumerate(originals):
+                irf = IRFilter(kernel, flat_level=0.1 * c, sigma2=float(np.abs(kernel).sum()))
+                out, reference = apply_filter(plane, irf), whole_plane_apply(plane, irf)
+                assert np.array_equal(out, reference)
+                assert np.array_equal(np.signbit(out), np.signbit(reference))
+                filters.append(irf)
+                filtered.append(out)
+            mask = detect(filtered, filters, originals, multiplier=0.5)
+        if not rank_one and min(p, q) > 1:
+            assert filters[0].factors is None
+        verdicts, values = whole_plane_detect(filtered, filters, originals, 0.5)
+        assert np.array_equal(mask.positive(), verdicts)
+        assert np.array_equal(mask.values, values)
+        assert np.array_equal(np.signbit(mask.values), np.signbit(values))
 
 
 class TestShiftRobustness:

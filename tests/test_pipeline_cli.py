@@ -116,6 +116,34 @@ class TestRunPipeline:
             for offset, raster in enumerate(state.masks):
                 assert np.shares_memory(raster, masks[start + offset].positive())
 
+    def test_negative_valued_frame_keeps_its_anomaly(self):
+        # the same scene shifted down by 256: the verdicts decide, not the
+        # sign of the original values
+        cfg = PipelineConfig(order=(8, 8), post="none")
+        shifted = ImageStack((patch_scene(patch_value=196.0).planes[0] - 256.0,))
+        result = run_pipeline(cfg, [shifted])
+        reference = run_pipeline(cfg, [patch_scene(patch_value=196.0)])
+        pos = result.mask.positive()
+        assert pos.sum() > 300
+        assert np.array_equal(pos, reference.mask.positive())
+        assert result.boxes == reference.boxes
+        assert any(b.x0 <= 85 <= b.x1 and b.y0 <= 85 <= b.y1 for b in result.boxes[0])
+        assert (result.mask.values[0][pos] < 0).all()
+
+    def test_no_dc_root_is_config_error_before_estimating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "estimate_model_ls",
+                            lambda *a, **k: calls.append(1))
+        cfg = PipelineConfig(order=(8, 8), dc_root=False)
+        with pytest.raises(ConfigError, match="dc_root: filter design needs the unit root"):
+            run_pipeline(cfg, [patch_scene()])
+        assert calls == []
+        monkeypatch.undo()
+        base, model, _ = pipeline.estimate(patch_scene(), cfg)  # estimate accepts it
+        assert model.order == (8, 8)
+        with pytest.raises(ConfigError, match="dc_root"):
+            pipeline.design(base, model, cfg)
+
     def test_post_none_keeps_candidates(self):
         cfg = PipelineConfig(order=(8, 8), post="none")
         result = run_pipeline(cfg, [patch_scene()])
@@ -218,6 +246,22 @@ class TestStreaming:
         peak(window)  # warm-up: lazy imports and caches are not per-frame memory
         short, long = peak(window), peak(4 * window)
         assert long <= 1.25 * short, (short, long)
+
+    def test_peak_memory_of_one_frame(self):
+        # beyond the frame itself a run holds about one filtered plane, or
+        # the label raster of the components, at a time
+        cfg = PipelineConfig(order=(8, 8), post="hist")
+        img = synth_texture(FOUR_PAIRS, 512, 512, noise_sigma=0.01, seed=7, mean=128.0)
+        img[300:311, 300:311] = 200.0
+        run_pipeline(cfg, [ImageStack((img,))])  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            # the frame is allocated under tracing, so the peak counts it
+            run_pipeline(cfg, [ImageStack((img.copy(),))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - img.nbytes <= 2 * img.nbytes, (peak - img.nbytes) / img.nbytes
 
     def test_same_windows_from_a_generator_and_a_list(self):
         frames = list(texture_frames(5, [], []))
