@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -79,40 +80,32 @@ def _e_policy(text: str):
         return text
 
 
+def _listed(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
 def _add_common_estimation(p: _Parser):
-    p.add_argument("--base", type=_ints(4), default=(0, 0, 64, 64),
-                   metavar="ROW,COL,H,W", help="base region (default 0,0,64,64)")
-    p.add_argument("--order", type=_ints(2), default=(16, 16), metavar="P,Q",
-                   help="model order per axis (default 16,16); the pencil "
-                        "estimator needs P = Q")
-    p.add_argument("--estimator", choices=("ls", "pencil"), default="ls")
-    p.add_argument("--split", type=int, default=None,
+    p.add_argument("--base", dest="base_region", type=_ints(4), metavar="ROW,COL,H,W",
+                   help=f"base region (default {_listed(PipelineConfig.base_region)})")
+    p.add_argument("--order", type=_ints(2), metavar="P,Q",
+                   help=f"model order per axis (default {_listed(PipelineConfig.order)}); "
+                        "the pencil estimator needs P = Q")
+    p.add_argument("--estimator", choices=("ls", "pencil"))
+    p.add_argument("--split", type=int,
                    help="splitting parameter of the pencil estimator, in "
                         "[P, min(H, W) - 2] of the base region")
-    p.add_argument("--plain", action="store_true",
+    p.add_argument("--plain", dest="symmetric", action="store_false",
                    help="plain (non-palindromic) coefficient solve")
-    p.add_argument("--no-project", action="store_true",
+    p.add_argument("--no-project", dest="project_roots", action="store_false",
                    help="keep raw root moduli (no unit-circle projection)")
 
 
-def _config_from_args(args, post: str = "none") -> PipelineConfig:
-    return PipelineConfig(
-        base_region=args.base,
-        order=args.order,
-        estimator=args.estimator,
-        symmetric=not args.plain,
-        channel_mode=getattr(args, "channels", "gray"),
-        sigma_multiplier=getattr(args, "multiplier", 3.0),
-        min_area=getattr(args, "min_area", 4),
-        e_policy=_e_policy(getattr(args, "e_policy", "mean")),
-        dc_root=not getattr(args, "no_dc", False),
-        project_roots=not args.no_project,
-        split=args.split,
-        post=post,
-        hist_epsilon=getattr(args, "hist_epsilon", None),
-        track_window=getattr(args, "window", 3),
-        track_threshold=getattr(args, "threshold", 0.3),
-    )
+def _config_from_args(args) -> PipelineConfig:
+    """The config of the pipeline options given; one not given is absent
+    from ``args`` and keeps its ``PipelineConfig`` default."""
+    given = vars(args)
+    return PipelineConfig(**{f.name: given[f.name] for f in fields(PipelineConfig)
+                             if f.name in given})
 
 
 def build_parser() -> _Parser:
@@ -133,19 +126,23 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=1,
                    help="emit N frames; --out must contain {i}")
 
-    p = sub.add_parser("estimate", help="estimate the resonance model")
+    # The pipeline subcommands leave an option that is not given out of the
+    # namespace, so that PipelineConfig alone holds the defaults.
+    p = sub.add_parser("estimate", help="estimate the resonance model",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
-    p.add_argument("--no-dc", action="store_true",
+    p.add_argument("--no-dc", dest="dc_root", action="store_false",
                    help="do not add a unit root (such a model cannot be designed)")
     p.add_argument("--model-out", default=None)
     p.add_argument("--report-out", default=None, help="diagnostics dump")
 
-    p = sub.add_parser("design", help="estimate and design per-channel filters")
+    p = sub.add_parser("design", help="estimate and design per-channel filters",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
-    p.add_argument("--channels", choices=("gray", "rgb"), default="gray")
-    p.add_argument("--e-policy", default="mean",
+    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
+    p.add_argument("--e-policy", type=_e_policy,
                    help="flat level: 'mean' (of the base region) or an "
                         "explicit number; 0 gives an all-zero kernel, which "
                         "is a numeric failure")
@@ -156,29 +153,34 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("detect", help="full anomaly-detection run on one image")
+    p = sub.add_parser("detect", help="full anomaly-detection run on one image",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
-    p.add_argument("--channels", choices=("gray", "rgb"), default="gray")
-    p.add_argument("--multiplier", type=float, default=3.0)
-    p.add_argument("--min-area", dest="min_area", type=int, default=4)
-    p.add_argument("--post", choices=("hist", "none"), default="hist")
-    p.add_argument("--hist-epsilon", dest="hist_epsilon", type=float, default=None,
+    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
+    p.add_argument("--multiplier", dest="sigma_multiplier", type=float, metavar="MULTIPLIER")
+    p.add_argument("--min-area", type=int)
+    p.add_argument("--post", choices=("hist", "none"))
+    p.add_argument("--hist-epsilon", type=float,
                    help="evidence threshold (default: mean + 2 std policy)")
     p.add_argument("--mask-out", default=None)
     p.add_argument("--overlay-out", default=None)
     p.add_argument("--report-out", default=None)
-    p.add_argument("--timings", action="store_true",
+    p.add_argument("--timings", action="store_true", default=False,
                    help="include wall-clock timings in the report")
 
-    p = sub.add_parser("track", help="dynamic run over consecutive frames")
+    p = sub.add_parser("track", help="dynamic run over consecutive frames",
+                       argument_default=argparse.SUPPRESS)
+    p.set_defaults(post="track")
     p.add_argument("--inputs", nargs="+", required=True)
     _add_common_estimation(p)
-    p.add_argument("--channels", choices=("gray", "rgb"), default="gray")
-    p.add_argument("--multiplier", type=float, default=3.0)
-    p.add_argument("--min-area", dest="min_area", type=int, default=4)
-    p.add_argument("--window", type=int, default=3, help="frame window L")
-    p.add_argument("--threshold", type=float, default=0.3, help="correlation threshold")
+    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
+    p.add_argument("--multiplier", dest="sigma_multiplier", type=float, metavar="MULTIPLIER")
+    p.add_argument("--min-area", type=int)
+    p.add_argument("--window", dest="track_window", type=int, metavar="WINDOW",
+                   help="frame window L")
+    p.add_argument("--threshold", dest="track_threshold", type=float, metavar="THRESHOLD",
+                   help="correlation threshold")
     p.add_argument("--report-out", default=None)
 
     p = sub.add_parser("report", help="pretty-print a report or model document")
@@ -263,10 +265,10 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _run_and_write(args, frames, post: str, overlay_frame=None) -> int:
+def _run_and_write(args, frames, overlay_frame=None) -> int:
     """Run the pipeline and write what ``args`` asks for; ``overlay_frame``
     is the frame ``--overlay-out`` draws on."""
-    config = _config_from_args(args, post=post)
+    config = _config_from_args(args)
     t0 = time.perf_counter()
     result = run_pipeline(config, frames)
     result.report.timings["total_s"] = time.perf_counter() - t0
@@ -288,13 +290,13 @@ def _run_and_write(args, frames, post: str, overlay_frame=None) -> int:
 
 def _cmd_detect(args) -> int:
     stack = read_image(args.input)
-    return _run_and_write(args, [stack], post=args.post, overlay_frame=stack)
+    return _run_and_write(args, [stack], overlay_frame=stack)
 
 
 def _cmd_track(args) -> int:
     # a generator: the pipeline reads each frame when it reaches it
     frames = (read_image(path) for path in args.inputs)
-    return _run_and_write(args, frames, post="track")
+    return _run_and_write(args, frames)
 
 
 def _cmd_report(args) -> int:

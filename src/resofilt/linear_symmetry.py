@@ -186,18 +186,18 @@ def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
     """Symmetry-constrained solve: palindromic coefficients, even order.
 
     Minimises the prediction quadratic form under a_P = 1 and
-    a_i = a_{P-i}.  The form needs lag products up to lag P.  When the
-    supplied matrix covers them (size >= P+1) the exact entries are used;
-    a bare P x P matrix falls back to imputing the lag-P column from the
-    lower-order predictor, which costs an edge-effect bias of order 1/n.
+    a_i = a_{P-i}.  The form needs lag products up to lag P, so the
+    supplied matrix must be at least (P+1) x (P+1); its leading block is
+    used.
     """
     p = order
     if p < 2 or p % 2 != 0:
         raise ValueError("symmetric solve requires an even order >= 2")
     r_full = _as_matrix(corr)
-    if r_full.shape[0] < p:
+    if r_full.shape[0] < p + 1:
         raise ValueError(
-            f"correlation matrix of size {r_full.shape[0]} cannot support order {p}"
+            f"correlation matrix of size {r_full.shape[0]} cannot support order {p}: "
+            f"lags 0..{p} are required"
         )
 
     rho, degenerate = _guarded_inverse(r_full[:p, :p])
@@ -205,18 +205,7 @@ def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
     if rho_last <= 0.0:
         raise NumericError("inverse correlation has non-positive last diagonal entry")
 
-    r = np.zeros((p + 1, p + 1))
-    if r_full.shape[0] >= p + 1:
-        r[:, :] = r_full[: p + 1, : p + 1]
-    else:
-        r[:p, :p] = r_full[:p, :p]
-        # Impute lag-p products through the order-(p-1) predictor shifted by
-        # one sample: r[k, p] ~= -sum_i w_i r[k, i+1].
-        w = rho[:, -1] / rho[-1, -1]
-        col = -(r_full[:p, 1:p] @ w[: p - 1])
-        r[:p, p] = col
-        r[p, :p] = col
-
+    r = r_full[: p + 1, : p + 1]
     q = p // 2
     basis = [_palindromic_basis(p, j) for j in range(q + 1)]
     m = np.empty((q, q))

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 
 from .errors import NumericError
-from .harmonic import ResonanceRoots, fit_estimate
+from .harmonic import ResonanceRoots, _sorted_roots, fit_estimate
 
 # Extra singular values kept beyond the requested subspace, for reports.
 _DIAG_TAIL = 8
@@ -186,8 +186,7 @@ def pencil_eigenvalues(u0: np.ndarray, u_shift: np.ndarray, gram_inv: np.ndarray
     vals = np.linalg.eigvals(z)
     if not np.all(np.isfinite(vals)):
         raise NumericError("pencil produced non-finite eigenvalues")
-    order = np.lexsort((np.abs(vals), np.round(np.angle(vals), 12)))
-    return ResonanceRoots(vals[order])
+    return ResonanceRoots(_sorted_roots(vals))
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,12 @@ class PipelineConfig:
     """Run settings; defaults follow the reference operating points.
 
     ``base_region`` is (row, col, height, width).  Fields whose defaults
-    are not dictated by the method itself (min_area, histogram threshold
-    policy, seeds) are artifact defaults and documented as such.
+    are not dictated by the method itself (min_area, the histogram
+    threshold policy) are artifact defaults.  The post-filters' fixed
+    operating points (ring width 7 over 256 levels, 5x5 cells at 0.75
+    fill, the "or" channel rule, track boxes grown by 7) are the
+    defaults of the ``postfilter`` functions, which the pipeline calls
+    with them.
     """
 
     base_region: tuple = (0, 0, 64, 64)
@@ -76,16 +80,9 @@ class PipelineConfig:
     project_roots: bool = True
     split: int = None
     post: str = "hist"
-    hist_extension: int = 7
-    hist_levels: int = 256
     hist_epsilon: float = None
-    hist_cell: int = 5
-    hist_fill: float = 0.75
-    hist_combine: str = "or"
     track_window: int = 3
     track_threshold: float = 0.3
-    track_extension: int = 7
-    seed: int = 0
 
     def validate(self, image_shape=None):
         x, y, h, w = self._require_int_tuple("base_region", self.base_region, 4)
@@ -114,24 +111,12 @@ class PipelineConfig:
             raise ConfigError("min_area: must be a positive integer")
         if self.post not in _POSTS:
             raise ConfigError(f"post: unknown value {self.post!r}")
-        if not (isinstance(self.hist_extension, int) and self.hist_extension >= 1):
-            raise ConfigError("hist_extension: must be a positive integer")
-        if not (isinstance(self.hist_levels, int) and self.hist_levels >= 2):
-            raise ConfigError("hist_levels: must be an integer >= 2")
         if self.hist_epsilon is not None and not isinstance(self.hist_epsilon, (int, float)):
             raise ConfigError("hist_epsilon: must be a number or None")
-        if not (isinstance(self.hist_cell, int) and self.hist_cell >= 1):
-            raise ConfigError("hist_cell: must be a positive integer")
-        if not (isinstance(self.hist_fill, (int, float)) and 0 < self.hist_fill <= 1):
-            raise ConfigError("hist_fill: must lie in (0, 1]")
-        if self.hist_combine not in ("or", "and"):
-            raise ConfigError(f"hist_combine: unknown value {self.hist_combine!r}")
         if not (isinstance(self.track_window, int) and self.track_window >= 1):
             raise ConfigError("track_window: must be a positive integer")
         if not (isinstance(self.track_threshold, (int, float)) and 0 <= self.track_threshold <= 1):
             raise ConfigError("track_threshold: must lie in [0, 1]")
-        if not (isinstance(self.track_extension, int) and self.track_extension >= 0):
-            raise ConfigError("track_extension: must be a non-negative integer")
         if self.split is not None:
             if not (isinstance(self.split, int) and self.split >= 1):
                 raise ConfigError("split: must be a positive integer or None")
@@ -166,8 +151,6 @@ class PipelineConfig:
                     f"{cause} leaves {rows} pencil rows for {p} modes on a "
                     f"{h}x{w} base region"
                 )
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed: must be an integer")
         if image_shape is not None:
             if x + h > image_shape[0] or y + w > image_shape[1]:
                 raise ConfigError("base_region: falls outside the image")
@@ -299,28 +282,23 @@ def _box_doc(box) -> dict:
     return {"x0": box.x0, "y0": box.y0, "x1": box.x1, "y1": box.y1}
 
 
-def _hist_verdicts(stack: ImageStack, boxes, config: PipelineConfig):
-    """Histogram evidence verdict per candidate box (static post-filter)."""
-    planes, _ = _channels(stack, config.channel_mode)
+def _hist_verdicts(planes, boxes, config: PipelineConfig):
+    """Histogram evidence verdict per candidate box (static post-filter),
+    on the frame's planes of the configured channel mode."""
     records = []
     for box in boxes:
         binaries = []
         fill_max = 0.0
         try:
             for plane in planes:
-                ev = histogram_difference(
-                    plane, box, e=config.hist_extension, levels=config.hist_levels
-                )
+                ev = histogram_difference(plane, box)
                 eps = (
                     config.hist_epsilon
                     if config.hist_epsilon is not None
                     else default_evidence_threshold(ev.product)
                 )
                 binaries.append(binarize_evidence(ev.product, eps))
-            combined = combine_binaries(binaries, config.hist_combine)
-            verdict, fills = density_verdict(
-                combined, cell_size=config.hist_cell, fill=config.hist_fill
-            )
+            verdict, fills = density_verdict(combine_binaries(binaries))
             fill_max = float(fills.max()) if fills.size else 0.0
         except ValueError:
             # Ring unavailable (box at the margin): cannot verify, reject.
@@ -348,7 +326,7 @@ def _track_window(start: int, recent, config: PipelineConfig):
         r_threshold=config.track_threshold,
     )
     ratios = [binary_correlation(state, i) for i in range(len(objects))]
-    confirmed = track_filter(state, extension=config.track_extension, ratios=ratios)
+    confirmed = track_filter(state, ratios=ratios)
     record = {
         "frame": start,
         "boxes": [_box_doc(b) for b in boxes],
@@ -358,11 +336,11 @@ def _track_window(start: int, recent, config: PipelineConfig):
     return confirmed, record
 
 
-def _frame_verdicts(index: int, frame: ImageStack, boxes, config: PipelineConfig):
-    """Histogram verdicts (or none) of one frame's candidates; return the
-    kept boxes and the frame's report record."""
+def _frame_verdicts(index: int, planes, boxes, config: PipelineConfig):
+    """Histogram verdicts (or none) of one frame's candidates, judged on
+    its ``planes``; return the kept boxes and the frame's report record."""
     if config.post == "hist":
-        records = _hist_verdicts(frame, boxes, config)
+        records = _hist_verdicts(planes, boxes, config)
     else:
         records = [(b, True, None) for b in boxes]
     kept = [b for b, verdict, _ in records if verdict]
@@ -416,7 +394,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
                 planes,
                 multiplier=config.sigma_multiplier,
             )
-            boxes = connected_components(mask, min_area=config.min_area)
+            boxes = connected_components(mask.positive(), min_area=config.min_area)
         if index == 0:
             first_mask = mask
         per_frame_boxes.append(boxes)
@@ -428,7 +406,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
                 confirmed, record = _track_window(index + 1 - len(recent), recent, config)
         else:
             with _stage("post-filter"):
-                confirmed, record = _frame_verdicts(index, frame, boxes, config)
+                confirmed, record = _frame_verdicts(index, planes, boxes, config)
         confirmed_all.append(confirmed)
         frames_doc.append(record)
     if config.post == "track" and len(per_frame_boxes) < config.track_window:

@@ -20,25 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .filtering import DetectionMask
-
 
 @dataclass(frozen=True)
 class ObjectBox:
-    """Inclusive pixel rectangle, with optional ring width and frame tag."""
+    """Inclusive pixel rectangle."""
 
     x0: int
     y0: int
     x1: int
     y1: int
-    extension: int = 0
-    frame_index: int = 0
 
     def __post_init__(self):
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ValueError("box corners are not ordered")
-        if self.extension < 0:
-            raise ValueError("extension must be non-negative")
 
     @property
     def height(self) -> int:
@@ -57,14 +51,14 @@ class ObjectBox:
         return ((self.x0 + self.x1) // 2, (self.y0 + self.y1) // 2)
 
     def extended(self, e: int, shape) -> "ObjectBox":
-        """Box grown by e on all sides, clipped to an image shape."""
+        """Box grown by e >= 0 on all sides, clipped to an image shape."""
+        if e < 0:
+            raise ValueError("extension must be non-negative")
         return ObjectBox(
             x0=max(0, self.x0 - e),
             y0=max(0, self.y0 - e),
             x1=min(shape[0] - 1, self.x1 + e),
             y1=min(shape[1] - 1, self.y1 + e),
-            extension=e,
-            frame_index=self.frame_index,
         )
 
 
@@ -117,12 +111,13 @@ def _support(raster) -> np.ndarray:
     return raster if raster.dtype == bool else raster > 0
 
 
-def connected_components(mask, min_area: int = 1):
-    """Bounding boxes of 8-connected positive components, small ones dropped."""
-    if isinstance(mask, DetectionMask):
-        raster = mask.positive()
-    else:
-        raster = np.asarray(mask) > 0
+def connected_components(raster, min_area: int = 1):
+    """Bounding boxes of 8-connected positive components, small ones dropped.
+
+    A boolean raster, such as ``DetectionMask.positive()``, is labelled as
+    given; any other raster by its positive entries.
+    """
+    raster = _support(raster)
     labels = np.empty(raster.shape, dtype=np.intp)
     count = ndimage.label(raster, structure=np.ones((3, 3), dtype=int), output=labels)
     if count == 0:

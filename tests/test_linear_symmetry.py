@@ -151,19 +151,13 @@ class TestSymmetricSolve:
         for i in range(1, 4):
             assert a[i - 1] == a[8 - i - 1]  # bit-exact mirror
 
-    def test_imputed_path_close_to_exact(self):
-        # strictly p x p input engages the lag imputation; the result may
-        # differ from the exact-column solve only by an edge-effect bias
-        f1, f2 = 0.11, 0.31
-        t = np.arange(256.0)
-        u = 1.3 * np.cos(2 * np.pi * f1 * t + 0.7) + 0.8 * np.cos(2 * np.pi * f2 * t + 1.9)
-        r5 = corr_1d(u, 5)
-        exact = ls_symmetric_coefficients(r5, 4).coeffs.a
-        imputed = ls_symmetric_coefficients(r5[:4, :4], 4).coeffs.a
-        assert np.abs(exact - imputed).max() < 0.05
-        truth = np.exp(2j * np.pi * np.array([f1, -f1, f2, -f2]))
-        err = root_set_error(polynomial_roots(ls_symmetric_coefficients(r5[:4, :4], 4).coeffs).roots, truth)
-        assert err < 0.01
+    def test_matrix_without_lag_p_rejected(self, rng):
+        # the form needs lag products up to lag p: a bare p x p matrix is
+        # an error, not an estimate
+        r5 = corr_1d(rng.normal(0, 1, 256), 5)
+        with pytest.raises(ValueError, match=r"size 4 cannot support order 4: lags 0\.\.4"):
+            ls_symmetric_coefficients(r5[:4, :4], 4)
+        assert ls_symmetric_coefficients(r5, 4).coeffs.a[-1] == 1.0
 
     def test_phase_break_does_not_leave_unit_circle(self, rng):
         # global sign flip at midpoint: palindromic roots stay on the

@@ -1,5 +1,8 @@
 """End-to-end pipeline behaviour and the command-line surface."""
 
+import argparse
+import dataclasses
+import inspect
 import json
 import re
 import tracemalloc
@@ -115,6 +118,29 @@ class TestRunPipeline:
         for start, state in enumerate(states):
             for offset, raster in enumerate(state.masks):
                 assert np.shares_memory(raster, masks[start + offset].positive())
+
+    def test_hist_post_filter_reuses_the_filtered_planes(self, monkeypatch):
+        # gray mode on rgb frames: each frame's gray plane is built once
+        # and the histogram post-filter reads that same plane
+        grays, judged = [], []
+        gray, difference = ImageStack.gray, pipeline.histogram_difference
+
+        def spy_gray(stack):
+            grays.append(gray(stack))
+            return grays[-1]
+
+        def spy_difference(plane, box, *args, **kwargs):
+            judged.append(plane)
+            return difference(plane, box, *args, **kwargs)
+
+        monkeypatch.setattr(ImageStack, "gray", spy_gray)
+        monkeypatch.setattr(pipeline, "histogram_difference", spy_difference)
+        frames = [ImageStack(patch_scene(seed=s).planes * 3) for s in (7, 8)]
+        cfg = PipelineConfig(order=(8, 8), post="hist", hist_epsilon=0.05)
+        run_pipeline(cfg, frames)
+        full = [g for g in grays if g.shape == (128, 128)]
+        assert len(full) == 2
+        assert judged and all(any(p is g for g in full) for p in judged)
 
     def test_negative_valued_frame_keeps_its_anomaly(self):
         # the same scene shifted down by 256: the verdicts decide, not the
@@ -302,16 +328,27 @@ class TestStreaming:
                 run_pipeline(self._config(), iter([frames[0], other, frames[2]]))
 
 
+def _defaults(fn) -> dict:
+    return {
+        name: param.default
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+
+
 class TestConfigValidation:
     def test_defaults_follow_reference_settings(self):
         cfg = PipelineConfig()
         assert cfg.order == (16, 16)
         assert cfg.base_region == (0, 0, 64, 64)
         assert cfg.sigma_multiplier == 3.0
-        assert cfg.hist_cell == 5 and cfg.hist_fill == 0.75
         assert cfg.track_window == 3 and cfg.track_threshold == 0.3
-        assert 5 <= cfg.hist_extension <= 10
         cfg.validate()
+        # the post-filter operating points live in the function signatures
+        assert _defaults(postfilter.histogram_difference) == {"e": 7, "levels": 256}
+        assert _defaults(postfilter.density_verdict) == {"cell_size": 5, "fill": 0.75}
+        assert _defaults(postfilter.combine_binaries) == {"mode": "or"}
+        assert _defaults(postfilter.track_filter) == {"extension": 7, "ratios": None}
 
     @given(
         field=st.sampled_from(
@@ -326,17 +363,9 @@ class TestConfigValidation:
                 ("sigma_multiplier", -1.0),
                 ("min_area", 0),
                 ("post", "median"),
-                ("hist_extension", 0),
-                ("hist_levels", 1),
-                ("hist_cell", 0),
-                ("hist_fill", 0.0),
-                ("hist_fill", 1.5),
-                ("hist_combine", "xor"),
                 ("track_window", 0),
                 ("track_threshold", 1.5),
-                ("track_extension", -1),
                 ("split", 0),
-                ("seed", "zero"),
                 ("e_policy", "abc"),
                 ("e_policy", float("nan")),
                 ("e_policy", True),
@@ -602,6 +631,65 @@ class TestCli:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "configuration error: track_window: more frames than provided" in err
+
+    @pytest.mark.parametrize(
+        "argv,post",
+        [
+            (["estimate", "--input", "x.pgm"], "hist"),
+            (["design", "--input", "x.pgm", "--model-out", "m.json"], "hist"),
+            (["detect", "--input", "x.pgm"], "hist"),
+            (["track", "--inputs", "a.pgm", "b.pgm"], "track"),
+        ],
+    )
+    def test_no_pipeline_options_give_the_config_defaults(self, argv, post):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config_from_args(args) == PipelineConfig(post=post)
+
+    def test_options_set_their_config_fields(self):
+        args = cli.build_parser().parse_args(
+            ["track", "--inputs", "a.pgm", "--base", "1,2,30,40", "--order", "4,4",
+             "--estimator", "pencil", "--split", "5", "--plain", "--no-project",
+             "--channels", "rgb", "--multiplier", "2.5", "--min-area", "2",
+             "--window", "2", "--threshold", "0.5"]
+        )
+        assert cli._config_from_args(args) == PipelineConfig(
+            base_region=(1, 2, 30, 40), order=(4, 4), estimator="pencil", split=5,
+            symmetric=False, project_roots=False, channel_mode="rgb",
+            sigma_multiplier=2.5, min_area=2, post="track", track_window=2,
+            track_threshold=0.5,
+        )
+        args = cli.build_parser().parse_args(
+            ["design", "--input", "x.pgm", "--model-out", "m.json", "--e-policy", "120"]
+        )
+        assert cli._config_from_args(args) == PipelineConfig(e_policy=120.0)
+        args = cli.build_parser().parse_args(
+            ["detect", "--input", "x.pgm", "--post", "none", "--hist-epsilon", "0.05"]
+        )
+        assert cli._config_from_args(args) == PipelineConfig(post="none", hist_epsilon=0.05)
+        args = cli.build_parser().parse_args(["estimate", "--input", "x.pgm", "--no-dc"])
+        assert cli._config_from_args(args) == PipelineConfig(dc_root=False)
+
+    def test_every_config_field_has_an_option(self):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for p in sub.choices.values() for a in p._actions}
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} <= dests | {"post"}
+
+    def test_report_of_the_older_config_still_loads(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        report = tmp_path / "report.json"
+        assert main(["detect", "--input", str(tex), "--order", "8,8",
+                     "--report-out", str(report)]) == EXIT_OK
+        doc = json.loads(report.read_text())
+        assert sorted(doc["config"]) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
+        # reports written before the post-filter constants left the config
+        doc["config"].update(hist_extension=7, hist_levels=256, hist_cell=5, hist_fill=0.75,
+                             hist_combine="or", track_extension=7, seed=0)
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--path", str(report)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("run report: 1 frame record(s)\nmodel order: [9, 9]\n")
 
     def test_report_pretty_print(self, tmp_path, capsys):
         tex = self._synth(tmp_path)

@@ -61,6 +61,7 @@ class TestConnectedComponents:
         ]
         boxes = connected_components(mask.astype(float), min_area=min_area)
         assert [(b.x0, b.y0, b.x1, b.y1) for b in boxes] == expected
+        assert connected_components(mask, min_area=min_area) == boxes
 
 
 class TestHistogramDifference:
@@ -90,6 +91,10 @@ class TestHistogramDifference:
         image[0:5, 0:5] = 99.0
         with pytest.warns(UserWarning):
             histogram_difference(image, ObjectBox(0, 0, 4, 4), e=7)
+
+    def test_negative_extension_rejected(self):
+        with pytest.raises(ValueError, match="extension must be non-negative"):
+            histogram_difference(np.zeros((20, 20)), ObjectBox(8, 8, 10, 10), e=-1)
 
     @pytest.mark.filterwarnings("ignore:extended box clipped")
     def test_empty_ring_rejected(self):
