@@ -38,15 +38,11 @@ from .harmonic import (
 )
 from .imageio import ImageStack, read_image, write_image
 from .linear_symmetry import (
-    Correlation2D,
     LsSolution,
-    MarginalCorrelation,
-    correlation_2d,
     estimate_model_ls,
     ls_coefficients,
     ls_symmetric_coefficients,
     marginal_correlations,
-    order_select,
 )
 from .model_doc import RunReport, doc_to_model, model_to_doc
 from .pencil import (

@@ -1,10 +1,12 @@
-"""Raster I/O: binary PGM/PPM (P5/P6) plus optional PNG through Pillow.
+"""Raster I/O: binary PGM/PPM (P5/P6).
 
 Images are carried as planar float64 channels in [0, 255].  Quantisation
 happens only at write time, rounding half to even.  Parse failures report
-the byte offset that broke the header or payload.
+the byte offset that broke the header or payload; any other format,
+whatever its file extension, fails on its magic.
 
-Every output except PNG (which Pillow saves itself) goes through
+The output format follows the channel count alone (PGM for one plane,
+PPM for three), never the file extension.  Every output goes through
 ``write_bytes``, which rewrites an existing file in place instead of
 truncating it first.
 """
@@ -92,7 +94,7 @@ class _Reader:
 
 
 def read_image(path) -> ImageStack:
-    """Read a PGM (P5), PPM (P6), or (optionally) PNG file.
+    """Read a binary PGM (P5) or PPM (P6) file.
 
     P6 data is de-interleaved once, so each returned plane is a
     C-contiguous array of its own.  An input that cannot be opened or read
@@ -105,8 +107,6 @@ def read_image(path) -> ImageStack:
         raise ImageFormatError(f"no such file: {path}") from None
     except OSError as exc:
         raise ImageFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    if data[:8] == b"\x89PNG\r\n\x1a\n":
-        return _read_png(path)
     rd = _Reader(data)
     magic = rd.token()
     if magic not in (b"P5", b"P6"):
@@ -147,10 +147,8 @@ def _quantize(plane: np.ndarray) -> np.ndarray:
 
 
 def write_image(path, stack: ImageStack):
-    """Write a stack as binary PGM (1 plane) or PPM (3 planes), or PNG."""
-    path = str(path)
-    if path.lower().endswith(".png"):
-        return _write_png(path, stack)
+    """Write a stack as binary PGM (1 plane) or PPM (3 planes), whatever
+    the extension of ``path``."""
     h, w = stack.shape
     if stack.channels == 1:
         header = f"P5\n{w} {h}\n255\n".encode()
@@ -191,30 +189,6 @@ def write_bytes(path, data: bytes):
     except OSError as exc:
         reason = exc.strerror or exc
         raise ConfigError(f"output: cannot write {str(path)!r}: {reason}") from exc
-
-
-def _read_png(path) -> ImageStack:
-    try:
-        from PIL import Image
-    except ImportError as exc:  # pragma: no cover - environment dependent
-        raise ImageFormatError("PNG support needs the optional Pillow dependency") from exc
-    with Image.open(path) as img:
-        arr = np.asarray(img)
-    if arr.ndim == 2:
-        return ImageStack((arr.astype(float),))
-    return ImageStack(tuple(arr[:, :, c].astype(float) for c in range(min(3, arr.shape[2]))))
-
-
-def _write_png(path, stack: ImageStack):
-    try:
-        from PIL import Image
-    except ImportError as exc:  # pragma: no cover - environment dependent
-        raise ImageFormatError("PNG support needs the optional Pillow dependency") from exc
-    if stack.channels == 1:
-        Image.fromarray(_quantize(stack.planes[0]), mode="L").save(path)
-    else:
-        rgb = np.stack([_quantize(p) for p in stack.planes[:3]], axis=-1)
-        Image.fromarray(rgb, mode="RGB").save(path)
 
 
 def draw_boxes(stack: ImageStack, boxes, intensity: float = 255.0) -> ImageStack:

@@ -1,14 +1,14 @@
-"""Correlation matrices and linear-symmetry coefficient estimation.
+"""Axis correlation matrices and linear-symmetry coefficient estimation.
 
 The estimators here recover the prediction polynomial of one image axis
-from lag-product correlation matrices.  Two solvers are provided: the
+from its lag-product correlation matrix.  Two solvers are provided: the
 plain linear-prediction read from the inverse correlation matrix, and the
 symmetry-constrained solve that forces a palindromic polynomial (a_P = 1,
 a_i = a_{P-i}), which pins the roots to reciprocal pairs and makes the
 estimate insensitive to phase breaks in the data.
 
-All functions are pure; correlation accumulation uses one fixed BLAS
-product, so results are deterministic for given inputs.
+All functions are pure; each axis correlation is accumulated by one fixed
+BLAS product, so results are deterministic for given inputs.
 """
 
 from __future__ import annotations
@@ -28,38 +28,6 @@ _RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
-class Correlation2D:
-    """Lag-product correlation of P x Q sliding windows, flattened.
-
-    Entry ((i_x*Q + i_y), (k_x*Q + k_y)) is the unnormalised sum over all
-    window positions of u[m+i_x, n+i_y] * u[m+k_x, n+k_y].
-    """
-
-    matrix: np.ndarray
-    window: tuple
-    source_size: tuple
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        wx, wy = self.window
-        if m.shape != (wx * wy, wx * wy):
-            raise ValueError("correlation matrix shape is inconsistent with the window")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class MarginalCorrelation:
-    """Per-axis marginals: x lags at zero y lag, and the other way round."""
-
-    rx: np.ndarray
-    ry: np.ndarray
-
-
-@dataclass(frozen=True)
 class LsSolution:
     """Estimated coefficients plus the model-error dispersion.
 
@@ -75,18 +43,15 @@ class LsSolution:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class OrderSelection:
-    """Result of the even-order scan: chosen order plus diagnostics."""
+def marginal_correlations(image: np.ndarray, window_x: int, window_y: int):
+    """Axis marginals (rx, ry) of the window_x x window_y lag correlation.
 
-    order: int
-    warned: bool
-    rho_scan: dict
-    reason: str
-
-
-def correlation_2d(image: np.ndarray, window_x: int, window_y: int) -> Correlation2D:
-    """Unnormalised 2D correlation matrix of window_x x window_y lags."""
+    ``rx[i, k]`` sums u[m+i, n] * u[m+k, n] and ``ry[i, k]`` sums
+    u[m, n+i] * u[m, n+k] over every position (m, n) of a window_x x
+    window_y window: the blocks of the full 2D lag correlation whose
+    orthogonal lags are both zero.  Positions are taken in row-major
+    (m, n) order, as the rows of the full window matrix.
+    """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("image must be 2D")
@@ -97,23 +62,11 @@ def correlation_2d(image: np.ndarray, window_x: int, window_y: int) -> Correlati
         raise ValueError(
             f"window ({window_x}, {window_y}) does not fit image ({n_x}, {n_y})"
         )
-    patches = sliding_window_view(image, (window_x, window_y))
-    flat = patches.reshape(-1, window_x * window_y)
-    return Correlation2D(flat.T @ flat, (window_x, window_y), (n_x, n_y))
-
-
-def marginal_correlations(corr: Correlation2D) -> MarginalCorrelation:
-    """Axis marginals: fix the orthogonal lag pair at zero."""
-    wy = corr.window[1]
-    rx = corr.matrix[::wy, ::wy].copy()
-    ry = corr.matrix[:wy, :wy].copy()
-    return MarginalCorrelation(rx, ry)
-
-
-def _as_matrix(corr) -> np.ndarray:
-    if isinstance(corr, Correlation2D):
-        return corr.matrix
-    return np.asarray(corr, dtype=float)
+    fx = sliding_window_view(image[:, : n_y - window_y + 1], window_x, axis=0)
+    fy = sliding_window_view(image[: n_x - window_x + 1], window_y, axis=1)
+    fx = fx.reshape(-1, window_x)
+    fy = fy.reshape(-1, window_y)
+    return fx.T @ fx, fy.T @ fy
 
 
 def _guarded_inverse(r: np.ndarray):
@@ -144,7 +97,7 @@ def ls_coefficients(corr, order: int) -> LsSolution:
     the inverse, normalised by its last element, carries the prediction
     filter; reading it back to front gives a_1..a_P of 1 + sum a_i z^i.
     """
-    r = _as_matrix(corr)
+    r = np.asarray(corr, dtype=float)
     m = order + 1
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -168,20 +121,6 @@ def ls_coefficients(corr, order: int) -> LsSolution:
     )
 
 
-def _palindromic_basis(p: int, j: int) -> np.ndarray:
-    """Basis vector of the constrained filter: e_j + e_{p-j} (e_q alone at the middle)."""
-    v = np.zeros(p + 1)
-    if j == 0:
-        v[0] = 1.0
-        v[p] = 1.0
-    elif j == p // 2:
-        v[j] = 1.0
-    else:
-        v[j] = 1.0
-        v[p - j] = 1.0
-    return v
-
-
 def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
     """Symmetry-constrained solve: palindromic coefficients, even order.
 
@@ -193,7 +132,7 @@ def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
     p = order
     if p < 2 or p % 2 != 0:
         raise ValueError("symmetric solve requires an even order >= 2")
-    r_full = _as_matrix(corr)
+    r_full = np.asarray(corr, dtype=float)
     if r_full.shape[0] < p + 1:
         raise ValueError(
             f"correlation matrix of size {r_full.shape[0]} cannot support order {p}: "
@@ -205,16 +144,17 @@ def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
     if rho_last <= 0.0:
         raise NumericError("inverse correlation has non-positive last diagonal entry")
 
-    r = r_full[: p + 1, : p + 1]
+    # Row j of the basis is e_j + e_{p-j} (e_q alone at the middle); row 0
+    # carries the fixed a_0 = a_P = 1.  Each entry of rb, m and rhs sums at
+    # most two nonzero terms, so no BLAS summation order changes its bits.
     q = p // 2
-    basis = [_palindromic_basis(p, j) for j in range(q + 1)]
-    m = np.empty((q, q))
-    rhs = np.empty(q)
-    for k in range(1, q + 1):
-        rk = basis[k] @ r
-        for j in range(1, q + 1):
-            m[k - 1, j - 1] = rk @ basis[j]
-        rhs[k - 1] = -(rk @ basis[0])
+    j = np.arange(q + 1)
+    b = np.zeros((q + 1, p + 1))
+    b[j, j] = 1.0
+    b[j, p - j] = 1.0
+    rb = b[1:] @ r_full[: p + 1, : p + 1]
+    m = rb @ b[1:].T
+    rhs = -(rb @ b[0])
     try:
         x = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
@@ -222,58 +162,14 @@ def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"symmetric system is ill-conditioned at order {p}")
 
-    a = np.empty(p)
-    for i in range(1, p):
-        a[i - 1] = x[min(i, p - i) - 1]
-    a[p - 1] = 1.0
+    i = np.arange(1, p)
+    a = np.append(x[np.minimum(i, p - i) - 1], 1.0)
     return LsSolution(
         coeffs=PolynomialCoeffs(a, symmetric=True),
         sigma2=1.0 / rho_last,
         rho_last=rho_last,
         degenerate=degenerate,
     )
-
-
-def order_select(image: np.ndarray, p_max: int, axis: str = "x") -> OrderSelection:
-    """Scan even orders 2..p_max and pick the model order for one axis.
-
-    For each candidate the marginal correlation with lags 0..p is built
-    and rho = 1/sigma2 of the plain solve recorded.  A rank collapse of
-    the lag matrix (condition beyond COND_LIMIT) means candidate p already
-    annihilates the data exactly and ends the scan.  Otherwise the first
-    local maximum of rho that beats both even neighbours by at least 1% is
-    chosen; with no such maximum, p_max is returned with a warning flag.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    if p_max < 2:
-        raise ValueError("p_max must be at least 2")
-    image = np.asarray(image, dtype=float)
-    work = image if axis == "x" else image.T
-
-    rho_scan = {}
-    candidates = list(range(2, p_max + 1, 2))
-    for p in candidates:
-        if work.shape[0] <= p + 1:
-            raise ValueError(f"image too small for the order scan at p={p}")
-        corr = correlation_2d(work, p + 1, 1)
-        cond = np.linalg.cond(corr.matrix)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            rho_scan[p] = float("inf")
-            return OrderSelection(p, False, rho_scan, "rank-collapse")
-        sol = ls_coefficients(corr.matrix, p)
-        rho_scan[p] = sol.rho_last
-
-    if len(candidates) == 1:
-        return OrderSelection(p_max, False, rho_scan, "single-candidate")
-
-    for idx in range(1, len(candidates) - 1):
-        p = candidates[idx]
-        lo, hi = candidates[idx - 1], candidates[idx + 1]
-        if rho_scan[p] >= 1.01 * rho_scan[lo] and rho_scan[p] >= 1.01 * rho_scan[hi]:
-            return OrderSelection(p, False, rho_scan, "local-maximum")
-
-    return OrderSelection(p_max, True, rho_scan, "no-local-maximum")
 
 
 @dataclass(frozen=True)
@@ -297,19 +193,18 @@ def estimate_model_ls(
 ):
     """Full LS estimate of a region: per-axis roots plus joint amplitudes.
 
-    Roots come from the axis marginals of the 2D correlation (symmetric
-    palindromic solve by default).  The estimate runs on the mean-removed
+    Roots come from the axis marginals of the 2D lag correlation
+    (symmetric palindromic solve by default).  The estimate runs on the mean-removed
     region; with ``dc_root`` a unit root is appended to both axes and the
     amplitudes are fitted on the raw region so the mean rides on it.
     Returns (HarmonicModel, LsDiagnostics).
     """
     region = np.asarray(region, dtype=float)
     work = region - region.mean() if dc_root else region
-    corr = correlation_2d(work, order_x + 1, order_y + 1)
-    marg = marginal_correlations(corr)
+    rx, ry = marginal_correlations(work, order_x + 1, order_y + 1)
     solver = ls_symmetric_coefficients if symmetric else ls_coefficients
-    sol_x = solver(marg.rx, order_x)
-    sol_y = solver(marg.ry, order_y)
+    sol_x = solver(rx, order_x)
+    sol_y = solver(ry, order_y)
     zx = polynomial_roots(sol_x.coeffs, project=project)
     zy = polynomial_roots(sol_y.coeffs, project=project)
     model = fit_estimate(region, zx, zy, dc_root)
@@ -318,8 +213,8 @@ def estimate_model_ls(
         sigma2_y=sol_y.sigma2,
         degenerate_x=sol_x.degenerate,
         degenerate_y=sol_y.degenerate,
-        condition_x=float(np.linalg.cond(marg.rx)),
-        condition_y=float(np.linalg.cond(marg.ry)),
+        condition_x=float(np.linalg.cond(rx)),
+        condition_y=float(np.linalg.cond(ry)),
         fit_residual=model.fit_residual,
     )
     return model, diag

@@ -233,12 +233,17 @@ def estimate(stack: ImageStack, config: PipelineConfig):
     the base region once and estimate the model on its gray plane.
 
     Returns (base region as an ImageStack, HarmonicModel, diagnostics).
+    Unless the run designs on three colour planes, the returned base
+    region is its gray plane alone, so a run builds that plane once.
     """
     config.validate(image_shape=stack.shape)
     x, y, h, w = (int(v) for v in config.base_region)
     with _stage("estimate"):
         base = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes))
-        model, diag = estimate_model(base.gray(), config)
+        gray = base.gray()
+        if config.channel_mode == "gray" or base.channels != 3:
+            base = ImageStack((gray,))
+        model, diag = estimate_model(gray, config)
     return base, model, diag
 
 

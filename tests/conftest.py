@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from resofilt import ResonanceRoots, synth_texture
 
@@ -40,6 +41,16 @@ def root_set_error(estimated, truth):
     """max over true roots of the distance to the nearest estimate."""
     est = np.asarray(estimated, dtype=complex)
     return max(min(abs(z - t) for z in est) for t in np.asarray(truth, dtype=complex))
+
+
+def lag_correlation(image, wx, wy):
+    """Full lag-product correlation of wx x wy windows, flattened.
+
+    Entry (ix*wy + iy, kx*wy + ky) sums u[m+ix, n+iy] * u[m+kx, n+ky] over
+    every window position (m, n), taken in row-major order.
+    """
+    f = sliding_window_view(np.asarray(image, dtype=float), (wx, wy)).reshape(-1, wx * wy)
+    return f.T @ f
 
 
 def dft_peak_frequencies(signal_2d, k_pairs, pad=1024):

@@ -22,7 +22,7 @@ from resofilt import (
     write_image,
 )
 from resofilt.cli import main
-from resofilt.errors import EXIT_OK
+from resofilt.errors import EXIT_INPUT, EXIT_OK
 from resofilt.imageio import draw_boxes, write_bytes
 from resofilt.model_doc import RunReport, dump_json, load_json
 
@@ -82,6 +82,18 @@ class TestPgm:
         path.write_bytes(b"P4\n2 2\n")
         with pytest.raises(ImageFormatError):
             read_image(path)
+
+    def test_png_is_unsupported_and_never_written(self, tmp_path, capsys):
+        path = tmp_path / "tiny.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+        with pytest.raises(ImageFormatError, match="unsupported format magic") as err:
+            read_image(path)
+        assert err.value.offset == 0
+        assert main(["detect", "--input", str(path), "--order", "8,8"]) == EXIT_INPUT
+        assert "unsupported format magic" in capsys.readouterr().err
+        # the output format follows the channel count, not the extension
+        write_image(path, ImageStack((np.zeros((2, 3)),)))
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
 
     def test_round_trip_gray(self, tmp_path):
         image = synth_texture([(0.2, 0.3, 40.0, 0.1)], 16, 16, mean=128.0)

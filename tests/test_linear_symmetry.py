@@ -1,19 +1,20 @@
-"""Correlation matrices and the two coefficient solvers."""
+"""Axis correlation matrices and the two coefficient solvers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resofilt import (
-    correlation_2d,
     ls_coefficients,
     ls_symmetric_coefficients,
     marginal_correlations,
     polynomial_roots,
     synth_texture,
 )
-from resofilt.linear_symmetry import COND_LIMIT, order_select
+from resofilt.linear_symmetry import COND_LIMIT
 
-from conftest import root_set_error
+from conftest import lag_correlation, root_set_error
 
 
 def naive_correlation(image, wx, wy):
@@ -40,51 +41,69 @@ def corr_1d(u, m):
     return d.T @ d
 
 
+def naive_marginals(image, wx, wy):
+    """The x and y lag blocks of the naive correlation: the other axis's
+    lags both zero."""
+    ref = naive_correlation(image, wx, wy)
+    return ref[::wy, ::wy], ref[:wy, :wy]
+
+
 class TestCorrelation2D:
+    def test_lag_correlation_helper_matches_naive(self, rng):
+        image = rng.normal(0, 1, (10, 9))
+        ref = naive_correlation(image, 3, 2)
+        assert np.abs(lag_correlation(image, 3, 2) - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_all_ones_4x4(self):
-        corr = correlation_2d(np.ones((4, 4)), 2, 2)
-        assert np.array_equal(corr.matrix, np.full((4, 4), 9.0))
+        rx, ry = marginal_correlations(np.ones((4, 4)), 2, 2)
+        assert np.array_equal(rx, np.full((2, 2), 9.0))
+        assert np.array_equal(ry, np.full((2, 2), 9.0))
 
     def test_zero_image(self):
-        corr = correlation_2d(np.zeros((6, 5)), 2, 2)
-        assert np.array_equal(corr.matrix, np.zeros((4, 4)))
+        rx, ry = marginal_correlations(np.zeros((6, 5)), 2, 2)
+        assert np.array_equal(rx, np.zeros((2, 2)))
+        assert np.array_equal(ry, np.zeros((2, 2)))
 
     def test_matches_naive_reference(self, rng):
         image = rng.normal(0, 1, (16, 16))
-        corr = correlation_2d(image, 3, 2)
-        ref = naive_correlation(image, 3, 2)
-        scale = np.abs(ref).max()
-        assert np.abs(corr.matrix - ref).max() <= 1e-12 * scale
+        for got, ref in zip(marginal_correlations(image, 3, 2), naive_marginals(image, 3, 2)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_single_harmonic_matches_naive(self):
         image = synth_texture([(0.2, 0.3, 1.0, 0.4)], 12, 12)
-        corr = correlation_2d(image, 2, 3)
-        ref = naive_correlation(image, 2, 3)
-        assert np.abs(corr.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+        for got, ref in zip(marginal_correlations(image, 2, 3), naive_marginals(image, 2, 3)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_symmetry_and_psd(self, rng):
         image = rng.normal(0, 1, (20, 20))
-        m = correlation_2d(image, 3, 3).matrix
-        assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
-        eigs = np.linalg.eigvalsh(m)
-        assert eigs.min() >= -1e-9 * np.trace(m)
+        for m in marginal_correlations(image, 3, 3):
+            assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
+            eigs = np.linalg.eigvalsh(m)
+            assert eigs.min() >= -1e-9 * np.trace(m)
 
     def test_window_must_fit(self):
-        with pytest.raises(ValueError):
-            correlation_2d(np.ones((4, 4)), 4, 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            marginal_correlations(np.ones((4, 4)), 4, 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            marginal_correlations(np.ones((4, 4)), 2, 4)
+        with pytest.raises(ValueError, match="positive"):
+            marginal_correlations(np.ones((4, 4)), 0, 2)
+        with pytest.raises(ValueError, match="2D"):
+            marginal_correlations(np.ones((4, 4, 2)), 2, 2)
 
 
 class TestMarginals:
     def test_constant_image(self):
-        marg = marginal_correlations(correlation_2d(np.ones((4, 4)), 2, 2))
-        assert np.array_equal(marg.rx, np.full((2, 2), 9.0))
-        assert np.array_equal(marg.ry, np.full((2, 2), 9.0))
+        # 5 x 4 positions of a 3 x 2 window on a 7 x 5 image, 2.0 * 2.0 each
+        rx, ry = marginal_correlations(np.full((7, 5), 2.0), 3, 2)
+        assert np.array_equal(rx, np.full((3, 3), 80.0))
+        assert np.array_equal(ry, np.full((2, 2), 80.0))
 
     def test_trivial_window(self):
-        corr = correlation_2d(np.arange(12.0).reshape(3, 4), 1, 1)
-        marg = marginal_correlations(corr)
-        assert marg.rx.shape == (1, 1) and marg.ry.shape == (1, 1)
-        assert marg.rx[0, 0] == corr.matrix[0, 0]
+        image = np.arange(12.0).reshape(3, 4)
+        rx, ry = marginal_correlations(image, 1, 1)
+        assert rx.shape == (1, 1) and ry.shape == (1, 1)
+        assert rx[0, 0] == ry[0, 0] == naive_correlation(image, 1, 1)[0, 0]
 
     def test_separable_texture_against_1d_oracle(self):
         # u(i,k) = f(i)g(k): the x marginal is the 1D correlation of f
@@ -93,9 +112,25 @@ class TestMarginals:
         f = np.cos(2 * np.pi * 0.2 * np.arange(nx)) + 0.3
         g = np.sin(2 * np.pi * 0.31 * np.arange(ny)) + 1.1
         image = np.outer(f, g)
-        marg = marginal_correlations(correlation_2d(image, wx, 1))
+        rx, _ = marginal_correlations(image, wx, 1)
         ref = corr_1d(f, wx) * np.sum(g * g)
-        assert np.abs(marg.rx - ref).max() < 1e-9 * np.abs(ref).max()
+        assert np.abs(rx - ref).max() < 1e-9 * np.abs(ref).max()
+
+    @given(
+        shape=st.tuples(st.integers(2, 24), st.integers(2, 24)),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equal_blocks_of_full_lag_correlation(self, shape, data, seed):
+        wx = data.draw(st.integers(1, shape[0] - 1), label="wx")
+        wy = data.draw(st.integers(1, shape[1] - 1), label="wy")
+        image = np.random.default_rng(seed).normal(0, 1, shape)
+        full = lag_correlation(image, wx, wy)
+        rx, ry = marginal_correlations(image, wx, wy)
+        scale = np.abs(full).max()
+        assert np.abs(rx - full[::wy, ::wy]).max() <= 1e-13 * scale
+        assert np.abs(ry - full[:wy, :wy]).max() <= 1e-13 * scale
 
 
 class TestPlainSolve:
@@ -201,28 +236,6 @@ class TestSigma2Monotonicity:
             sigmas = [ls_coefficients(r, p).sigma2 for p in range(1, 9)]
             for lo, hi in zip(sigmas[1:], sigmas[:-1]):
                 assert lo <= hi * (1 + 1e-9)
-
-
-class TestOrderSelect:
-    def test_two_pair_texture_selects_four(self):
-        image = synth_texture([(0.11, 0.23, 1.0, 0.3), (0.27, 0.08, 0.8, 1.1)], 64, 64)
-        sel = order_select(image, 8, axis="x")
-        assert sel.order == 4
-        assert not sel.warned
-
-    def test_white_noise_warns(self, rng):
-        sel = order_select(rng.normal(0, 1, (64, 64)), 8, axis="x")
-        assert sel.order == 8
-        assert sel.warned
-
-    def test_pmax_two_trivial(self):
-        image = synth_texture([(0.11, 0.23, 1.0, 0.3)], 32, 32)
-        sel = order_select(image, 2, axis="x")
-        assert sel.order == 2
-
-    def test_y_axis(self):
-        image = synth_texture([(0.11, 0.23, 1.0, 0.3)], 48, 48)
-        assert order_select(image, 6, axis="y").order == 2
 
 
 class TestDegenerateInputs:

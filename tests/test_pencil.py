@@ -7,7 +7,6 @@ from scipy.linalg import subspace_angles
 from resofilt import (
     NumericError,
     apply_filter,
-    correlation_2d,
     design_filter,
     detect,
     estimate_model_ls,
@@ -23,7 +22,7 @@ from resofilt import (
 from resofilt import pencil
 from resofilt.pencil import SubspaceBasis, default_split, extraction_indices
 
-from conftest import FOUR_PAIRS, conj_freqs, pairs_subset, root_set_error
+from conftest import FOUR_PAIRS, conj_freqs, lag_correlation, pairs_subset, root_set_error
 
 
 def _pencil_roots(region, n_modes, split):
@@ -39,7 +38,7 @@ def _basis_roots(basis):
 def _oracle_basis(region, split, n_modes):
     """Reference subspace: full eigendecomposition of the lag correlation."""
     m, n = region.shape
-    r = correlation_2d(region, m - split, n - split).matrix
+    r = lag_correlation(region, m - split, n - split)
     vals, vecs = np.linalg.eigh(r)
     keep = min(r.shape[0], n_modes + 8)
     return SubspaceBasis(
@@ -61,8 +60,7 @@ class TestSvdCorrelation:
         # independent rank oracle: eigendecomposition of the full matrix
         for k in (1, 2, 3):
             region = synth_texture(pairs_subset(k), 48, 48)
-            corr = correlation_2d(region, 12, 12)
-            eigs = np.sort(np.linalg.eigvalsh(corr.matrix))[::-1]
+            eigs = np.sort(np.linalg.eigvalsh(lag_correlation(region, 12, 12)))[::-1]
             significant = int(np.sum(eigs > 1e-10 * eigs[0]))
             assert significant == 2 * k
             basis = svd_windows(region, 36, 2 * k)

@@ -2,11 +2,14 @@
 
 import argparse
 import dataclasses
+import importlib.util
 import inspect
 import json
 import re
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +144,22 @@ class TestRunPipeline:
         full = [g for g in grays if g.shape == (128, 128)]
         assert len(full) == 2
         assert judged and all(any(p is g for g in full) for p in judged)
+
+    def test_rgb_base_region_gray_plane_built_once(self, monkeypatch):
+        # gray mode on an rgb frame: the base region's gray plane serves
+        # both the estimate and the design.  A one-plane stack's gray()
+        # returns its plane, so only multi-plane calls build one.
+        shapes = []
+        gray = ImageStack.gray
+
+        def spy_gray(stack):
+            if stack.channels > 1:
+                shapes.append(stack.shape)
+            return gray(stack)
+
+        monkeypatch.setattr(ImageStack, "gray", spy_gray)
+        run_pipeline(PipelineConfig(order=(8, 8)), [ImageStack(patch_scene().planes * 3)])
+        assert shapes == [(64, 64), (128, 128)]
 
     def test_negative_valued_frame_keeps_its_anomaly(self):
         # the same scene shifted down by 256: the verdicts decide, not the
@@ -713,6 +732,18 @@ class TestCli:
         assert main(["detect", "--input", str(tmp_path), "--order", "8,8"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_benchmark_tracer_bindings_resolve(self, monkeypatch):
+        # perfbench/tracing.py wraps module attributes by name, among them
+        # cli.estimate_model and cli.design_filter, which cli.py imports
+        # for the tracer alone; a missing one raises MissingBinding
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        with tracing.Tracer().installed():
+            pass
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
