@@ -273,7 +273,10 @@ def _run_and_write(args, frames, overlay_frame=None) -> int:
     result = run_pipeline(config, frames)
     result.report.timings["total_s"] = time.perf_counter() - t0
     if getattr(args, "mask_out", None):
-        write_image(args.mask_out, ImageStack(tuple(result.mask.values)))
+        # no name holds the mask planes, so they are freed before the overlay copy
+        flagged = result.mask.positive()
+        write_image(args.mask_out,
+                    ImageStack(tuple(np.where(flagged, p, 0.0) for p in result.mask.originals)))
     if getattr(args, "overlay_out", None):
         write_image(args.overlay_out, draw_boxes(overlay_frame, result.confirmed[0]))
     if getattr(args, "report_out", None):

@@ -18,14 +18,12 @@ bit-equal to the double sum.
 The filter runs in strips of output rows sized by STRIP_BYTES, so its
 temporaries stay in L2; a strip sums the same taps in the same order as a
 whole-plane pass, so strips do not change the result.  The detector ORs
-its verdicts into one boolean raster, strip by strip as well; a mask's
-float values are built from that raster only when they are read.
+its verdicts into one boolean raster, strip by strip as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +66,10 @@ class IRFilter:
             raise ValueError(f"kernel must be 2D with at least one tap, got shape {k.shape}")
         if not np.all(np.isfinite(k)):
             raise NumericError("kernel has non-finite entries")
+        if not (np.isfinite(self.flat_level) and np.isfinite(self.sigma2)):
+            raise NumericError(
+                f"flat level {self.flat_level} and sigma2 {self.sigma2} must be finite"
+            )
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be non-negative")
         k.setflags(write=False)
@@ -108,31 +110,10 @@ class DetectionMask:
         object.__setattr__(self, "verdicts", verdicts)
         object.__setattr__(self, "originals", originals)
 
-    @property
-    def channels(self) -> int:
-        return len(self.originals)
-
     def positive(self) -> np.ndarray:
         """Boolean raster, anomalous in any channel: the same read-only
         array on every call."""
         return self.verdicts
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """(channels, rows, cols) original values at anomalous pixels, 0
-        elsewhere; read-only, built on first access and kept.
-
-        An anomalous pixel whose original value is exactly zero holds the
-        smallest positive double, so it stays distinguishable from the
-        unflagged zeros; negative originals stay negative.
-        """
-        tiny = np.nextafter(0.0, 1.0)
-        values = np.zeros((self.channels,) + self.verdicts.shape)
-        for out, plane in zip(values, self.originals):
-            np.copyto(out, plane, where=self.verdicts)
-            np.copyto(out, tiny, where=self.verdicts & (plane == 0.0))
-        values.setflags(write=False)
-        return values
 
 
 def _rank_one_factors(kernel: np.ndarray):
@@ -303,8 +284,7 @@ def detect(
 
     A pixel is anomalous when |filtered - E| exceeds multiplier * sigma in
     any channel.  The verdicts form one boolean raster of the originals'
-    shape, built strip by strip; the mask's ``values`` (original values at
-    anomalous pixels, all channels) are derived from it when read.
+    shape, built strip by strip.
     """
     if len(filtered_channels) != len(filters) or len(filters) != len(original_planes):
         raise ValueError("channel counts of filtered, filters and original differ")
@@ -331,9 +311,3 @@ def detect(
             np.abs(dev, out=dev)
             flagged[a : a + step] |= dev > band
     return DetectionMask(verdicts=verdicts, originals=original_planes, valid_shape=out_shape)
-
-
-def within_band_fraction(filtered: np.ndarray, irf: IRFilter, multiplier: float = 3.0) -> float:
-    """Fraction of filtered pixels inside the flat-level band (diagnostic)."""
-    band = multiplier * np.sqrt(irf.sigma2)
-    return float(np.mean(np.abs(filtered - irf.flat_level) <= band))

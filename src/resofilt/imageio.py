@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ImageFormatError
-from .filtering import STRIP_BYTES
+from .filtering import _strip_rows
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,11 @@ def read_image(path) -> ImageStack:
 
 
 def _quantize(plane: np.ndarray) -> np.ndarray:
-    """Round (half to even) and clip to 0..255 into a uint8 plane, in row
-    chunks whose float temporaries fit in STRIP_BYTES."""
+    """Round (half to even) and clip to 0..255 into a uint8 plane, in the
+    filter's row strips, so float temporaries stay strip-sized."""
     plane = np.asarray(plane, dtype=float)
     out = np.empty(plane.shape, dtype=np.uint8)
-    step = max(1, STRIP_BYTES // (8 * max(1, plane.shape[1])))
+    step = _strip_rows(max(1, plane.shape[1]))
     for a in range(0, plane.shape[0], step):
         chunk = np.rint(plane[a : a + step])
         np.clip(chunk, 0, 255, out=chunk)

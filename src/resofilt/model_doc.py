@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImageFormatError
+from .errors import ImageFormatError, NumericError
 from .filtering import IRFilter
 from .harmonic import HarmonicModel, ResonanceRoots
 from .imageio import write_bytes
@@ -85,7 +85,7 @@ def doc_to_model(doc: dict):
             )
             for f in doc.get("filters", [])
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NumericError) as exc:
         raise ImageFormatError(f"malformed model document: {exc}") from exc
     return model, filters
 

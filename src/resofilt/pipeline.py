@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ImageFormatError, NumericError, ResofiltError
+from .errors import ConfigError, NumericError, ResofiltError
 from .filtering import DetectionMask, apply_filter, design_filter, detect
 from .harmonic import HarmonicModel
 from .imageio import ImageStack
@@ -48,11 +48,14 @@ _CHANNEL_MODES = ("gray", "rgb")
 _POSTS = ("hist", "track", "none")
 
 
+def _finite_number(value) -> bool:
+    """An int or float (not a bool) that is neither NaN nor infinite."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and math.isfinite(value)
+
+
 def _valid_e_policy(policy) -> bool:
-    if isinstance(policy, str):
-        return policy == "mean"
-    number = isinstance(policy, (int, float)) and not isinstance(policy, bool)
-    return number and math.isfinite(policy)
+    return policy == "mean" if isinstance(policy, str) else _finite_number(policy)
 
 
 @dataclass
@@ -105,17 +108,17 @@ class PipelineConfig:
             )
         if self.channel_mode not in _CHANNEL_MODES:
             raise ConfigError(f"channel_mode: unknown value {self.channel_mode!r}")
-        if not (isinstance(self.sigma_multiplier, (int, float)) and self.sigma_multiplier > 0):
-            raise ConfigError("sigma_multiplier: must be a positive number")
+        if not (_finite_number(self.sigma_multiplier) and self.sigma_multiplier > 0):
+            raise ConfigError("sigma_multiplier: must be a finite positive number")
         if not (isinstance(self.min_area, int) and self.min_area >= 1):
             raise ConfigError("min_area: must be a positive integer")
         if self.post not in _POSTS:
             raise ConfigError(f"post: unknown value {self.post!r}")
-        if self.hist_epsilon is not None and not isinstance(self.hist_epsilon, (int, float)):
-            raise ConfigError("hist_epsilon: must be a number or None")
+        if self.hist_epsilon is not None and not _finite_number(self.hist_epsilon):
+            raise ConfigError("hist_epsilon: must be a finite number or None")
         if not (isinstance(self.track_window, int) and self.track_window >= 1):
             raise ConfigError("track_window: must be a positive integer")
-        if not (isinstance(self.track_threshold, (int, float)) and 0 <= self.track_threshold <= 1):
+        if not (_finite_number(self.track_threshold) and 0 <= self.track_threshold <= 1):
             raise ConfigError("track_threshold: must lie in [0, 1]")
         if self.split is not None:
             if not (isinstance(self.split, int) and self.split >= 1):
@@ -189,8 +192,6 @@ def _stage(name: str):
         yield
     except ConfigError:
         raise
-    except ImageFormatError as exc:
-        raise ImageFormatError(f"{name}: {exc}") from exc
     except ResofiltError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
     except (ValueError, np.linalg.LinAlgError) as exc:

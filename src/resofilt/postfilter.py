@@ -101,10 +101,6 @@ class TrackState:
         object.__setattr__(self, "masks", tuple(_support(m) for m in self.masks))
         object.__setattr__(self, "objects", tuple(self.objects))
 
-    @property
-    def window(self) -> int:
-        return len(self.masks)
-
 
 def _support(raster) -> np.ndarray:
     raster = np.asarray(raster)

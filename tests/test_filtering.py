@@ -27,7 +27,7 @@ from resofilt import (
     vandermonde,
 )
 from resofilt import filtering, pipeline
-from resofilt.filtering import _correlate_valid, within_band_fraction
+from resofilt.filtering import _correlate_valid
 from resofilt.model_doc import dump_json
 
 from conftest import FOUR_PAIRS, pairs_subset, unit_roots
@@ -138,7 +138,8 @@ class TestApplyFilter:
         big = synth_texture(FOUR_PAIRS[:2], 128, 128, mean=50.0)
         big += np.random.default_rng(4).normal(0, 0.05, big.shape)
         out = apply_filter(big, irf)
-        assert within_band_fraction(out, irf) > 0.99
+        band = 3 * np.sqrt(irf.sigma2)
+        assert np.mean(np.abs(out - irf.flat_level) <= band) > 0.99
 
     def test_inserted_patch_leaves_band(self):
         base, model = exact_model(FOUR_PAIRS[:2], 50.0, 64, 64)
@@ -186,7 +187,7 @@ class TestSeparableApply:
         two_pass = detect([apply_filter(scene, irf)], [irf], [scene])
         direct = detect([_direct(scene, irf)], [irf], [scene])
         assert two_pass.positive()[80:91, 80:91].any()
-        assert np.array_equal(two_pass.values, direct.values)
+        assert np.array_equal(two_pass.positive(), direct.positive())
 
     def test_two_pass_order_bit_for_bit(self, rng):
         image = rng.normal(0, 1, (20, 18))
@@ -366,7 +367,7 @@ class TestDetect:
         mask = detect([filt], [irf], [original])
         pos = mask.positive()
         assert pos.sum() == 1 and pos[4, 4]
-        assert mask.values[0, 4, 4] == original[4, 4]
+        assert len(mask.originals) == 1 and np.array_equal(mask.originals[0], original)
 
     def test_union_over_channels(self):
         base = np.full((8, 8), 1.0)
@@ -376,8 +377,8 @@ class TestDetect:
         irf = IRFilter(np.ones((2, 2)), flat_level=1.0, sigma2=0.01)
         orig = [np.full((9, 9), 7.0), np.full((9, 9), 9.0)]
         mask = detect([f1, f2], [irf, irf], orig)
-        assert mask.positive()[2, 3]
-        assert mask.values[0, 2, 3] == 7.0 and mask.values[1, 2, 3] == 9.0
+        assert mask.positive()[2, 3] and mask.positive().sum() == 1
+        assert [plane[2, 3] for plane in mask.originals] == [7.0, 9.0]
 
     def test_zero_valued_flagged_pixel_stays_positive(self):
         filt = np.zeros((4, 4))
@@ -385,12 +386,11 @@ class TestDetect:
         irf = IRFilter(np.ones((2, 2)), flat_level=0.0, sigma2=0.01)
         original = np.zeros((5, 5))
         mask = detect([filt], [irf], [original])
-        assert mask.values[0, 1, 1] > 0.0
+        assert mask.positive()[1, 1] and mask.positive().sum() == 1
 
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_values_equal_where_formulation(self, rng, channels):
-        # reference: the union flag, then np.where per channel with the
-        # exact-zero rule, written into a zero raster
+    def test_verdicts_equal_union_formulation(self, rng, channels):
+        # zero and negative originals are flagged like any other
         shape, out_shape = (20, 22), (17, 18)
         filtered = [rng.normal(0.0, 1.0, out_shape) for _ in range(channels)]
         filters = [IRFilter(np.ones((4, 5)), 0.1 * c, 0.5 + c) for c in range(channels)]
@@ -398,18 +398,11 @@ class TestDetect:
         originals[0][:4, :4] = 0.0
         originals[-1][5, :] = -0.0
         mask = detect(filtered, filters, originals, multiplier=1.5)
-        flagged = np.zeros(out_shape, dtype=bool)
-        for f, irf in zip(filtered, filters):
-            flagged |= np.abs(f - irf.flat_level) > 1.5 * np.sqrt(irf.sigma2)
-        expected = np.zeros((channels,) + shape)
-        for c, plane in enumerate(originals):
-            region = plane[: out_shape[0], : out_shape[1]]
-            marked = np.where(flagged, region, 0.0)
-            marked[flagged & (region == 0.0)] = np.nextafter(0.0, 1.0)
-            expected[c, : out_shape[0], : out_shape[1]] = marked
-        assert flagged.any() and (expected < 0).any()
-        assert np.array_equal(mask.values, expected)
-        assert np.array_equal(np.signbit(mask.values), np.signbit(expected))
+        expected = whole_plane_detect(filtered, filters, originals, 1.5)
+        flagged = expected[: out_shape[0], : out_shape[1]]
+        assert flagged[:4, :4].any() and (flagged & (originals[0][:17, :18] < 0)).any()
+        assert np.array_equal(mask.positive(), expected)
+        assert mask.valid_shape == out_shape
 
     def test_positive_raster_cached_read_only(self):
         filtered = [np.zeros((4, 4)) for _ in range(3)]
@@ -418,18 +411,18 @@ class TestDetect:
         originals = [np.full((5, 5), v) for v in (2.0, 4.0, -1.0)]
         mask = detect(filtered, [irf] * 3, originals)
         pos = mask.positive()
-        values = mask.values
-        assert pos is mask.positive() and values is mask.values
-        assert not pos.flags.writeable and not values.flags.writeable
+        assert pos is mask.positive()
+        assert not pos.flags.writeable
+        assert not any(plane.flags.writeable for plane in mask.originals)
         # the caller's arrays are left alone
         assert all(a.flags.writeable for a in filtered + originals)
         assert pos.dtype == bool and pos.shape == (5, 5)
         assert pos.sum() == 1 and pos[2, 3]
-        assert values.dtype == float and values[:, 2, 3].tolist() == [2.0, 4.0, -1.0]
+        assert [plane[2, 3] for plane in mask.originals] == [2.0, 4.0, -1.0]
         with pytest.raises(ValueError):
             pos[0, 0] = True
         with pytest.raises(ValueError):
-            values[0, 0, 0] = 1.0
+            mask.originals[0][0, 0] = 1.0
 
     def test_negative_valued_anomaly_is_positive(self):
         # the verdict, not the sign of the original value, decides
@@ -439,7 +432,7 @@ class TestDetect:
         original = np.full((8, 8), -128.0)
         mask = detect([filt], [irf], [original])
         assert mask.positive().sum() == 1 and mask.positive()[2, 3]
-        assert mask.values[0, 2, 3] == -128.0
+        assert mask.originals[0][2, 3] == -128.0
 
     def test_channel_count_mismatch(self):
         irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)
@@ -509,20 +502,15 @@ def whole_plane_apply(image, irf):
 
 
 def whole_plane_detect(filtered, filters, originals, multiplier):
-    """Reference: union flags over whole planes, then the flagged originals
-    with exact zeros stored as the smallest positive double."""
+    """Reference: union flags over whole planes, padded with False to the
+    originals' shape."""
     ox, oy = filtered[0].shape
     flagged = np.zeros((ox, oy), dtype=bool)
     for f, irf in zip(filtered, filters):
         flagged |= np.abs(f - irf.flat_level) > multiplier * np.sqrt(irf.sigma2)
     verdicts = np.zeros(originals[0].shape, dtype=bool)
     verdicts[:ox, :oy] = flagged
-    values = np.zeros((len(originals),) + originals[0].shape)
-    for c, plane in enumerate(originals):
-        region = plane[:ox, :oy]
-        np.copyto(values[c, :ox, :oy], region, where=flagged)
-        np.copyto(values[c, :ox, :oy], np.nextafter(0.0, 1.0), where=flagged & (region == 0.0))
-    return verdicts, values
+    return verdicts
 
 
 class TestStrips:
@@ -565,10 +553,8 @@ class TestStrips:
             mask = detect(filtered, filters, originals, multiplier=0.5)
         if not rank_one and min(p, q) > 1:
             assert filters[0].factors is None
-        verdicts, values = whole_plane_detect(filtered, filters, originals, 0.5)
+        verdicts = whole_plane_detect(filtered, filters, originals, 0.5)
         assert np.array_equal(mask.positive(), verdicts)
-        assert np.array_equal(mask.values, values)
-        assert np.array_equal(np.signbit(mask.values), np.signbit(values))
 
 
 class TestShiftRobustness:

@@ -132,7 +132,7 @@ class TestSvdWindows:
             irf = design_filter(base, model)
             masks.append(detect([apply_filter(scene, irf)], [irf], [scene]))
         assert masks[0].positive()[80:91, 80:91].any()
-        assert np.array_equal(masks[0].values, masks[1].values)
+        assert np.array_equal(masks[0].positive(), masks[1].positive())
 
 
 class TestExtraction:

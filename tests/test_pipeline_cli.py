@@ -173,7 +173,7 @@ class TestRunPipeline:
         assert np.array_equal(pos, reference.mask.positive())
         assert result.boxes == reference.boxes
         assert any(b.x0 <= 85 <= b.x1 and b.y0 <= 85 <= b.y1 for b in result.boxes[0])
-        assert (result.mask.values[0][pos] < 0).all()
+        assert (result.mask.originals[0][pos] < 0).all()
 
     def test_no_dc_root_is_config_error_before_estimating(self, monkeypatch):
         calls = []
@@ -200,7 +200,7 @@ class TestRunPipeline:
         a = run_pipeline(cfg, [stack])
         b = run_pipeline(cfg, [stack])
         assert dump_json(a.report.to_doc()) == dump_json(b.report.to_doc())
-        assert np.array_equal(a.mask.values, b.mask.values)
+        assert np.array_equal(a.mask.positive(), b.mask.positive())
 
     def test_rgb_union_rule(self):
         base = synth_texture(FOUR_PAIRS[:2], 128, 128, noise_sigma=0.01, seed=3, mean=128.0)
@@ -388,6 +388,13 @@ class TestConfigValidation:
                 ("e_policy", "abc"),
                 ("e_policy", float("nan")),
                 ("e_policy", True),
+                ("sigma_multiplier", float("inf")),
+                ("sigma_multiplier", float("nan")),
+                ("sigma_multiplier", True),
+                ("hist_epsilon", float("inf")),
+                ("hist_epsilon", float("nan")),
+                ("hist_epsilon", True),
+                ("track_threshold", True),
             ]
         )
     )
@@ -528,7 +535,8 @@ class TestStageProperties:
         assert base_stack.shape == (base[2], base[3])
         assert len(filters) == (1 if channel_mode == "gray" else 3)
         p, q = filters[0].kernel.shape
-        assert result.mask.values.shape == (len(filters), rows, cols)
+        assert len(result.mask.originals) == len(filters)
+        assert result.mask.positive().shape == (rows, cols)
         assert result.mask.valid_shape == (rows - p + 1, cols - q + 1)
 
 
@@ -733,17 +741,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(tmp_path) in err and "Traceback" not in err
 
-    def test_benchmark_tracer_bindings_resolve(self, monkeypatch):
-        # perfbench/tracing.py wraps module attributes by name, among them
-        # cli.estimate_model and cli.design_filter, which cli.py imports
-        # for the tracer alone; a missing one raises MissingBinding
+    @staticmethod
+    def _benchmark_tracing(monkeypatch):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, tracing)
         spec.loader.exec_module(tracing)
+        return tracing
+
+    def test_benchmark_tracer_bindings_resolve(self, monkeypatch):
+        # perfbench/tracing.py wraps module attributes by name, among them
+        # cli.estimate_model and cli.design_filter, which cli.py imports
+        # for the tracer alone; a missing one raises MissingBinding
+        tracing = self._benchmark_tracing(monkeypatch)
         with tracing.Tracer().installed():
             pass
+
+    def test_benchmark_tracer_counts_a_detect_run(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's counters read DetectionMask.positive() and the
+        # candidate boxes from the spans of a traced run
+        tracing = self._benchmark_tracing(monkeypatch)
+        tex = self._synth(tmp_path)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            code = main(["detect", "--input", str(tex), "--order", "8,8",
+                         "--hist-epsilon", "0.05"])
+        assert code == EXIT_OK
+        counts = tracing.counters(tracer.spans)
+        assert counts["flagged_px"] > 0 and counts["candidates"] > 0
+        assert counts["apply_calls"] == 1
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
@@ -960,6 +987,75 @@ class TestCli:
         assert code == EXIT_INPUT
         assert "at least one tap" in capsys.readouterr().err
         assert not filtered.exists()
+
+    @pytest.mark.parametrize(
+        "mutate,reason",
+        [
+            (lambda doc: doc["filters"][0]["kernel"][0].__setitem__(0, float("nan")),
+             "kernel has non-finite entries"),
+            (lambda doc: doc["zx"][0].__setitem__(0, float("inf")),
+             "non-finite resonance root"),
+            (lambda doc: doc["filters"][0].__setitem__("sigma2", float("nan")),
+             "must be finite"),
+        ],
+        ids=["nan-kernel", "inf-root", "nan-sigma2"],
+    )
+    def test_non_finite_model_document_is_input_error(self, tmp_path, capsys,
+                                                      mutate, reason):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(model)]) == EXIT_OK
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        model.write_text(json.dumps(doc))  # NaN and Infinity, as json parses them
+        filtered = tmp_path / "filtered.pgm"
+        for argv in (["report", "--path", str(model)],
+                     ["filter", "--input", str(tex), "--model", str(model),
+                      "--out", str(filtered)]):
+            assert main(argv) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert "malformed model document" in err and reason in err
+        assert not filtered.exists()
+
+    @pytest.mark.parametrize(
+        "option,value,field",
+        [("--multiplier", "inf", "sigma_multiplier"),
+         ("--multiplier", "nan", "sigma_multiplier"),
+         ("--hist-epsilon", "nan", "hist_epsilon"),
+         ("--hist-epsilon", "inf", "hist_epsilon")],
+    )
+    def test_non_finite_threshold_is_config_error(self, tmp_path, capsys,
+                                                  option, value, field):
+        tex = self._synth(tmp_path)
+        code = main(["detect", "--input", str(tex), "--order", "8,8", option, value])
+        assert code == EXIT_USAGE
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rgb_frame,mode", [(False, "gray"), (True, "rgb"), (True, "gray")]
+    )
+    def test_mask_file_holds_originals_at_flagged_pixels(self, tmp_path, rgb_frame, mode):
+        # the mask file is the frame's channel planes of the run, rounded and
+        # clipped to 0..255, at flagged pixels and 0 elsewhere
+        scene = patch_scene(patch_value=220.0).planes[0]
+        planes = (scene, 255.0 - scene, 0.5 * scene) if rgb_frame else (scene,)
+        frame = tmp_path / ("frame.ppm" if rgb_frame else "frame.pgm")
+        write_image(str(frame), ImageStack(planes))
+        mask = tmp_path / "mask.out"
+        assert main(["detect", "--input", str(frame), "--order", "8,8", "--post", "none",
+                     "--channels", mode, "--mask-out", str(mask)]) == EXIT_OK
+        stack = read_image(str(frame))
+        cfg = PipelineConfig(order=(8, 8), post="none", channel_mode=mode)
+        flagged = run_pipeline(cfg, [stack]).mask.positive()
+        assert flagged.any() and not flagged.all()
+        originals = [stack.gray()] if mode == "gray" else list(stack.planes)
+        quantised = [np.where(flagged, np.clip(np.rint(p), 0, 255), 0).astype(np.uint8)
+                     for p in originals]
+        rows, cols = flagged.shape
+        magic = b"P5" if len(quantised) == 1 else b"P6"
+        body = np.stack(quantised, axis=-1).tobytes()
+        assert mask.read_bytes() == magic + f"\n{cols} {rows}\n255\n".encode() + body
 
     def test_determinism_bytes(self, tmp_path):
         tex = self._synth(tmp_path)
