@@ -11,12 +11,14 @@ Functions are pure; per-channel designs are independent and may run
 concurrently.  A rank-one kernel (every designed kernel is c * hx (x) hy)
 is applied as a row pass then a column pass, P + Q shifted adds instead of
 P * Q; any other kernel, which only a loaded model document can carry,
-runs the direct double sum.  Both paths accumulate taps in a fixed order,
-so results do not depend on scheduling; the two-pass result is not
+runs the direct double sum.  Each shifted add is one BLAS daxpy over a
+flat row-major buffer as wide as the image: one fused multiply-add per
+pixel and tap, with taps in a fixed order, so results depend neither on
+scheduling nor on the BLAS thread count.  The two-pass result is not
 bit-equal to the double sum.
 
 The filter runs in strips of output rows sized by STRIP_BYTES, so its
-temporaries stay in L2; a strip sums the same taps in the same order as a
+buffers stay in L2; a strip sums the same taps in the same order as a
 whole-plane pass, so strips do not change the result.  The detector ORs
 its verdicts into one boolean raster, strip by strip as well.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .errors import ModelError, NumericError
 from .harmonic import UNIT_ROOT_TOL, HarmonicModel, ResonanceRoots, spectrum
@@ -195,26 +198,46 @@ def design_filter(
     return IRFilter(kernel=kernel, flat_level=flat, sigma2=sig2, channel=channel)
 
 
+def _accumulate(acc: np.ndarray, flat: np.ndarray, taps, offsets) -> None:
+    """acc[i] = sum_k taps[k] * flat[i + offsets[k]] for every i of ``acc``.
+
+    ``acc`` is zero-filled, then each tap in turn adds with one BLAS daxpy:
+    one fused multiply-add per element, one pass over memory.  Each
+    element's sum depends only on its own inputs and the tap order, not on
+    where the call starts or how long it is.  Both arrays are 1D float64;
+    ``flat`` must reach index max(offsets) + acc.size - 1, which daxpy
+    checks.
+    """
+    acc.fill(0.0)
+    for tap, offset in zip(taps, offsets):
+        # f2py updates y in place only for a contiguous float64 array; any
+        # other y comes back as a copy and the tap would be lost
+        if daxpy(flat, acc, n=acc.size, a=tap, offx=offset) is not acc:
+            raise RuntimeError("daxpy did not accumulate in place")
+
+
 def _correlate_valid(image: np.ndarray, kernel: np.ndarray, out=None) -> np.ndarray:
     """Valid-region sliding sum: out[i,k] = sum_{m,n} h[m,n] d[m+i, n+k].
 
-    Accumulated as kernel-sized shifted adds in row-major (m, n) order from
-    zero, so every output pixel reproduces the definitional double sum bit
-    for bit.  This is the apply path of kernels without rank-one factors,
-    and each 1D pass of those with them.  ``out``, when given, must have
-    the valid shape and receives the result.
+    The image is read as one flat row-major buffer W = image.shape[1]
+    wide, and the taps accumulate over it at offsets m*W + n in row-major
+    (m, n) order, so every output pixel reproduces the definitional double
+    sum bit for bit with one fused multiply-add per tap.  The sums are
+    computed W wide: columns oy..W-1 of each row are scratch (the last
+    row's are left unwritten).  ``out``, when given, is that C-contiguous
+    (ox, W) buffer.  Returns the valid (ox, oy) view of it.  This is the
+    apply path of kernels without rank-one factors, and each 1D pass of
+    those with them.
     """
     p, q = kernel.shape
     ox, oy = _valid_shape(image.shape, kernel.shape)
+    w = image.shape[1]
     if out is None:
-        out = np.empty((ox, oy))
-    out.fill(0.0)
-    term = np.empty_like(out)
-    for m in range(p):
-        for n in range(q):
-            np.multiply(image[m : m + ox, n : n + oy], kernel[m, n], out=term)
-            out += term
-    return out
+        out = np.empty((ox, w))
+    offsets = (np.arange(p)[:, np.newaxis] * w + np.arange(q)).ravel()
+    flat = np.ascontiguousarray(image, dtype=float).reshape(-1)
+    _accumulate(out.reshape(-1, copy=False)[: ox * w - q + 1], flat, kernel.ravel(), offsets)
+    return out[:, :oy]
 
 
 def _valid_shape(image_shape, kernel_shape):
@@ -235,34 +258,40 @@ def apply_filter(image: np.ndarray, irf: IRFilter) -> np.ndarray:
     """Filter one plane; output shape (n_x - P + 1, n_y - Q + 1).
 
     Output rows are computed in strips: rows a..b-1 of the result read
-    image rows a..b+P-2, so temporaries stay strip-sized and every output
-    pixel sums the same taps in the same order as a whole-plane pass.  A
-    rank-one kernel runs, per strip, as a row pass of its Q row taps, then
-    a column pass of its P column taps over that result; the last P - 1
-    row-pass rows of a strip are carried over to the next, not recomputed.
+    image rows a..b+P-2, so buffers stay strip-sized and every output
+    pixel sums the same taps in the same order as a whole-plane pass.  The
+    strip buffers are as wide as the image, W columns, so each tap is one
+    daxpy over a flat strip (see _correlate_valid); the last Q - 1 columns
+    of each buffer row are scratch and are dropped when the strip is
+    copied out.  A rank-one kernel runs, per strip, as a row pass of its Q
+    row taps (offsets 0..Q-1), then a column pass of its P column taps
+    (offsets m*W) over that result; the last P - 1 row-pass rows of a
+    strip are carried over to the next, not recomputed.
     """
-    image = np.asarray(image, dtype=float)
+    image = np.ascontiguousarray(image, dtype=float)
     p = irf.kernel.shape[0]
     ox, oy = _valid_shape(image.shape, irf.kernel.shape)
+    w = image.shape[1]
     step = _strip_rows(oy)
     out = np.empty((ox, oy))
+    strip = np.empty((min(step, ox), w))
     if irf.factors is None:
         for a in range(0, ox, step):
             b = min(a + step, ox)
-            _correlate_valid(image[a : b + p - 1], irf.kernel, out=out[a:b])
+            out[a:b] = _correlate_valid(image[a : b + p - 1], irf.kernel, out=strip[: b - a])
         return out
     col, row = irf.factors
-    rows = np.empty((min(step, ox) + p - 1, oy))
+    row, col = row[np.newaxis, :], col[:, np.newaxis]
+    rows = np.zeros((min(step, ox) + p - 1, w))  # its scratch columns stay finite
     for a in range(0, ox, step):
         b = min(a + step, ox)
         if a == 0:
-            _correlate_valid(image[: b + p - 1], row[np.newaxis, :], out=rows[: b + p - 1])
+            _correlate_valid(image[: b + p - 1], row, out=rows[: b + p - 1])
         else:
             # every strip but the last is `step` rows tall
             rows[: p - 1] = rows[step : step + p - 1]
-            fresh = rows[p - 1 : b - a + p - 1]
-            _correlate_valid(image[a + p - 1 : b + p - 1], row[np.newaxis, :], out=fresh)
-        _correlate_valid(rows[: b - a + p - 1], col[:, np.newaxis], out=out[a:b])
+            _correlate_valid(image[a + p - 1 : b + p - 1], row, out=rows[p - 1 : b - a + p - 1])
+        out[a:b] = _correlate_valid(rows[: b - a + p - 1], col, out=strip[: b - a])[:, :oy]
     return out
 
 

@@ -75,7 +75,12 @@ def doc_to_model(doc: dict):
         amp = np.array(
             [[complex(re, im) for re, im in row] for row in doc["amplitudes"]], dtype=complex
         )
-        model = HarmonicModel(zx, zy, amp, fit_residual=float(doc["fit_residual"]))
+        fit = float(doc["fit_residual"])
+        for name, values in (("amplitudes", amp), ("zx_moduli", zx.source_moduli),
+                             ("zy_moduli", zy.source_moduli), ("fit_residual", fit)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"non-finite {name}")
+        model = HarmonicModel(zx, zy, amp, fit_residual=fit)
         filters = [
             IRFilter(
                 kernel=np.array(f["kernel"], dtype=float),

@@ -1,6 +1,11 @@
 """Inverse filter design, convolution application, and the 3-sigma rule."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,16 @@ from resofilt.filtering import _correlate_valid
 from resofilt.model_doc import dump_json
 
 from conftest import FOUR_PAIRS, pairs_subset, unit_roots
+
+
+def fma(k, x, acc):
+    """k * x + acc rounded once to the nearest double: one fused
+    multiply-add, the step every filter tap takes."""
+    return float(Fraction(k) * Fraction(x) + Fraction(acc))
+
+
+# elementwise over arrays, broadcasting scalars
+fma_array = np.vectorize(fma, otypes=[float])
 
 
 def exact_model(pairs, mean, nx, ny):
@@ -125,11 +140,19 @@ class TestApplyFilter:
         out = apply_filter(image, IRFilter(kernel, 0.0, 0.0))
         # same accumulation order as the implementation's shifted adds:
         # m-major, n-minor, one fused multiply-add per tap
-        acc = 0.0
-        for m in range(5):
-            for n in range(4):
-                acc += kernel[m, n] * image[m, n]
-        assert out[0, 0] == acc
+        for i in range(16):
+            for k in range(15):
+                acc = 0.0
+                for m in range(5):
+                    for n in range(4):
+                        acc = fma(kernel[m, n], image[i + m, k + n], acc)
+                assert out[i, k] == acc
+
+    def test_tap_lost_to_a_copied_accumulator_raises(self):
+        flat = np.arange(12.0)
+        for acc in (np.zeros(12)[::2], np.zeros(6, dtype=np.float32)):
+            with pytest.raises(RuntimeError, match="in place"):
+                filtering._accumulate(acc, flat, [1.0], [0])
 
     def test_replicated_texture_stays_in_band(self):
         base, model = exact_model(FOUR_PAIRS[:2], 50.0, 64, 64)
@@ -201,10 +224,34 @@ class TestSeparableApply:
                 for m in range(5):
                     partial = 0.0
                     for n in range(4):
-                        partial += row[n] * image[i + m, k + n]
-                    acc += col[m] * partial
+                        partial = fma(row[n], image[i + m, k + n], partial)
+                    acc = fma(col[m], partial, acc)
                 expected[i, k] = acc
         assert np.array_equal(apply_filter(image, irf), expected)
+
+    def test_blas_thread_count_does_not_change_bits(self):
+        # each strip daxpy here is ~35k elements, which OpenBLAS splits
+        # across threads when it has two
+        script = (
+            "import hashlib, numpy as np\n"
+            "from resofilt import IRFilter, apply_filter\n"
+            "rng = np.random.default_rng(5)\n"
+            "image = rng.normal(0, 10, (256, 256))\n"
+            "irf = IRFilter(np.outer(rng.normal(0, 1, 9), rng.normal(0, 1, 9)), 0.0, 1.0)\n"
+            "assert irf.factors is not None\n"
+            "print(hashlib.sha256(apply_filter(image, irf).tobytes()).hexdigest())\n"
+        )
+        package_root = str(Path(filtering.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package_root)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_size_error_names_the_whole_kernel(self):
         irf = IRFilter(np.ones((4, 4)), 0.0, 0.0)
@@ -484,7 +531,8 @@ class TestDetect:
 
 def whole_plane_apply(image, irf):
     """Reference: the filter as one whole-plane pass (the direct double sum,
-    or the row pass then the column pass of a rank-one kernel)."""
+    or the row pass then the column pass of a rank-one kernel), one fused
+    multiply-add per tap."""
 
     def correlate(img, kernel):
         p, q = kernel.shape
@@ -492,7 +540,7 @@ def whole_plane_apply(image, irf):
         out = np.zeros((ox, oy))
         for m in range(p):
             for n in range(q):
-                out += kernel[m, n] * img[m : m + ox, n : n + oy]
+                out = fma_array(kernel[m, n], img[m : m + ox, n : n + oy], out)
         return out
 
     if irf.factors is None:

@@ -997,8 +997,17 @@ class TestCli:
              "non-finite resonance root"),
             (lambda doc: doc["filters"][0].__setitem__("sigma2", float("nan")),
              "must be finite"),
+            (lambda doc: doc.__setitem__("fit_residual", float("nan")),
+             "non-finite fit_residual"),
+            (lambda doc: doc["amplitudes"][0][0].__setitem__(1, float("nan")),
+             "non-finite amplitudes"),
+            (lambda doc: doc["zx_moduli"].__setitem__(0, float("inf")),
+             "non-finite zx_moduli"),
+            (lambda doc: doc["zy_moduli"].__setitem__(-1, float("-inf")),
+             "non-finite zy_moduli"),
         ],
-        ids=["nan-kernel", "inf-root", "nan-sigma2"],
+        ids=["nan-kernel", "inf-root", "nan-sigma2", "nan-fit-residual",
+             "nan-amplitude", "inf-zx-modulus", "inf-zy-modulus"],
     )
     def test_non_finite_model_document_is_input_error(self, tmp_path, capsys,
                                                       mutate, reason):
