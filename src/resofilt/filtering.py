@@ -234,9 +234,12 @@ def _correlate_valid(image: np.ndarray, kernel: np.ndarray, out=None) -> np.ndar
     w = image.shape[1]
     if out is None:
         out = np.empty((ox, w))
+    elif not out.flags.c_contiguous:
+        # reshape would flatten a copy, and the sums would be lost with it
+        raise ValueError("out must be a C-contiguous buffer")
     offsets = (np.arange(p)[:, np.newaxis] * w + np.arange(q)).ravel()
     flat = np.ascontiguousarray(image, dtype=float).reshape(-1)
-    _accumulate(out.reshape(-1, copy=False)[: ox * w - q + 1], flat, kernel.ravel(), offsets)
+    _accumulate(out.reshape(-1)[: ox * w - q + 1], flat, kernel.ravel(), offsets)
     return out[:, :oy]
 
 

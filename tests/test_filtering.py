@@ -48,6 +48,12 @@ def fma(k, x, acc):
 fma_array = np.vectorize(fma, otypes=[float])
 
 
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def exact_model(pairs, mean, nx, ny):
     """Model whose span contains mean + sum of the given harmonic pairs."""
     zx = unit_roots([0.0] + [f for p in pairs for f in (p[0], -p[0])])
@@ -154,6 +160,30 @@ class TestApplyFilter:
             with pytest.raises(RuntimeError, match="in place"):
                 filtering._accumulate(acc, flat, [1.0], [0])
 
+    def test_non_contiguous_out_buffer_raises(self):
+        out = np.empty((4, 12))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _correlate_valid(np.ones((5, 6)), np.ones((2, 2)), out=out)
+
+    def test_daxpy_is_one_fused_multiply_add_at_any_offset(self, rng):
+        # The bit-exact tests pin this contract of the BLAS: every element
+        # of y + a * x[offx:] is rounded once, whatever the call's offset
+        # and length (vector bodies and scalar tails alike).
+        from scipy.linalg.blas import daxpy
+
+        flat = rng.normal(0, 1, 64)
+        told_apart = 0
+        for offset in range(24):
+            for n in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 40):
+                a, y = rng.normal(), rng.normal(0, 1, n)
+                x = flat[offset : offset + n]
+                expected = fma_array(a, x, y)
+                got = daxpy(flat, y.copy(), n=n, a=a, offx=offset)
+                assert np.array_equal(got, expected), (offset, n)
+                told_apart += int(np.sum(expected != a * x + y))
+        # the data separate fused from multiply-then-add rounding
+        assert told_apart > 100
+
     def test_replicated_texture_stays_in_band(self):
         base, model = exact_model(FOUR_PAIRS[:2], 50.0, 64, 64)
         noisy = base + np.random.default_rng(3).normal(0, 0.05, base.shape)
@@ -229,6 +259,9 @@ class TestSeparableApply:
                 expected[i, k] = acc
         assert np.array_equal(apply_filter(image, irf), expected)
 
+    @pytest.mark.skipif(
+        usable_cpus() < 2, reason="OpenBLAS runs one thread per usable CPU, so it cannot split"
+    )
     def test_blas_thread_count_does_not_change_bits(self):
         # each strip daxpy here is ~35k elements, which OpenBLAS splits
         # across threads when it has two
@@ -586,23 +619,48 @@ class TestStrips:
             kernel = rng.normal(0, 1, (p, q))
         originals = [rng.integers(-3, 4, shape).astype(float) for _ in range(channels)]
         originals[0][rng.random(shape) < 0.2] = -0.0
+        filters = [
+            IRFilter(kernel, flat_level=0.1 * c, sigma2=float(np.abs(kernel).sum()))
+            for c in range(channels)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            # one strip holding every output row
+            mp.setattr(filtering, "STRIP_BYTES", 8 * oy * ox)
+            whole = [apply_filter(plane, irf) for plane, irf in zip(originals, filters)]
         with pytest.MonkeyPatch.context() as mp:
             # strips of `strip` output rows
             mp.setattr(filtering, "STRIP_BYTES", 8 * oy * strip)
-            filters = []
-            filtered = []
-            for c, plane in enumerate(originals):
-                irf = IRFilter(kernel, flat_level=0.1 * c, sigma2=float(np.abs(kernel).sum()))
-                out, reference = apply_filter(plane, irf), whole_plane_apply(plane, irf)
-                assert np.array_equal(out, reference)
-                assert np.array_equal(np.signbit(out), np.signbit(reference))
-                filters.append(irf)
-                filtered.append(out)
+            filtered = [apply_filter(plane, irf) for plane, irf in zip(originals, filters)]
             mask = detect(filtered, filters, originals, multiplier=0.5)
+        for out, reference in zip(filtered, whole):
+            assert np.array_equal(out, reference)
+            assert np.array_equal(np.signbit(out), np.signbit(reference))
         if not rank_one and min(p, q) > 1:
             assert filters[0].factors is None
         verdicts = whole_plane_detect(filtered, filters, originals, 0.5)
         assert np.array_equal(mask.positive(), verdicts)
+
+    @given(
+        p=st.integers(1, 17),
+        q=st.integers(1, 17),
+        extra=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        rank_one=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_whole_plane_pass_is_one_fma_per_tap(self, p, q, extra, rank_one, seed):
+        rng = np.random.default_rng(seed)
+        shape = (p + extra[0], q + extra[1])
+        if rank_one:
+            kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
+        else:
+            kernel = rng.normal(0, 1, (p, q))
+        plane = rng.integers(-3, 4, shape).astype(float)
+        plane[rng.random(shape) < 0.2] = -0.0
+        irf = IRFilter(kernel, flat_level=0.0, sigma2=1.0)
+        out, reference = apply_filter(plane, irf), whole_plane_apply(plane, irf)
+        assert np.array_equal(out, reference)
+        assert np.array_equal(np.signbit(out), np.signbit(reference))
 
 
 class TestShiftRobustness:
