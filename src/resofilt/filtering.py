@@ -19,8 +19,11 @@ bit-equal to the double sum.
 
 The filter runs in strips of output rows sized by STRIP_BYTES, so its
 buffers stay in L2; a strip sums the same taps in the same order as a
-whole-plane pass, so strips do not change the result.  The detector ORs
-its verdicts into one boolean raster, strip by strip as well.
+whole-plane pass, so strips do not change the result.  Planes may be
+8-bit: each strip's source rows are converted to float64 as they are
+read, and the sums go into an output buffer the caller may own and
+reuse.  The detector ORs its verdicts into one boolean raster, strip by
+strip as well.
 """
 
 from __future__ import annotations
@@ -92,8 +95,9 @@ class DetectionMask:
     True where the pixel is anomalous in any channel.  Only the top-left
     valid region (the part fully covered by filter windows) can be True;
     ``valid_shape`` gives its extent from the (0, 0) corner.  ``originals``
-    are the frame's planes, one per channel.  Both are held as read-only
-    views (the caller's arrays stay writable).
+    are the frame's planes, one per channel, 8-bit planes as given and any
+    other values as float64.  Both are held as read-only views (the
+    caller's arrays stay writable).
     """
 
     verdicts: np.ndarray
@@ -102,7 +106,7 @@ class DetectionMask:
 
     def __post_init__(self):
         verdicts = np.asarray(self.verdicts, dtype=bool).view()
-        originals = tuple(np.asarray(p, dtype=float).view() for p in self.originals)
+        originals = tuple(_plane(p).view() for p in self.originals)
         if verdicts.ndim != 2:
             raise ValueError("verdicts must be a (rows, cols) raster")
         if not originals or any(p.shape != verdicts.shape for p in originals):
@@ -117,6 +121,12 @@ class DetectionMask:
         """Boolean raster, anomalous in any channel: the same read-only
         array on every call."""
         return self.verdicts
+
+
+def _plane(values) -> np.ndarray:
+    """An 8-bit (uint8) plane as given; any other values as float64."""
+    plane = np.asarray(values)
+    return plane if plane.dtype == np.uint8 else plane.astype(float, copy=False)
 
 
 def _rank_one_factors(kernel: np.ndarray):
@@ -257,45 +267,66 @@ def _strip_rows(cols: int) -> int:
     return max(1, STRIP_BYTES // (8 * cols))
 
 
-def apply_filter(image: np.ndarray, irf: IRFilter) -> np.ndarray:
+def filter_buffer(shape, irf: IRFilter) -> np.ndarray:
+    """Output buffer of ``apply_filter`` for planes of ``shape``: a new
+    C-contiguous float64 array of n_x - P + 1 rows and n_y columns."""
+    ox, _ = _valid_shape(shape, irf.kernel.shape)
+    return np.empty((ox, shape[1]))
+
+
+def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     """Filter one plane; output shape (n_x - P + 1, n_y - Q + 1).
 
     Output rows are computed in strips: rows a..b-1 of the result read
     image rows a..b+P-2, so buffers stay strip-sized and every output
-    pixel sums the same taps in the same order as a whole-plane pass.  The
-    strip buffers are as wide as the image, W columns, so each tap is one
-    daxpy over a flat strip (see _correlate_valid); the last Q - 1 columns
-    of each buffer row are scratch and are dropped when the strip is
-    copied out.  A rank-one kernel runs, per strip, as a row pass of its Q
-    row taps (offsets 0..Q-1), then a column pass of its P column taps
-    (offsets m*W) over that result; the last P - 1 row-pass rows of a
-    strip are carried over to the next, not recomputed.
+    pixel sums the same taps in the same order as a whole-plane pass.  An
+    8-bit (or any other) plane is converted to float64 one strip of source
+    rows at a time.  Each tap is one daxpy over a flat buffer W = n_y
+    columns wide (see _correlate_valid).  A rank-one kernel runs, per
+    strip, as a row pass of its Q row taps (offsets 0..Q-1), then a column
+    pass of its P column taps (offsets m*W) over that result; the last
+    P - 1 row-pass rows of a strip are carried over to the next, not
+    recomputed.
+
+    The sums land in ``out``, a C-contiguous float64 (n_x - P + 1, W)
+    buffer (``filter_buffer`` makes one; a new one when None), and the
+    result is its valid ``[:, :n_y - Q + 1]`` view; the last Q - 1 columns
+    of each buffer row are scratch.  A buffer serves one call at a time:
+    the next call that is given it overwrites the previous result.
     """
-    image = np.ascontiguousarray(image, dtype=float)
+    image = np.asarray(image)
     p = irf.kernel.shape[0]
     ox, oy = _valid_shape(image.shape, irf.kernel.shape)
     w = image.shape[1]
+    if out is None:
+        out = np.empty((ox, w))
+    elif out.shape != (ox, w) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 buffer of shape {(ox, w)}")
     step = _strip_rows(oy)
-    out = np.empty((ox, oy))
-    strip = np.empty((min(step, ox), w))
+    # float64 copy of the source rows of one strip
+    src = np.empty((min(step, ox) + p - 1, w))
     if irf.factors is None:
         for a in range(0, ox, step):
             b = min(a + step, ox)
-            out[a:b] = _correlate_valid(image[a : b + p - 1], irf.kernel, out=strip[: b - a])
-        return out
+            n = b - a + p - 1
+            src[:n] = image[a : a + n]
+            _correlate_valid(src[:n], irf.kernel, out=out[a:b])
+        return out[:, :oy]
     col, row = irf.factors
     row, col = row[np.newaxis, :], col[:, np.newaxis]
-    rows = np.zeros((min(step, ox) + p - 1, w))  # its scratch columns stay finite
+    rows = np.zeros_like(src)  # its scratch columns stay finite
     for a in range(0, ox, step):
         b = min(a + step, ox)
         if a == 0:
-            _correlate_valid(image[: b + p - 1], row, out=rows[: b + p - 1])
+            src[: b + p - 1] = image[: b + p - 1]
+            _correlate_valid(src[: b + p - 1], row, out=rows[: b + p - 1])
         else:
             # every strip but the last is `step` rows tall
             rows[: p - 1] = rows[step : step + p - 1]
-            _correlate_valid(image[a + p - 1 : b + p - 1], row, out=rows[p - 1 : b - a + p - 1])
-        out[a:b] = _correlate_valid(rows[: b - a + p - 1], col, out=strip[: b - a])[:, :oy]
-    return out
+            src[: b - a] = image[a + p - 1 : b + p - 1]
+            _correlate_valid(src[: b - a], row, out=rows[p - 1 : b - a + p - 1])
+        _correlate_valid(rows[: b - a + p - 1], col, out=out[a:b])
+    return out[:, :oy]
 
 
 def noise_dispersion(filtered: np.ndarray, flat_level: float) -> float:

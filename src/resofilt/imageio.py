@@ -1,9 +1,12 @@
 """Raster I/O: binary PGM/PPM (P5/P6).
 
-Images are carried as planar float64 channels in [0, 255].  Quantisation
-happens only at write time, rounding half to even.  Parse failures report
-the byte offset that broke the header or payload; any other format,
-whatever its file extension, fails on its magic.
+Frames are carried as planar channels.  ``read_image`` gives 8-bit
+(uint8) planes, which stay 8-bit up to ``write_image``; consumers that
+compute convert only the rows they read to float64.  Planes of any other
+dtype are float64, and only those are quantised at write time: rounded
+half to even and clipped to 0..255.  Parse failures report the byte
+offset that broke the header or payload; any other format, whatever its
+file extension, fails on its magic.
 
 The output format follows the channel count alone (PGM for one plane,
 PPM for three), never the file extension.  Every output goes through
@@ -20,17 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ImageFormatError
-from .filtering import _strip_rows
+from .filtering import _plane, _strip_rows
 
 
 @dataclass(frozen=True)
 class ImageStack:
-    """Planar real-valued channels of one raster frame."""
+    """Planar channels of one raster frame: uint8 planes are kept as
+    given, any other values become float64."""
 
     planes: tuple
 
     def __post_init__(self):
-        planes = tuple(np.asarray(p, dtype=float) for p in self.planes)
+        planes = tuple(_plane(p) for p in self.planes)
         if not planes:
             raise ValueError("at least one plane is required")
         shape = planes[0].shape
@@ -48,7 +52,8 @@ class ImageStack:
         return len(self.planes)
 
     def gray(self) -> np.ndarray:
-        """Single plane; multi-channel stacks fall back to the channel mean."""
+        """Single plane; multi-channel stacks fall back to the channel mean
+        (float64)."""
         if self.channels == 1:
             return self.planes[0]
         return np.mean(np.stack(self.planes), axis=0)
@@ -96,7 +101,8 @@ class _Reader:
 def read_image(path) -> ImageStack:
     """Read a binary PGM (P5) or PPM (P6) file.
 
-    P6 data is de-interleaved once, so each returned plane is a
+    The planes are uint8.  A P5 plane is a read-only view of the bytes
+    read; P6 data is de-interleaved once, so each returned plane is a
     C-contiguous array of its own.  An input that cannot be opened or read
     raises ``ImageFormatError`` naming the path.
     """
@@ -122,14 +128,13 @@ def read_image(path) -> ImageStack:
     rd.pos += 1
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    payload = data[rd.pos : rd.pos + need]
-    if len(payload) < need:
-        rd.pos += len(payload)
+    if len(data) - rd.pos < need:
+        rd.pos = len(data)
         rd.fail(f"truncated pixel data: expected {need} bytes")
-    raw = np.frombuffer(payload, dtype=np.uint8)
+    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=rd.pos)
     if channels == 1:
-        return ImageStack((raw.reshape(height, width).astype(float),))
-    planar = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(float, order="C")
+        return ImageStack((raw.reshape(height, width),))
+    planar = np.ascontiguousarray(raw.reshape(height, width, 3).transpose(2, 0, 1))
     return ImageStack(tuple(planar))
 
 
@@ -148,17 +153,17 @@ def _quantize(plane: np.ndarray) -> np.ndarray:
 
 def write_image(path, stack: ImageStack):
     """Write a stack as binary PGM (1 plane) or PPM (3 planes), whatever
-    the extension of ``path``."""
+    the extension of ``path``.  uint8 planes are written as they are,
+    float planes quantised."""
     h, w = stack.shape
-    if stack.channels == 1:
-        header = f"P5\n{w} {h}\n255\n".encode()
-        body = _quantize(stack.planes[0]).tobytes()
-    elif stack.channels == 3:
-        header = f"P6\n{w} {h}\n255\n".encode()
-        body = np.stack([_quantize(p) for p in stack.planes], axis=-1).tobytes()
-    else:
+    if stack.channels not in (1, 3):
         raise ImageFormatError(f"cannot write {stack.channels} channels as PGM/PPM")
-    write_bytes(path, header + body)
+    planes = [p if p.dtype == np.uint8 else _quantize(p) for p in stack.planes]
+    if stack.channels == 1:
+        magic, body = "P5", np.ascontiguousarray(planes[0])
+    else:
+        magic, body = "P6", np.stack(planes, axis=-1)
+    write_bytes(path, f"{magic}\n{w} {h}\n255\n".encode() + body.data)
 
 
 def write_bytes(path, data: bytes):
@@ -192,15 +197,21 @@ def write_bytes(path, data: bytes):
 
 
 def draw_boxes(stack: ImageStack, boxes, intensity: float = 255.0) -> ImageStack:
-    """Copy of the stack with one-pixel rectangle outlines drawn on it."""
+    """Copy of the stack with one-pixel rectangle outlines drawn on it.
+
+    On uint8 planes the outline is ``intensity`` quantised as
+    ``write_image`` quantises float planes, so both give the same bytes.
+    """
     planes = [p.copy() for p in stack.planes]
+    byte = np.clip(np.rint(intensity), 0, 255)
     for box in boxes:
         x0, y0 = max(0, box.x0), max(0, box.y0)
         x1 = min(stack.shape[0] - 1, box.x1)
         y1 = min(stack.shape[1] - 1, box.y1)
         for p in planes:
-            p[x0, y0 : y1 + 1] = intensity
-            p[x1, y0 : y1 + 1] = intensity
-            p[x0 : x1 + 1, y0] = intensity
-            p[x0 : x1 + 1, y1] = intensity
+            value = byte if p.dtype == np.uint8 else intensity
+            p[x0, y0 : y1 + 1] = value
+            p[x1, y0 : y1 + 1] = value
+            p[x0 : x1 + 1, y0] = value
+            p[x0 : x1 + 1, y1] = value
     return ImageStack(tuple(planes))

@@ -7,7 +7,8 @@ thresholded by the union rule and split into candidate boxes, which the
 static histogram post-filter judges at once and the dynamic cross-frame
 correlation filter judges once the window of L frames they open is
 complete.  A run holds one frame at a time, plus the boolean rasters of
-the last L frames and frame 0's mask.
+the last L frames and frame 0's mask; each channel's filter writes into
+one output buffer that the run allocates once and reuses for every frame.
 
 Stages run sequentially and deterministically: identical configuration
 and inputs produce identical reports and masks.
@@ -24,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, NumericError, ResofiltError
-from .filtering import DetectionMask, apply_filter, design_filter, detect
+from .filtering import DetectionMask, apply_filter, design_filter, detect, filter_buffer
 from .harmonic import HarmonicModel
 from .imageio import ImageStack
 from .linear_symmetry import estimate_model_ls
@@ -369,7 +370,8 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     ``frames``.  The track post-filter keeps the positive rasters and boxes
     of the last ``track_window`` frames and correlates the window starting
     at frame k - L + 1 once frame k has been detected.  Of the detection
-    masks only frame 0's is kept.
+    masks only frame 0's is kept.  Every frame's filter output for a
+    channel lands in the same buffer, allocated once per run.
     """
     frames = iter(frames)
     first = next(frames, None)
@@ -378,6 +380,8 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     _require_designable(config)
     base, model, diag = estimate(first, config)
     filters = design(base, model, config)
+    with _stage("filter+detect"):
+        outs = [filter_buffer(first.shape, irf) for irf in filters]
 
     first_mask = None
     recent = deque(maxlen=config.track_window)
@@ -393,9 +397,8 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
             )
         with _stage("filter+detect"):
             planes, _ = _channels(frame, config.channel_mode)
-            # the filtered planes are freed once detect returns its verdicts
             mask = detect(
-                [apply_filter(plane, irf) for plane, irf in zip(planes, filters)],
+                [apply_filter(p, irf, out=out) for p, irf, out in zip(planes, filters, outs)],
                 filters,
                 planes,
                 multiplier=config.sigma_multiplier,

@@ -111,23 +111,29 @@ def connected_components(raster, min_area: int = 1):
     """Bounding boxes of 8-connected positive components, small ones dropped.
 
     A boolean raster, such as ``DetectionMask.positive()``, is labelled as
-    given; any other raster by its positive entries.
+    given; any other raster by its positive entries.  Areas and boxes are
+    taken from the flagged pixels alone, and the boxes come in label order.
     """
     raster = _support(raster)
-    labels = np.empty(raster.shape, dtype=np.intp)
+    labels = np.empty(raster.shape, dtype=np.int32)
     count = ndimage.label(raster, structure=np.ones((3, 3), dtype=int), output=labels)
     if count == 0:
         return []
-    # Relabel the kept components 1..k in label order, in place, so that
-    # find_objects scans only them and keeps their order.
-    kept = np.bincount(labels[raster], minlength=count + 1) >= min_area
-    kept[0] = False
-    relabel = np.zeros(count + 1, dtype=np.intp)
-    relabel[kept] = np.arange(1, np.count_nonzero(kept) + 1)
-    np.take(relabel, labels, out=labels, mode="clip")
+    flagged = np.flatnonzero(raster)
+    owner = labels.ravel()[flagged]
+    rows, cols = np.divmod(flagged, raster.shape[1])
+    x0 = np.full(count + 1, raster.shape[0])
+    y0 = np.full(count + 1, raster.shape[1])
+    x1 = np.zeros(count + 1, dtype=rows.dtype)
+    y1 = np.zeros(count + 1, dtype=cols.dtype)
+    np.minimum.at(x0, owner, rows)
+    np.minimum.at(y0, owner, cols)
+    np.maximum.at(x1, owner, rows)
+    np.maximum.at(y1, owner, cols)
+    kept = np.flatnonzero(np.bincount(owner, minlength=count + 1)[1:] >= min_area) + 1
     return [
-        ObjectBox(x0=sx.start, y0=sy.start, x1=sx.stop - 1, y1=sy.stop - 1)
-        for sx, sy in ndimage.find_objects(labels)
+        ObjectBox(x0=a, y0=b, x1=c, y1=d)
+        for a, b, c, d in zip(*(v[kept].tolist() for v in (x0, y0, x1, y1)))
     ]
 
 
@@ -153,7 +159,7 @@ def histogram_difference(
     to unit mass before subtraction; otherwise the wildly different sample
     counts would dominate the product matrix.
     """
-    image_gray = np.asarray(image_gray, dtype=float)
+    image_gray = np.asarray(image_gray)
     if levels < 2:
         raise ValueError("levels must be at least 2")
     outer = box.extended(e, image_gray.shape)
@@ -165,9 +171,13 @@ def histogram_difference(
     ):
         warnings.warn("extended box clipped to the image bounds", stacklevel=2)
 
-    ring = np.ones((outer.height, outer.width), dtype=bool)
-    ring[box.x0 - outer.x0 : box.x1 - outer.x0 + 1, box.y0 - outer.y0 : box.y1 - outer.y0 + 1] = False
-    ring_values = image_gray[outer.x0 : outer.x1 + 1, outer.y0 : outer.y1 + 1][ring]
+    # only the extended box is converted to float
+    window = np.asarray(image_gray[outer.x0 : outer.x1 + 1, outer.y0 : outer.y1 + 1], dtype=float)
+    inner = (slice(box.x0 - outer.x0, box.x1 - outer.x0 + 1),
+             slice(box.y0 - outer.y0, box.y1 - outer.y0 + 1))
+    ring = np.ones(window.shape, dtype=bool)
+    ring[inner] = False
+    ring_values = window[ring]
     if ring_values.size == 0:
         raise ValueError("empty ring: extension does not clear the object box")
     g_ring = _histogram(ring_values, levels)
@@ -177,7 +187,7 @@ def histogram_difference(
     # cols (rows) samples, the unit-mass divisor of _histogram.
     rows = box.height
     cols = box.width
-    bins = _bins(image_gray[box.x0 : box.x1 + 1, box.y0 : box.y1 + 1], levels)
+    bins = _bins(window[inner], levels)
     row_keys = np.arange(rows)[:, np.newaxis] * levels + bins
     col_keys = bins * cols + np.arange(cols)
     row_counts = np.bincount(row_keys.ravel(), minlength=rows * levels)
@@ -217,14 +227,11 @@ def density_verdict(binary: np.ndarray, cell_size: int = 5, fill: float = 0.75):
     binary = np.asarray(binary)
     rows = -(-binary.shape[0] // cell_size)
     cols = -(-binary.shape[1] // cell_size)
-    cell_area = cell_size * cell_size
-    fills = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            cell = binary[
-                i * cell_size : (i + 1) * cell_size, j * cell_size : (j + 1) * cell_size
-            ]
-            fills[i, j] = np.count_nonzero(cell) / cell_area
+    # zero-pad to whole cells, then count each cell's nonzero entries at once
+    padded = np.zeros((rows * cell_size, cols * cell_size), dtype=bool)
+    padded[: binary.shape[0], : binary.shape[1]] = binary != 0
+    counts = padded.reshape(rows, cell_size, cols, cell_size).sum(axis=(1, 3))
+    fills = counts / (cell_size * cell_size)
     return bool((fills >= fill).any()), fills
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from resofilt import ResonanceRoots, synth_texture
 
@@ -51,6 +52,20 @@ def lag_correlation(image, wx, wy):
     """
     f = sliding_window_view(np.asarray(image, dtype=float), (wx, wy)).reshape(-1, wx * wy)
     return f.T @ f
+
+
+def components_oracle(raster, min_area=1):
+    """Inclusive (x0, y0, x1, y1) boxes of the 8-connected positive
+    components with at least ``min_area`` pixels, in label order: a full
+    ``ndimage.label`` raster scanned by ``find_objects``, areas counted over
+    the whole raster."""
+    labels, _ = ndimage.label(np.asarray(raster) > 0, structure=np.ones((3, 3), dtype=int))
+    areas = np.bincount(labels.ravel())
+    return [
+        (sx.start, sy.start, sx.stop - 1, sy.stop - 1)
+        for idx, (sx, sy) in enumerate(ndimage.find_objects(labels), start=1)
+        if areas[idx] >= min_area
+    ]
 
 
 def dft_peak_frequencies(signal_2d, k_pairs, pad=1024):

@@ -32,7 +32,7 @@ from resofilt import (
     vandermonde,
 )
 from resofilt import filtering, pipeline
-from resofilt.filtering import _correlate_valid
+from resofilt.filtering import _correlate_valid, filter_buffer
 from resofilt.model_doc import dump_json
 
 from conftest import FOUR_PAIRS, pairs_subset, unit_roots
@@ -164,6 +164,35 @@ class TestApplyFilter:
         out = np.empty((4, 12))[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
             _correlate_valid(np.ones((5, 6)), np.ones((2, 2)), out=out)
+
+    def test_result_is_the_valid_view_of_the_given_buffer(self, rng):
+        image = rng.normal(0, 1, (30, 20))
+        for kernel in (np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)),
+                       rng.normal(0, 1, (5, 4))):
+            irf = IRFilter(kernel, 0.0, 1.0)
+            out = filter_buffer(image.shape, irf)
+            assert out.shape == (26, 20) and out.flags.c_contiguous
+            got = apply_filter(image, irf, out=out)
+            assert got.shape == (26, 17) and np.shares_memory(got, out)
+            assert np.array_equal(got, apply_filter(image, irf))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ox, w: np.empty((ox, w - 3)),  # the valid shape, not W wide
+            lambda ox, w: np.empty((ox + 1, w)),
+            lambda ox, w: np.empty((ox, w), dtype=np.float32),
+            lambda ox, w: np.empty((ox, w), dtype=complex),
+            lambda ox, w: np.empty((ox, w), order="F"),
+            lambda ox, w: np.empty((ox, 2 * w))[:, ::2],
+        ],
+        ids=["valid-shape", "rows", "float32", "complex", "fortran", "strided"],
+    )
+    def test_wrong_out_buffer_raises(self, rng, make):
+        image = rng.normal(0, 1, (30, 20))
+        for kernel in (np.ones((5, 4)), rng.normal(0, 1, (5, 4))):
+            with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
+                apply_filter(image, IRFilter(kernel, 0.0, 1.0), out=make(26, 20))
 
     def test_daxpy_is_one_fused_multiply_add_at_any_offset(self, rng):
         # The bit-exact tests pin this contract of the BLAS: every element
@@ -639,6 +668,39 @@ class TestStrips:
             assert filters[0].factors is None
         verdicts = whole_plane_detect(filtered, filters, originals, 0.5)
         assert np.array_equal(mask.positive(), verdicts)
+
+    @given(
+        p=st.integers(1, 9),
+        q=st.integers(1, 9),
+        extra_cols=st.integers(0, 12),
+        strip=st.integers(1, 6),
+        strips=st.integers(1, 3),
+        rank_one=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uint8_plane_into_a_reused_buffer_equals_float_plane(
+        self, p, q, extra_cols, strip, strips, rank_one, seed
+    ):
+        # each strip's source rows are converted as they are read, and a
+        # buffer that held another frame's sums gives the same result
+        rng = np.random.default_rng(seed)
+        ox, oy = strips * strip, extra_cols + 1
+        shape = (ox + p - 1, oy + q - 1)
+        if rank_one:
+            kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
+        else:
+            kernel = rng.normal(0, 1, (p, q))
+        irf = IRFilter(kernel, flat_level=0.0, sigma2=1.0)
+        plane = rng.integers(0, 256, shape, dtype=np.uint8)
+        reference = apply_filter(plane.astype(float), irf)
+        out = filter_buffer(shape, irf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtering, "STRIP_BYTES", 8 * oy * strip)
+            apply_filter(rng.integers(0, 256, shape, dtype=np.uint8), irf, out=out)
+            got = apply_filter(plane, irf, out=out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, reference)
 
     @given(
         p=st.integers(1, 17),

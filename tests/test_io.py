@@ -52,7 +52,7 @@ class TestPgm:
         path.write_bytes(b"P6\n7 5\n255\n" + pixels.tobytes())
         stack = read_image(path)
         for c, plane in enumerate(stack.planes):
-            assert plane.flags.c_contiguous and plane.dtype == float
+            assert plane.flags.c_contiguous and plane.dtype == np.uint8
             assert np.array_equal(plane, pixels[:, :, c])
         assert not np.shares_memory(stack.planes[0], stack.planes[1])
 
@@ -109,6 +109,26 @@ class TestPgm:
         back = read_image(path)
         for src, dst in zip(planes, back.planes):
             assert np.array_equal(src, dst)
+
+    def test_uint8_planes_written_as_read(self, tmp_path, rng):
+        # 8-bit planes go from read to write without a float copy
+        for magic, channels, name in ((b"P5", 1, "g.pgm"), (b"P6", 3, "c.ppm")):
+            pixels = rng.integers(0, 256, (6, 9, channels), dtype=np.uint8)
+            src, dst = tmp_path / name, tmp_path / ("copy-" + name)
+            src.write_bytes(magic + b"\n9 6\n255\n" + pixels.tobytes())
+            write_image(dst, read_image(src))
+            assert dst.read_bytes() == src.read_bytes()
+
+    def test_stack_keeps_uint8_planes_and_floats_the_rest(self):
+        plane = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        assert ImageStack((plane,)).planes[0] is plane
+        for values in (plane.astype(np.int64), plane.astype(np.float32), plane > 2,
+                       plane.tolist()):
+            kept = ImageStack((values,)).planes[0]
+            assert kept.dtype == np.float64 and np.array_equal(kept, np.asarray(values))
+        gray = ImageStack((plane, plane, plane + 1)).gray()
+        assert gray.dtype == np.float64
+        assert np.array_equal(gray, (3 * plane.astype(float) + 1) / 3)
 
     def test_quantization_round_half_even(self, tmp_path):
         path = tmp_path / "round.pgm"
@@ -174,6 +194,22 @@ class TestOverlay:
         assert out[3, 4] == 0.0  # interior untouched
         perimeter = 2 * (5 + 6) - 4
         assert len(edges) == perimeter
+
+
+    @pytest.mark.parametrize("intensity", [255.0, 300.0, -5.0, 127.5, 128.5, 0.4])
+    def test_uint8_outline_bytes_equal_the_float_path(self, tmp_path, rng, intensity):
+        # on 8-bit planes the outline is the intensity quantised as a float
+        # plane is quantised at write time: half to even, clipped to 0..255
+        planes = tuple(rng.integers(0, 256, (12, 14), dtype=np.uint8) for _ in range(3))
+        boxes = [ObjectBox(2, 3, 6, 8), ObjectBox(0, 0, 11, 13), ObjectBox(5, 9, 5, 9)]
+        for stack in (ImageStack(planes[:1]), ImageStack(planes)):
+            floats = ImageStack(tuple(p.astype(float) for p in stack.planes))
+            drawn = draw_boxes(stack, boxes, intensity)
+            assert all(p.dtype == np.uint8 for p in drawn.planes)
+            assert np.array_equal(stack.planes[0], planes[0])  # input untouched
+            write_image(tmp_path / "u8", drawn)
+            write_image(tmp_path / "f64", draw_boxes(floats, boxes, intensity))
+            assert (tmp_path / "u8").read_bytes() == (tmp_path / "f64").read_bytes()
 
 
 class TestModelDocument:

@@ -27,7 +27,7 @@ from resofilt import (
 from resofilt import cli, pipeline, postfilter
 from resofilt.cli import main
 from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
-from resofilt.imageio import read_image, write_image
+from resofilt.imageio import draw_boxes, read_image, write_image
 from resofilt.model_doc import dump_json
 from resofilt.pipeline import PipelineConfig, estimate_model, run_pipeline
 
@@ -144,6 +144,30 @@ class TestRunPipeline:
         full = [g for g in grays if g.shape == (128, 128)]
         assert len(full) == 2
         assert judged and all(any(p is g for g in full) for p in judged)
+
+    def test_each_channel_filters_every_frame_into_one_buffer(self, monkeypatch):
+        # one output buffer per channel per run, passed to every frame's
+        # filter call; reusing it changes no result
+        calls = []
+        apply = pipeline.apply_filter
+
+        def spy_apply(image, irf, *, out=None):
+            assert out is not None
+            calls.append((irf.channel, id(out)))
+            return apply(image, irf, out=out)
+
+        frames = [ImageStack(patch_scene(seed=s).planes * 3) for s in range(4)]
+        cfg = PipelineConfig(order=(8, 8), channel_mode="rgb", post="track", track_window=3)
+        monkeypatch.setattr(pipeline, "apply_filter", spy_apply)
+        reused = run_pipeline(cfg, frames)
+        assert len(calls) == 12
+        ids = {channel: {ident for c, ident in calls if c == channel} for channel in "rgb"}
+        assert all(len(v) == 1 for v in ids.values())
+        assert len(set.union(*ids.values())) == 3
+        monkeypatch.setattr(pipeline, "apply_filter",
+                            lambda image, irf, *, out=None: apply(image, irf))
+        fresh = run_pipeline(cfg, frames)
+        assert reused.report.to_doc() == fresh.report.to_doc()
 
     def test_rgb_base_region_gray_plane_built_once(self, monkeypatch):
         # gray mode on an rgb frame: the base region's gray plane serves
@@ -1065,6 +1089,36 @@ class TestCli:
         magic = b"P5" if len(quantised) == 1 else b"P6"
         body = np.stack(quantised, axis=-1).tobytes()
         assert mask.read_bytes() == magic + f"\n{cols} {rows}\n255\n".encode() + body
+
+    @pytest.mark.parametrize(
+        "rgb_frame,mode", [(False, "gray"), (True, "rgb"), (True, "gray")]
+    )
+    def test_outputs_equal_the_float_plane_path(self, tmp_path, rgb_frame, mode):
+        # the CLI keeps 8-bit frames 8-bit; its mask, overlay and report are
+        # the bytes of a run on float planes quantised at write time (the
+        # gray mode of an rgb frame masks the float gray plane)
+        scene = patch_scene(patch_value=220.0).planes[0]
+        planes = (scene, 255.0 - scene, 0.5 * scene) if rgb_frame else (scene,)
+        frame = tmp_path / ("frame.ppm" if rgb_frame else "frame.pgm")
+        write_image(str(frame), ImageStack(planes))
+        got = {name: tmp_path / f"{name}.out" for name in ("mask", "overlay", "report")}
+        assert main(["detect", "--input", str(frame), "--order", "8,8",
+                     "--hist-epsilon", "0.05", "--channels", mode,
+                     "--mask-out", str(got["mask"]), "--overlay-out", str(got["overlay"]),
+                     "--report-out", str(got["report"])]) == EXIT_OK
+        floats = ImageStack(tuple(p.astype(float) for p in read_image(str(frame)).planes))
+        cfg = PipelineConfig(order=(8, 8), hist_epsilon=0.05, channel_mode=mode)
+        result = run_pipeline(cfg, [floats])
+        assert result.confirmed[0]
+        assert all(p.dtype == np.float64 for p in result.mask.originals)
+        flagged = result.mask.positive()
+        want = {name: tmp_path / f"{name}.ref" for name in got}
+        write_image(str(want["mask"]), ImageStack(
+            tuple(np.where(flagged, p, 0.0) for p in result.mask.originals)))
+        write_image(str(want["overlay"]), draw_boxes(floats, result.confirmed[0]))
+        dump_json(result.report.to_doc(include_timings=False), str(want["report"]))
+        for name in got:
+            assert got[name].read_bytes() == want[name].read_bytes(), name
 
     def test_determinism_bytes(self, tmp_path):
         tex = self._synth(tmp_path)

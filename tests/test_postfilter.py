@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from resofilt import (
     ObjectBox,
@@ -18,6 +17,12 @@ from resofilt import (
     track_filter,
 )
 from resofilt.postfilter import _histogram, combine_binaries, default_evidence_threshold
+
+from conftest import components_oracle
+
+
+def _corners(boxes):
+    return [(b.x0, b.y0, b.x1, b.y1) for b in boxes]
 
 
 class TestConnectedComponents:
@@ -48,20 +53,39 @@ class TestConnectedComponents:
 
     @pytest.mark.parametrize("min_area", range(1, 7))
     def test_same_boxes_as_full_labelling(self, rng, min_area):
-        # reference: find_objects over every label, areas from the whole
-        # label raster, small components skipped in label order
         mask = rng.random((64, 80)) < 0.12
         mask[10:14, 20:23] = True
-        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-        areas = np.bincount(labels.ravel())
-        expected = [
-            (sx.start, sy.start, sx.stop - 1, sy.stop - 1)
-            for idx, (sx, sy) in enumerate(ndimage.find_objects(labels), start=1)
-            if areas[idx] >= min_area
-        ]
         boxes = connected_components(mask.astype(float), min_area=min_area)
-        assert [(b.x0, b.y0, b.x1, b.y1) for b in boxes] == expected
+        assert _corners(boxes) == components_oracle(mask, min_area)
         assert connected_components(mask, min_area=min_area) == boxes
+
+    @given(
+        rows=st.integers(1, 24),
+        cols=st.integers(1, 24),
+        density=st.sampled_from([0.0, 0.05, 0.3, 0.6, 1.0]),
+        kind=st.sampled_from(["bool", "float", "uint8", "int"]),
+        min_area=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_boxes_match_the_find_objects_oracle(self, rows, cols, density, kind,
+                                                 min_area, seed):
+        # empty and all-True rasters (density 0 and 1), 1 x n and n x 1
+        # strips, and non-bool rasters labelled by their positive entries
+        rng = np.random.default_rng(seed)
+        raster = rng.random((rows, cols)) < density
+        if kind == "float":
+            raster = np.where(raster, rng.uniform(0.1, 9.0, raster.shape),
+                              rng.uniform(-9.0, 0.0, raster.shape))
+        elif kind != "bool":
+            raster = raster.astype(kind)
+        boxes = connected_components(raster, min_area=min_area)
+        assert _corners(boxes) == components_oracle(raster, min_area)
+        assert all(type(v) is int for corners in _corners(boxes) for v in corners)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_zero_size_raster_has_no_components(self, shape):
+        assert connected_components(np.zeros(shape, dtype=bool)) == []
 
 
 class TestHistogramDifference:
@@ -183,7 +207,38 @@ class TestBinarize:
         assert default_evidence_threshold(c) == pytest.approx(c.mean() + 2 * c.std())
 
 
+def _fills_by_loop(binary, cell_size):
+    """Per-cell fill fractions, one cell at a time: the reference tiling."""
+    rows = -(-binary.shape[0] // cell_size)
+    cols = -(-binary.shape[1] // cell_size)
+    fills = np.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            cell = binary[i * cell_size : (i + 1) * cell_size, j * cell_size : (j + 1) * cell_size]
+            fills[i, j] = np.count_nonzero(cell) / (cell_size * cell_size)
+    return fills
+
+
 class TestDensityVerdict:
+    @given(
+        rows=st.integers(0, 23),
+        cols=st.integers(0, 23),
+        cell_size=st.integers(1, 7),
+        density=st.floats(0.0, 1.0),
+        fill=st.floats(0.01, 1.0),
+        kind=st.sampled_from(["uint8", "bool", "float"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fills_equal_the_cell_loop(self, rows, cols, cell_size, density, fill, kind, seed):
+        rng = np.random.default_rng(seed)
+        binary = (rng.random((rows, cols)) < density).astype(kind)
+        verdict, fills = density_verdict(binary, cell_size=cell_size, fill=fill)
+        expected = _fills_by_loop(binary, cell_size)
+        assert fills.shape == expected.shape and fills.dtype == expected.dtype
+        assert np.array_equal(fills, expected)
+        assert verdict is bool((expected >= fill).any())
+
     def test_single_full_cell_true(self):
         binary = np.zeros((10, 10), dtype=np.uint8)
         binary[0:5, 0:5] = 1
