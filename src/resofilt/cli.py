@@ -213,19 +213,14 @@ def _cmd_synth(args) -> int:
                 f"patch: {r},{c},{h},{w} is not wholly inside the {nx}x{ny} image"
             )
         image[r : r + h, c : c + w] = args.patch_value
-    if args.frames == 1:
-        out = image.copy()
-        if args.noise:
-            out += np.random.default_rng(args.seed).normal(0, args.noise, out.shape)
-        write_image(args.out, ImageStack((out,)))
-        return EXIT_OK
-    if "{i}" not in args.out:
+    if args.frames > 1 and "{i}" not in args.out:
         raise ConfigError("frames: --out must contain '{i}' when --frames > 1")
     for i in range(args.frames):
         out = image.copy()
         if args.noise:
             out += np.random.default_rng(args.seed + i).normal(0, args.noise, out.shape)
-        write_image(args.out.replace("{i}", str(i)), ImageStack((out,)))
+        path = args.out if args.frames == 1 else args.out.replace("{i}", str(i))
+        write_image(path, ImageStack((out,)))
     return EXIT_OK
 
 
@@ -253,6 +248,8 @@ def _cmd_filter(args) -> int:
     model, filters = doc_to_model(load_json(args.model))
     if not filters:
         raise ConfigError("model: the document carries no designed filters")
+    if len(filters) not in (1, 3):
+        raise ConfigError(f"model: the document carries {len(filters)} filters, not 1 or 3")
     planes, _ = _channels(stack, "gray" if len(filters) == 1 else "rgb")
     for plane, f in zip(planes, filters):
         if plane.shape[0] < f.kernel.shape[0] or plane.shape[1] < f.kernel.shape[1]:

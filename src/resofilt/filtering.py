@@ -9,8 +9,8 @@ carrying their original intensities.
 
 Functions are pure; per-channel designs are independent and may run
 concurrently.  A rank-one kernel (every designed kernel is c * hx (x) hy)
-is applied as a row pass then a column pass, P + Q shifted adds instead of
-P * Q; any other kernel, which only a loaded model document can carry,
+is applied as a column pass then a row pass, P + Q shifted adds instead
+of P * Q; any other kernel, which only a loaded model document can carry,
 runs the direct double sum.  Each shifted add is one BLAS daxpy over a
 flat row-major buffer as wide as the image: one fused multiply-add per
 pixel and tap, with taps in a fixed order, so results depend neither on
@@ -18,12 +18,13 @@ scheduling nor on the BLAS thread count.  The two-pass result is not
 bit-equal to the double sum.
 
 The filter runs in strips of output rows sized by STRIP_BYTES, so its
-buffers stay in L2; a strip sums the same taps in the same order as a
-whole-plane pass, so strips do not change the result.  Planes may be
-8-bit: each strip's source rows are converted to float64 as they are
-read, and the sums go into an output buffer the caller may own and
-reuse.  The detector ORs its verdicts into one boolean raster, strip by
-strip as well.
+buffers stay in L2.  A strip reads only its own source rows, in both
+passes, and carries nothing to the next; it sums the same taps in the
+same order as a whole-plane pass, so strips do not change the result.
+Planes may be 8-bit: each strip's source rows are converted to float64
+as they are read, and the sums go into an output buffer the caller may
+own and reuse.  The detector ORs its verdicts into one boolean raster,
+strip by strip as well.
 """
 
 from __future__ import annotations
@@ -278,15 +279,14 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     """Filter one plane; output shape (n_x - P + 1, n_y - Q + 1).
 
     Output rows are computed in strips: rows a..b-1 of the result read
-    image rows a..b+P-2, so buffers stay strip-sized and every output
-    pixel sums the same taps in the same order as a whole-plane pass.  An
-    8-bit (or any other) plane is converted to float64 one strip of source
-    rows at a time.  Each tap is one daxpy over a flat buffer W = n_y
-    columns wide (see _correlate_valid).  A rank-one kernel runs, per
-    strip, as a row pass of its Q row taps (offsets 0..Q-1), then a column
-    pass of its P column taps (offsets m*W) over that result; the last
-    P - 1 row-pass rows of a strip are carried over to the next, not
-    recomputed.
+    image rows a..b+P-2 and nothing else, so buffers stay strip-sized, no
+    value passes from one strip to the next, and every output pixel sums
+    the same taps in the same order as a whole-plane pass.  An 8-bit (or
+    any other) plane is converted to float64 one strip of source rows at a
+    time.  Each tap is one daxpy over a flat buffer W = n_y columns wide
+    (see _correlate_valid).  A rank-one kernel runs, per strip, as a
+    column pass of its P column taps (offsets m*W) over the source rows,
+    then a row pass of its Q row taps (offsets 0..Q-1) over that result.
 
     The sums land in ``out``, a C-contiguous float64 (n_x - P + 1, W)
     buffer (``filter_buffer`` makes one; a new one when None), and the
@@ -303,29 +303,21 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     elif out.shape != (ox, w) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 buffer of shape {(ox, w)}")
     step = _strip_rows(oy)
-    # float64 copy of the source rows of one strip
+    # float64 copy of one strip's source rows, and a rank-one kernel's
+    # column-pass sums over them
     src = np.empty((min(step, ox) + p - 1, w))
-    if irf.factors is None:
-        for a in range(0, ox, step):
-            b = min(a + step, ox)
-            n = b - a + p - 1
-            src[:n] = image[a : a + n]
-            _correlate_valid(src[:n], irf.kernel, out=out[a:b])
-        return out[:, :oy]
-    col, row = irf.factors
-    row, col = row[np.newaxis, :], col[:, np.newaxis]
-    rows = np.zeros_like(src)  # its scratch columns stay finite
+    if irf.factors is not None:
+        col, row = irf.factors
+        cols = np.empty((min(step, ox), w))
     for a in range(0, ox, step):
         b = min(a + step, ox)
-        if a == 0:
-            src[: b + p - 1] = image[: b + p - 1]
-            _correlate_valid(src[: b + p - 1], row, out=rows[: b + p - 1])
+        rows = src[: b - a + p - 1]
+        rows[:] = image[a : b + p - 1]
+        if irf.factors is None:
+            _correlate_valid(rows, irf.kernel, out=out[a:b])
         else:
-            # every strip but the last is `step` rows tall
-            rows[: p - 1] = rows[step : step + p - 1]
-            src[: b - a] = image[a + p - 1 : b + p - 1]
-            _correlate_valid(src[: b - a], row, out=rows[p - 1 : b - a + p - 1])
-        _correlate_valid(rows[: b - a + p - 1], col, out=out[a:b])
+            _correlate_valid(rows, col[:, np.newaxis], out=cols[: b - a])
+            _correlate_valid(cols[: b - a], row[np.newaxis, :], out=out[a:b])
     return out[:, :oy]
 
 

@@ -55,6 +55,11 @@ def _finite_number(value) -> bool:
     return number and math.isfinite(value)
 
 
+def _integer(value) -> bool:
+    """A Python or NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _valid_e_policy(policy) -> bool:
     return policy == "mean" if isinstance(policy, str) else _finite_number(policy)
 
@@ -63,11 +68,13 @@ def _valid_e_policy(policy) -> bool:
 class PipelineConfig:
     """Run settings; defaults follow the reference operating points.
 
-    ``base_region`` is (row, col, height, width).  Fields whose defaults
-    are not dictated by the method itself (min_area, the histogram
-    threshold policy) are artifact defaults.  The post-filters' fixed
-    operating points (ring width 7 over 256 levels, 5x5 cells at 0.75
-    fill, the "or" channel rule, track boxes grown by 7) are the
+    ``base_region`` is (row, col, height, width).  Its entries, ``order``'s,
+    ``min_area``, ``track_window`` and ``split`` are Python or NumPy
+    integers; ``validate`` rejects bools, floats and strings.  Fields whose
+    defaults are not dictated by the method itself (min_area, the
+    histogram threshold policy) are artifact defaults.  The post-filters'
+    fixed operating points (ring width 7 over 256 levels, 5x5 cells at
+    0.75 fill, the "or" channel rule, track boxes grown by 7) are the
     defaults of the ``postfilter`` functions, which the pipeline calls
     with them.
     """
@@ -111,18 +118,18 @@ class PipelineConfig:
             raise ConfigError(f"channel_mode: unknown value {self.channel_mode!r}")
         if not (_finite_number(self.sigma_multiplier) and self.sigma_multiplier > 0):
             raise ConfigError("sigma_multiplier: must be a finite positive number")
-        if not (isinstance(self.min_area, int) and self.min_area >= 1):
+        if not (_integer(self.min_area) and self.min_area >= 1):
             raise ConfigError("min_area: must be a positive integer")
         if self.post not in _POSTS:
             raise ConfigError(f"post: unknown value {self.post!r}")
         if self.hist_epsilon is not None and not _finite_number(self.hist_epsilon):
             raise ConfigError("hist_epsilon: must be a finite number or None")
-        if not (isinstance(self.track_window, int) and self.track_window >= 1):
+        if not (_integer(self.track_window) and self.track_window >= 1):
             raise ConfigError("track_window: must be a positive integer")
         if not (_finite_number(self.track_threshold) and 0 <= self.track_threshold <= 1):
             raise ConfigError("track_threshold: must lie in [0, 1]")
         if self.split is not None:
-            if not (isinstance(self.split, int) and self.split >= 1):
+            if not (_integer(self.split) and self.split >= 1):
                 raise ConfigError("split: must be a positive integer or None")
             if self.estimator != "pencil":
                 raise ConfigError(
@@ -162,10 +169,10 @@ class PipelineConfig:
     @staticmethod
     def _require_int_tuple(name, value, n):
         try:
-            items = tuple(int(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: expected {n} integers") from None
-        if len(items) != n:
+            items = tuple(value)
+        except TypeError:
+            items = ()
+        if len(items) != n or not all(_integer(v) for v in items):
             raise ConfigError(f"{name}: expected {n} integers")
         return items
 
@@ -384,7 +391,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
         outs = [filter_buffer(first.shape, irf) for irf in filters]
 
     first_mask = None
-    recent = deque(maxlen=config.track_window)
+    recent = deque(maxlen=int(config.track_window))
     per_frame_boxes = []
     frames_doc = []
     confirmed_all = []
@@ -441,4 +448,5 @@ def _config_doc(config: PipelineConfig) -> dict:
     doc = asdict(config)
     doc["base_region"] = [int(v) for v in doc["base_region"]]
     doc["order"] = [int(v) for v in doc["order"]]
-    return doc
+    # validate() admits NumPy integers, which JSON does not encode
+    return {k: v.item() if isinstance(v, np.integer) else v for k, v in doc.items()}

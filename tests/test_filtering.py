@@ -275,18 +275,20 @@ class TestSeparableApply:
         image = rng.normal(0, 1, (20, 18))
         irf = IRFilter(np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)), 0.0, 0.0)
         col, row = irf.factors
-        # row pass in n order, then column pass in m order over its rows
+        # column pass in m order, then row pass in n order over its sums
         expected = np.zeros((16, 15))
         for i in range(16):
             for k in range(15):
                 acc = 0.0
-                for m in range(5):
+                for n in range(4):
                     partial = 0.0
-                    for n in range(4):
-                        partial = fma(row[n], image[i + m, k + n], partial)
-                    acc = fma(col[m], partial, acc)
+                    for m in range(5):
+                        partial = fma(col[m], image[i + m, k + n], partial)
+                    acc = fma(row[n], partial, acc)
                 expected[i, k] = acc
-        assert np.array_equal(apply_filter(image, irf), expected)
+        out = apply_filter(image, irf)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
     @pytest.mark.skipif(
         usable_cpus() < 2, reason="OpenBLAS runs one thread per usable CPU, so it cannot split"
@@ -593,7 +595,7 @@ class TestDetect:
 
 def whole_plane_apply(image, irf):
     """Reference: the filter as one whole-plane pass (the direct double sum,
-    or the row pass then the column pass of a rank-one kernel), one fused
+    or the column pass then the row pass of a rank-one kernel), one fused
     multiply-add per tap."""
 
     def correlate(img, kernel):
@@ -608,7 +610,7 @@ def whole_plane_apply(image, irf):
     if irf.factors is None:
         return correlate(image, irf.kernel)
     col, row = irf.factors
-    return correlate(correlate(image, row[np.newaxis, :]), col[:, np.newaxis])
+    return correlate(correlate(image, col[:, np.newaxis]), row[np.newaxis, :])
 
 
 def whole_plane_detect(filtered, filters, originals, multiplier):

@@ -419,10 +419,20 @@ class TestConfigValidation:
                 ("hist_epsilon", float("nan")),
                 ("hist_epsilon", True),
                 ("track_threshold", True),
+                # integer fields take integers only, never rounding down
+                ("order", (8.9, 8.2)),
+                ("order", ("8", "8")),
+                ("order", (True, 8)),
+                ("base_region", (0.5, 0, 48.9, 48)),
+                ("base_region", "0000"),
+                ("min_area", True),
+                ("min_area", 4.0),
+                ("track_window", True),
+                ("split", True),
             ]
         )
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_invalid_fields_rejected_by_name(self, field):
         name, value = field
         cfg = PipelineConfig()
@@ -431,6 +441,28 @@ class TestConfigValidation:
             cfg.validate()
         assert str(err.value).split(":")[0] in (name, "order")
 
+    @pytest.mark.parametrize("estimator,split,post", [("ls", None, "hist"),
+                                                      ("pencil", 20, "track")])
+    def test_numpy_integer_fields_run_as_python_ints(self, estimator, split, post):
+        fields = dict(base_region=(0, 0, 48, 48), order=(6, 6), min_area=4,
+                      track_window=3, split=split)
+        numpy_fields = dict(
+            base_region=tuple(np.int64(v) for v in fields["base_region"]),
+            order=(np.int32(6), np.int64(6)),
+            min_area=np.int64(4),
+            track_window=np.uint8(3),
+            split=None if split is None else np.int16(split),
+        )
+        frames = [patch_scene()] * 3
+        docs = [
+            run_pipeline(
+                PipelineConfig(estimator=estimator, post=post, **given), frames
+            ).report.to_doc()
+            for given in (fields, numpy_fields)
+        ]
+        assert docs[1] == docs[0]
+        assert json.loads(dump_json(docs[1])) == json.loads(dump_json(docs[0]))
+
     @pytest.mark.parametrize(
         "order,split,name",
         [
@@ -438,6 +470,7 @@ class TestConfigValidation:
             ((4, 4), 3, "split"),  # below the mode count
             ((4, 4), 63, "split"),  # above min(h, w) - 2
             ((4, 4), 62, "split"),  # 2x2 lag window: one pencil row
+            ((1, 1), True, "split"),  # a bool, though True == 1 would fit
         ],
     )
     def test_pencil_order_and_split_rejected_by_name(self, order, split, name):
@@ -818,6 +851,40 @@ class TestCli:
                          "--out", str(tmp_path / "filtered.pgm")])
             assert code == EXIT_INPUT
             assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_filter_count_other_than_one_or_three_is_config_error(
+        self, tmp_path, capsys, count
+    ):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(model)]) == EXIT_OK
+        doc = json.loads(model.read_text())
+        doc["filters"] = doc["filters"] * count
+        model.write_text(json.dumps(doc))
+        filtered = tmp_path / "filtered.pgm"
+        code = main(["filter", "--input", str(tex), "--model", str(model),
+                     "--out", str(filtered)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"configuration error: model: the document carries {count} filters" in err
+        assert not filtered.exists()
+
+    def test_synth_frame_i_equals_a_single_frame_at_seed_plus_i(self, tmp_path):
+        scene = ["--size", "40,48", "--pair", "0.2,0.15,30,0", "--mean", "120",
+                 "--noise", "2.0", "--patch", "10,10,5,5"]
+        frames = tmp_path / "frame{i}.pgm"
+        assert main(["synth", "--out", str(frames), "--frames", "3", "--seed", "5",
+                     *scene]) == EXIT_OK
+        for i in range(3):
+            single = tmp_path / f"single{i}.pgm"
+            assert main(["synth", "--out", str(single), "--seed", str(5 + i),
+                         *scene]) == EXIT_OK
+            frame = (tmp_path / f"frame{i}.pgm").read_bytes()
+            assert frame == single.read_bytes()
+        assert len({(tmp_path / f"frame{i}.pgm").read_bytes() for i in range(3)}) == 3
+        assert not (tmp_path / "frame3.pgm").exists()
 
     def test_filter_image_smaller_than_kernel_names_model(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
