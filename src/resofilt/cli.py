@@ -124,7 +124,8 @@ def build_parser() -> _Parser:
                    help="insert a constant patch")
     p.add_argument("--patch-value", type=float, default=200.0)
     p.add_argument("--frames", type=int, default=1,
-                   help="emit N frames; --out must contain {i}")
+                   help="emit N frames; {i} in --out becomes the frame index "
+                        "(required when N > 1)")
 
     # The pipeline subcommands leave an option that is not given out of the
     # namespace, so that PipelineConfig alone holds the defaults.
@@ -219,7 +220,7 @@ def _cmd_synth(args) -> int:
         out = image.copy()
         if args.noise:
             out += np.random.default_rng(args.seed + i).normal(0, args.noise, out.shape)
-        path = args.out if args.frames == 1 else args.out.replace("{i}", str(i))
+        path = args.out.replace("{i}", str(i))
         write_image(path, ImageStack((out,)))
     return EXIT_OK
 

@@ -268,11 +268,54 @@ def _strip_rows(cols: int) -> int:
     return max(1, STRIP_BYTES // (8 * cols))
 
 
+def _buffer_shapes(shape, irf: IRFilter):
+    """Shapes of ``apply_filter``'s buffers for planes of ``shape``: the
+    output buffer, one strip's float64 source rows, and a rank-one
+    kernel's column-pass sums over them (None for other kernels)."""
+    ox, oy = _valid_shape(shape, irf.kernel.shape)
+    w = shape[1]
+    rows = min(_strip_rows(oy), ox)
+    src = (rows + irf.kernel.shape[0] - 1, w)
+    return (ox, w), src, None if irf.factors is None else (rows, w)
+
+
 def filter_buffer(shape, irf: IRFilter) -> np.ndarray:
     """Output buffer of ``apply_filter`` for planes of ``shape``: a new
     C-contiguous float64 array of n_x - P + 1 rows and n_y columns."""
-    ox, _ = _valid_shape(shape, irf.kernel.shape)
-    return np.empty((ox, shape[1]))
+    return np.empty(_buffer_shapes(shape, irf)[0])
+
+
+@dataclass(frozen=True)
+class FilterBuffers:
+    """Buffers of ``apply_filter`` kept for call after call on planes of
+    one shape (``filter_buffers`` makes them).  ``out`` receives the sums;
+    ``src`` holds a strip's source rows as float64 and ``cols`` a rank-one
+    kernel's column-pass sums over them, each in its leading rows."""
+
+    out: np.ndarray
+    src: np.ndarray
+    cols: np.ndarray
+
+
+def filter_buffers(shape, filters) -> list:
+    """One ``FilterBuffers`` per filter for planes of ``shape``: a new
+    output buffer each, and one pair of strip scratch buffers, large enough
+    for every filter, that all of them share.  So they serve one
+    ``apply_filter`` call at a time between them."""
+    needs = [_buffer_shapes(shape, irf) for irf in filters]
+    src = np.empty(max(s for _, s, _ in needs))
+    cols = np.empty(max((c for _, _, c in needs if c), default=(0, shape[1])))
+    return [FilterBuffers(np.empty(out), src, cols) for out, _, _ in needs]
+
+
+def _scratch(buf, shape):
+    """The leading ``shape[0]`` rows of the scratch buffer ``buf``, or a
+    new buffer when ``buf`` is None."""
+    if buf is None:
+        return np.empty(shape)
+    if buf.dtype != np.float64 or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
+        raise ValueError(f"scratch buffer {buf.shape} does not hold {shape} float64")
+    return buf[: shape[0]]
 
 
 def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
@@ -288,27 +331,27 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     column pass of its P column taps (offsets m*W) over the source rows,
     then a row pass of its Q row taps (offsets 0..Q-1) over that result.
 
-    The sums land in ``out``, a C-contiguous float64 (n_x - P + 1, W)
-    buffer (``filter_buffer`` makes one; a new one when None), and the
-    result is its valid ``[:, :n_y - Q + 1]`` view; the last Q - 1 columns
-    of each buffer row are scratch.  A buffer serves one call at a time:
-    the next call that is given it overwrites the previous result.
+    The sums land in a C-contiguous float64 (n_x - P + 1, W) buffer, and
+    the result is its valid ``[:, :n_y - Q + 1]`` view; the last Q - 1
+    columns of each buffer row are scratch.  ``out`` is that buffer
+    (``filter_buffer`` makes one), or ``FilterBuffers`` that also hold the
+    strip scratch, so that repeated calls allocate nothing; when None,
+    every buffer is new.  A buffer serves one call at a time: the next
+    call that is given it overwrites the previous result.
     """
     image = np.asarray(image)
-    p = irf.kernel.shape[0]
-    ox, oy = _valid_shape(image.shape, irf.kernel.shape)
-    w = image.shape[1]
-    if out is None:
-        out = np.empty((ox, w))
-    elif out.shape != (ox, w) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 buffer of shape {(ox, w)}")
-    step = _strip_rows(oy)
-    # float64 copy of one strip's source rows, and a rank-one kernel's
-    # column-pass sums over them
-    src = np.empty((min(step, ox) + p - 1, w))
+    out_shape, src_shape, cols_shape = _buffer_shapes(image.shape, irf)
+    bufs = out if isinstance(out, FilterBuffers) else FilterBuffers(out, None, None)
+    out = np.empty(out_shape) if bufs.out is None else bufs.out
+    if out.shape != out_shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 buffer of shape {out_shape}")
+    src = _scratch(bufs.src, src_shape)
     if irf.factors is not None:
         col, row = irf.factors
-        cols = np.empty((min(step, ox), w))
+        cols = _scratch(bufs.cols, cols_shape)
+    p = irf.kernel.shape[0]
+    ox, oy = _valid_shape(image.shape, irf.kernel.shape)
+    step = _strip_rows(oy)
     for a in range(0, ox, step):
         b = min(a + step, ox)
         rows = src[: b - a + p - 1]

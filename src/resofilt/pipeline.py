@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, NumericError, ResofiltError
-from .filtering import DetectionMask, apply_filter, design_filter, detect, filter_buffer
+from .filtering import DetectionMask, apply_filter, design_filter, detect, filter_buffers
 from .harmonic import HarmonicModel
 from .imageio import ImageStack
 from .linear_symmetry import estimate_model_ls
@@ -378,7 +378,8 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     of the last ``track_window`` frames and correlates the window starting
     at frame k - L + 1 once frame k has been detected.  Of the detection
     masks only frame 0's is kept.  Every frame's filter output for a
-    channel lands in the same buffer, allocated once per run.
+    channel lands in the same buffer, and every filter call uses the same
+    strip scratch; all are allocated once per run.
     """
     frames = iter(frames)
     first = next(frames, None)
@@ -388,7 +389,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     base, model, diag = estimate(first, config)
     filters = design(base, model, config)
     with _stage("filter+detect"):
-        outs = [filter_buffer(first.shape, irf) for irf in filters]
+        outs = filter_buffers(first.shape, filters)
 
     first_mask = None
     recent = deque(maxlen=int(config.track_window))

@@ -32,7 +32,7 @@ from resofilt import (
     vandermonde,
 )
 from resofilt import filtering, pipeline
-from resofilt.filtering import _correlate_valid, filter_buffer
+from resofilt.filtering import FilterBuffers, _correlate_valid, filter_buffer, filter_buffers
 from resofilt.model_doc import dump_json
 
 from conftest import FOUR_PAIRS, pairs_subset, unit_roots
@@ -703,6 +703,29 @@ class TestStrips:
             got = apply_filter(plane, irf, out=out)
         assert np.shares_memory(got, out)
         assert np.array_equal(got, reference)
+
+    def test_run_buffers_share_strip_scratch_and_change_no_result(self, rng, monkeypatch):
+        # one scratch pair serves filters of different heights and kinds,
+        # frame after frame, in 3-row strips
+        shape = (30, 20)
+        filters = [
+            IRFilter(np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)), 0.0, 1.0),
+            IRFilter(rng.normal(0, 1, (3, 4)), 0.0, 1.0),
+            IRFilter(np.outer(rng.normal(0, 1, 2), rng.normal(0, 1, 4)), 0.0, 1.0),
+        ]
+        monkeypatch.setattr(filtering, "STRIP_BYTES", 8 * 17 * 3)
+        bufs = filter_buffers(shape, filters)
+        assert len({id(b.src) for b in bufs}) == len({id(b.cols) for b in bufs}) == 1
+        assert len({id(b.out) for b in bufs}) == 3
+        for _ in range(3):
+            plane = rng.integers(0, 256, shape, dtype=np.uint8)
+            for irf, buf in zip(filters, bufs):
+                got = apply_filter(plane, irf, out=buf)
+                assert np.shares_memory(got, buf.out)
+                assert np.array_equal(got, apply_filter(plane.astype(float), irf))
+        short = FilterBuffers(bufs[0].out, bufs[0].src[:6], bufs[0].cols)
+        with pytest.raises(ValueError, match="scratch buffer"):
+            apply_filter(plane, filters[0], out=short)
 
     @given(
         p=st.integers(1, 17),

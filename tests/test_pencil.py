@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import subspace_angles
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import eigh, subspace_angles
 
 from resofilt import (
     NumericError,
@@ -133,6 +134,61 @@ class TestSvdWindows:
             masks.append(detect([apply_filter(scene, irf)], [irf], [scene]))
         assert masks[0].positive()[80:91, 80:91].any()
         assert np.array_equal(masks[0].positive(), masks[1].positive())
+
+
+def _noisy_two_harmonics():
+    # the benchmark's regime: amplitudes 20-40 over white noise of sigma 1
+    pairs = [(fx, fy, 30.0 * amp, phase) for fx, fy, amp, phase in pairs_subset(2)]
+    return synth_texture(pairs, 64, 64, noise_sigma=1.0, seed=3)
+
+
+def _refuse_dense_eigensolve(*args, **kwargs):
+    raise AssertionError("dense eigensolve called")
+
+
+class TestSubspaceIteration:
+    # split 21 on 64x64: a 484^2 position Gram against a block of 12
+    def test_noisy_region_matches_full_correlation_oracle(self):
+        region = _noisy_two_harmonics()
+        basis = svd_windows(region, 21, 4)
+        oracle = _oracle_basis(region, 21, 4)
+        sv, ref = basis.singular_values, oracle.singular_values
+        assert sv.shape == ref.shape
+        assert np.abs(sv[:4] - ref[:4]).max() <= 1e-12 * ref[:4].min()
+        assert subspace_angles(basis.vectors, oracle.vectors).max() < 1e-8
+        tail = sv[4:]
+        assert (tail >= 0).all()
+        assert (tail <= ref[4:] + 1e-12 * ref[0]).all()  # Ritz values: lower bounds
+        assert (np.diff(tail) <= 0).all()
+
+    def test_gapped_region_needs_no_dense_eigensolve(self, monkeypatch):
+        region = _noisy_two_harmonics()
+        monkeypatch.setattr(pencil, "eigh", _refuse_dense_eigensolve)
+        model, _ = estimate_model_pencil(region, 4, dc_root=False)
+        for got, axis in ((model.zx, "x"), (model.zy, "y")):
+            truth = conj_freqs(pairs_subset(2), axis)
+            assert np.abs(np.sort(got.frequencies) - truth).max() < 1e-3
+        # the iteration converges on a rank-deficient Gram too, and the
+        # rank check still rejects the overestimated order
+        with pytest.raises(NumericError):
+            svd_windows(synth_texture(pairs_subset(2), 48, 48), 36, 6)
+
+    def test_gap_free_noise_falls_back_to_exact_eigensolve(self, monkeypatch, rng):
+        region = rng.normal(0, 1, (64, 64))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(pencil, "eigh", counted)
+        basis = svd_windows(region, 21, 4)
+        assert len(calls) == 1
+        f = sliding_window_view(region, (43, 43)).reshape(-1, 43 * 43)
+        vals, vecs = eigh(f @ f.T, subset_by_index=[472, 483])
+        vals, vecs = vals[::-1], vecs[:, ::-1][:, :4]
+        assert np.array_equal(basis.singular_values, np.maximum(vals, 0.0))
+        assert np.array_equal(basis.vectors, (f.T @ vecs) / np.sqrt(vals[:4]))
 
 
 class TestExtraction:

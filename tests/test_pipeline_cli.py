@@ -886,6 +886,11 @@ class TestCli:
         assert len({(tmp_path / f"frame{i}.pgm").read_bytes() for i in range(3)}) == 3
         assert not (tmp_path / "frame3.pgm").exists()
 
+    def test_synth_single_frame_substitutes_index(self, tmp_path):
+        out = tmp_path / "f{i}.pgm"
+        assert main(["synth", "--out", str(out), "--frames", "1", "--size", "16,16"]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f0.pgm"]
+
     def test_filter_image_smaller_than_kernel_names_model(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
         model = tmp_path / "model.json"
