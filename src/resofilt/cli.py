@@ -190,6 +190,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser serves every call: parsing reads it and never changes it
+# (``append`` copies its default list before adding to it).
+_PARSER = build_parser()
+
+
 def _cmd_synth(args) -> int:
     nx, ny = args.size
     if nx < 1 or ny < 1:
@@ -333,9 +338,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -6,10 +6,13 @@ matrix F; its principal right singular vectors (the eigenvectors of the
 whichever Gram of F is smaller, so the lag correlation itself is never
 formed when there are fewer window positions than lags.  Only the top few
 eigenpairs are needed, and signal eigenvalues stand orders of magnitude
-above the noise ones, so they come from block subspace iteration; a
-dense eigensolve takes over when the iteration does not converge (no
-eigen-gap).  Shifted row selections of that subspace form a matrix pencil
-whose eigenvalues are the per-axis resonance roots.
+above the noise ones, so they come from block subspace iteration.  F is
+block Hankel, so its products with a block of vectors are 2D
+correlations of the region, taken by FFT: the iteration forms neither F
+nor a Gram.  A dense eigensolve of the Gram formed from F takes over when
+the iteration does not converge, or shows after two steps that it cannot
+(no eigen-gap).  Shifted row selections of that subspace form a matrix
+pencil whose eigenvalues are the per-axis resonance roots.
 
 Row-extraction convention (frozen; see docs/formats.md): for a data
 window of size (M, N) with splitting parameter L, the lag window is
@@ -83,15 +86,16 @@ def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
 
     F stacks every (M-L, N-L) lag window of the region as one row, so its
     right singular vectors are the eigenvectors of the lag correlation
-    R = F^T F.  The eigenproblem is solved on the smaller Gram: F F^T
+    R = F^T F.  The eigenproblem is posed on the smaller Gram: F F^T
     (positions squared) when there are fewer window positions than lags,
     with the eigenvectors mapped back as V = F^T U / sqrt(lambda), else
     R itself.  The nonzero eigenvalues of both Grams coincide; R's others
     are zero.  A Gram larger than the block of n_modes + _DIAG_TAIL
-    columns goes to ``_subspace_iteration``; a smaller one, or one on
-    which the iteration does not converge, to the dense ``eigh`` of its
-    top eigenpairs.  Raises when the requested subspace exceeds the
-    numerical rank.
+    columns goes to ``_subspace_iteration``, which applies F by FFT and
+    forms neither F nor the Gram.  A smaller Gram, or one on which the
+    iteration does not converge, is formed from F and handed to the dense
+    ``eigh`` of its top eigenpairs.  Raises when the requested subspace
+    exceeds the numerical rank.
     """
     region = np.asarray(region, dtype=float)
     m, n = region.shape
@@ -101,17 +105,22 @@ def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
     dim = wx * wy
     if not (1 <= n_modes <= dim):
         raise ValueError(f"n_modes {n_modes} out of range 1..{dim}")
-    f = sliding_window_view(region, (wx, wy)).reshape(-1, dim)
-    by_positions = f.shape[0] < dim
-    gram = f @ f.T if by_positions else f.T @ f
-    size = gram.shape[0]
+    positions = (split + 1) ** 2
+    by_positions = positions < dim
+    size = positions if by_positions else dim
 
     keep = min(dim, n_modes + _DIAG_TAIL)
     top = min(size, keep)
-    found = _subspace_iteration(gram, top, n_modes) if size > top else None
+    found = None
+    if size > top:
+        windows = _WindowMatrix(region, split, top)
+        found = _subspace_iteration(windows, by_positions, (size, top), n_modes)
     if found is None:
+        f = sliding_window_view(region, (wx, wy)).reshape(-1, dim)
+        gram = f @ f.T if by_positions else f.T @ f
         vals, vecs = eigh(gram, subset_by_index=[size - top, size - 1])
-        found = vals[::-1], vecs[:, ::-1]
+        vals, vecs = vals[::-1], vecs[:, ::-1][:, :n_modes]
+        found = vals, (f.T @ vecs if by_positions else vecs)
     vals, vecs = found
     vals = np.maximum(vals, 0.0)
     vals = np.concatenate([vals, np.zeros(keep - top)])
@@ -120,9 +129,8 @@ def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
             f"requested subspace of {n_modes} exceeds the numerical rank: "
             "model order is overestimated"
         )
-    vecs = vecs[:, :n_modes]
     if by_positions:
-        vecs = (f.T @ vecs) / np.sqrt(vals[:n_modes])
+        vecs = vecs / np.sqrt(vals[:n_modes])
     return SubspaceBasis(
         vectors=vecs,
         singular_values=vals,
@@ -131,32 +139,99 @@ def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
     )
 
 
-def _subspace_iteration(gram: np.ndarray, top: int, n_modes: int):
-    """Top ``top`` Ritz pairs of a symmetric PSD ``gram``, largest first.
+class _WindowMatrix:
+    """The window matrix F of a region, applied to blocks of vectors by FFT.
 
-    Block subspace iteration: each step orthonormalises the block (QR),
-    multiplies it by the Gram and solves the small Rayleigh-Ritz problem
-    Q^T G Q.  Returns (values, vectors) once every one of the top
-    ``n_modes`` pairs has ||G v - theta v|| <= _RESIDUAL_TOL * theta_1,
-    or None after _MAX_STEPS steps without that.  The error of pair k
-    shrinks by lambda_{top+1} / lambda_k per step, so a Gram without a gap
-    below the requested pairs returns None.
+    Row (a, b) of F is the lag window at position (a, b), so
+    F[(a, b), (i, j)] = region[a + i, b + j]: ``dot`` (F @ y) correlates
+    the region with each column of y laid out as an (M-L, N-L) lag window,
+    ``tdot`` (F^T @ u) with each column of u laid out as the (L+1, L+1)
+    grid of positions, both over the valid shifts only.  A valid
+    correlation is the circular convolution with the flipped kernel, read
+    from the kernel's far corner; kernel and output together span the
+    region plus one per axis, so no sum wraps around and one (M, N)
+    spectrum of the region serves both products.
+
+    Every transform writes into buffers allocated once for blocks of
+    ``columns`` vectors (``out=``, NumPy >= 2.0); a result is a view of
+    them that the next product of the same kind overwrites.  The inverse
+    runs as an ``ifft`` along the first axis, then an ``irfft`` along the
+    second: ``irfft2`` leaves its ``out=`` unwritten on NumPy 2.4.
+    """
+
+    def __init__(self, region: np.ndarray, split: int, columns: int):
+        m, n = region.shape
+        self._n = n
+        self._lags = (m - split, n - split)
+        self._positions = (split + 1, split + 1)
+        self._spectrum = np.fft.rfft2(region)
+        self._spec = np.empty((columns, m, n // 2 + 1), dtype=complex)
+        self._rows = np.empty((columns, max(m - split, split + 1), n))
+        self._to_positions = np.empty((columns, (split + 1) ** 2))
+        self._to_lags = np.empty((columns, (m - split) * (n - split)))
+
+    def dot(self, block: np.ndarray) -> np.ndarray:
+        """F @ block for a (lags, columns) block."""
+        return self._correlate(block, self._lags, self._positions, self._to_positions)
+
+    def tdot(self, block: np.ndarray) -> np.ndarray:
+        """F^T @ block for a (positions, columns) block."""
+        return self._correlate(block, self._positions, self._lags, self._to_lags)
+
+    def _correlate(self, block, kernel, shape, out):
+        (kx, ky), (ox, oy) = kernel, shape
+        spec, rows = self._spec, self._rows[:, :ox]
+        kernels = block.T.reshape(-1, kx, ky)[:, ::-1, ::-1]
+        np.fft.rfft(kernels, n=self._n, axis=2, out=spec[:, :kx])
+        spec[:, kx:] = 0.0
+        np.fft.fft(spec, axis=1, out=spec)
+        spec *= self._spectrum
+        np.fft.ifft(spec, axis=1, out=spec)
+        np.fft.irfft(spec[:, kx - 1 :], n=self._n, axis=2, out=rows)
+        np.copyto(out.reshape(-1, ox, oy), rows[:, :, ky - 1 :])
+        return out.T
+
+
+def _subspace_iteration(windows: _WindowMatrix, by_positions: bool, shape: tuple, n_modes: int):
+    """Top Ritz pairs of the smaller Gram G of F, largest first, by block
+    subspace iteration on a block of ``shape`` (Gram size, columns).
+
+    Each step orthonormalises the block (QR) to Q and takes Y = F^T Q on
+    the position Gram G = F F^T, or Y = F Q on the lag Gram G = F^T F.
+    So the Rayleigh-Ritz matrix Q^T G Q is Y^T Y, and G Q is F Y or F^T Y.
+    Returns (values, vectors) once every one of the top ``n_modes`` pairs
+    has ||G v - theta v|| <= _RESIDUAL_TOL * theta_1: the top-``n_modes``
+    eigenvectors of F^T F, as F^T U = Y w (scaled by sqrt(theta), which
+    the caller divides out) or as Q w.  Returns None after _MAX_STEPS
+    steps without that, or earlier when the residual cannot get there in
+    the steps left.  The error of pair k shrinks by lambda_{top+1} /
+    lambda_k per step, so from the second step on the largest residual is
+    projected forward at the rate theta_top / theta_{n_modes}; the first
+    step's Ritz values, taken from a random start, are not judged.  A Gram
+    without a gap below the requested pairs thus returns None after two
+    steps.
 
     The start is a fixed Gaussian block from a locally seeded generator:
     results repeat exactly, and no structure of the data (a harmonic
     eigenvector vanishing on a start built from Gram columns) can hide a
     dominant pair, which the residual test alone would not notice.
     """
-    x = np.random.default_rng(0).standard_normal((gram.shape[0], top))
-    for _ in range(_MAX_STEPS):
+    across, back = (windows.tdot, windows.dot) if by_positions else (windows.dot, windows.tdot)
+    x = np.random.default_rng(0).standard_normal(shape)
+    for step in range(_MAX_STEPS):
         q, _ = np.linalg.qr(x)
-        gq = gram @ q
-        theta, w = np.linalg.eigh(q.T @ gq)
+        y = across(q)
+        theta, w = np.linalg.eigh(y.T @ y)
         theta, w = theta[::-1], w[:, ::-1]
-        vecs, x = q @ w, gq @ w
+        yw, vecs = y @ w, q @ w
+        x = back(yw)
         residual = np.linalg.norm(x[:, :n_modes] - vecs[:, :n_modes] * theta[:n_modes], axis=0)
-        if np.all(residual <= _RESIDUAL_TOL * theta[0]):
-            return theta, vecs
+        limit = _RESIDUAL_TOL * theta[0]
+        if np.all(residual <= limit):
+            return theta, (yw if by_positions else vecs)[:, :n_modes]
+        rate = max(theta[-1], 0.0) / theta[n_modes - 1] if theta[n_modes - 1] > 0 else 1.0
+        if step and residual.max() * rate ** (_MAX_STEPS - 1 - step) > limit:
+            return None
     return None
 
 

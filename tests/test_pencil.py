@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh, subspace_angles
 
@@ -189,6 +191,60 @@ class TestSubspaceIteration:
         vals, vecs = vals[::-1], vecs[:, ::-1][:, :4]
         assert np.array_equal(basis.singular_values, np.maximum(vals, 0.0))
         assert np.array_equal(basis.vectors, (f.T @ vecs) / np.sqrt(vals[:4]))
+
+    # pure noise, and two harmonics (rank 4) asked for 6 modes: neither Gram
+    # has a gap below the requested pairs
+    @pytest.mark.parametrize("case", ["noise", "two harmonics at 6 modes"])
+    def test_no_gap_falls_back_after_two_steps(self, monkeypatch, case):
+        if case == "noise":
+            region, n_modes = np.random.default_rng(5).normal(0, 1, (64, 64)), 4
+        else:
+            region, n_modes = _noisy_two_harmonics(), 6
+        events = []
+        tdot = pencil._WindowMatrix.tdot
+
+        def step(self, block):
+            events.append("step")
+            return tdot(self, block)
+
+        def dense(*args, **kwargs):
+            events.append("eigh")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(pencil._WindowMatrix, "tdot", step)
+        monkeypatch.setattr(pencil, "eigh", dense)
+        svd_windows(region, 21, n_modes)
+        assert events == ["step", "step", "eigh"]
+
+
+class TestWindowProducts:
+    """The FFT products of the window matrix against the matrix itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(3, 21),
+        n=st.integers(3, 21),
+        data=st.data(),
+    )
+    @example(m=64, n=64, data=None)  # position Gram (484 < 1849)
+    @example(m=15, n=9, data=None)  # lag Gram, odd and non-square
+    def test_products_match_the_explicit_window_matrix(self, m, n, data):
+        if data is None:
+            split, columns, seed = min(m, n) // 3, 3, 0
+        else:
+            split = data.draw(st.integers(1, min(m, n) - 2), label="split")
+            columns = data.draw(st.integers(1, 4), label="columns")
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        region = rng.normal(0, 1, (m, n))
+        wx, wy = m - split, n - split
+        f = sliding_window_view(region, (wx, wy)).reshape(-1, wx * wy)
+        windows = pencil._WindowMatrix(region, split, columns)
+        y = rng.normal(0, 1, (wx * wy, columns))
+        u = rng.normal(0, 1, ((split + 1) ** 2, columns))
+        for got, want in ((windows.dot(y), f @ y), (windows.tdot(u), f.T @ u)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestExtraction:

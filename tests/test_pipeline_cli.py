@@ -759,6 +759,41 @@ class TestCli:
         dests = {a.dest for p in sub.choices.values() for a in p._actions}
         assert {f.name for f in dataclasses.fields(PipelineConfig)} <= dests | {"post"}
 
+    def test_calls_share_one_parser(self, monkeypatch, tmp_path):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for _ in range(2):
+            assert main(["report", "--path", str(tmp_path / "missing.json")]) == EXIT_INPUT
+        assert built == []
+
+    def test_synth_pairs_do_not_carry_into_the_next_call(self, monkeypatch, tmp_path):
+        seen = []
+        synth = cli.synth_texture
+
+        def spy(pairs, *args, **kwargs):
+            seen.append(list(pairs))
+            return synth(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "synth_texture", spy)
+        for pair in ("0.1,0.05,10", "0.2,0.1,5,1"):
+            assert main(["synth", "--out", str(tmp_path / "t.pgm"), "--size", "16,16",
+                         "--pair", pair]) == EXIT_OK
+        assert seen == [[(0.1, 0.05, 10.0, 0.0)], [(0.2, 0.1, 5.0, 1.0)]]
+
+    def test_detect_after_track_keeps_the_hist_post_filter(self, monkeypatch, tmp_path):
+        posts = []
+
+        def spy(config, frames):
+            posts.append(config.post)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(cli, "run_pipeline", spy)
+        tex = self._synth(tmp_path)
+        assert main(["track", "--inputs", str(tex), str(tex), str(tex)]) == EXIT_USAGE
+        assert main(["detect", "--input", str(tex)]) == EXIT_USAGE
+        assert posts == ["track", "hist"]
+
     def test_report_of_the_older_config_still_loads(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
         report = tmp_path / "report.json"
