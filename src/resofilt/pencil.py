@@ -161,7 +161,7 @@ class _WindowMatrix:
 
     def __init__(self, region: np.ndarray, split: int, columns: int):
         m, n = region.shape
-        self._n = n
+        self._shape = (m, n)
         self._lags = (m - split, n - split)
         self._positions = (split + 1, split + 1)
         self._spectrum = np.fft.rfft2(region)
@@ -172,22 +172,23 @@ class _WindowMatrix:
 
     def dot(self, block: np.ndarray) -> np.ndarray:
         """F @ block for a (lags, columns) block."""
-        return self._correlate(block, self._lags, self._positions, self._to_positions)
+        return self._correlate(block, self._lags, self._to_positions)
 
     def tdot(self, block: np.ndarray) -> np.ndarray:
         """F^T @ block for a (positions, columns) block."""
-        return self._correlate(block, self._positions, self._lags, self._to_lags)
+        return self._correlate(block, self._positions, self._to_lags)
 
-    def _correlate(self, block, kernel, shape, out):
-        (kx, ky), (ox, oy) = kernel, shape
+    def _correlate(self, block, kernel, out):
+        (m, n), (kx, ky) = self._shape, kernel
+        ox, oy = m - kx + 1, n - ky + 1
         spec, rows = self._spec, self._rows[:, :ox]
         kernels = block.T.reshape(-1, kx, ky)[:, ::-1, ::-1]
-        np.fft.rfft(kernels, n=self._n, axis=2, out=spec[:, :kx])
+        np.fft.rfft(kernels, n=n, axis=2, out=spec[:, :kx])
         spec[:, kx:] = 0.0
         np.fft.fft(spec, axis=1, out=spec)
         spec *= self._spectrum
         np.fft.ifft(spec, axis=1, out=spec)
-        np.fft.irfft(spec[:, kx - 1 :], n=self._n, axis=2, out=rows)
+        np.fft.irfft(spec[:, kx - 1 :], n=n, axis=2, out=rows)
         np.copyto(out.reshape(-1, ox, oy), rows[:, :, ky - 1 :])
         return out.T
 
