@@ -5,7 +5,9 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -1238,3 +1240,22 @@ class TestCli:
                          "--mask-out", str(mask), "--report-out", str(report)]) == EXIT_OK
             outs.append((report.read_bytes(), mask.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def test_package_and_cli_load_without_scipy_ndimage():
+    # conftest imports ndimage for its oracle, so only a fresh interpreter
+    # shows what importing resofilt loads
+    script = (
+        "import sys\n"
+        "import resofilt, resofilt.cli\n"
+        "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage was imported'\n"
+        "print('ok')\n"
+    )
+    package_root = str(Path(pipeline.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

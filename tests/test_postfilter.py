@@ -14,11 +14,12 @@ from resofilt import (
     connected_components,
     density_verdict,
     histogram_difference,
+    synth_texture,
     track_filter,
 )
 from resofilt.postfilter import _histogram, combine_binaries, default_evidence_threshold
 
-from conftest import components_oracle
+from conftest import FOUR_PAIRS, components_oracle
 
 
 def _corners(boxes):
@@ -86,6 +87,107 @@ class TestConnectedComponents:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
     def test_zero_size_raster_has_no_components(self, shape):
         assert connected_components(np.zeros(shape, dtype=bool)) == []
+
+
+def _snake(rows, cols):
+    """One-pixel boustrophedon path: every other row flagged, consecutive
+    rows joined at alternate ends."""
+    raster = np.zeros((rows, cols), dtype=bool)
+    raster[::2] = True
+    raster[1::4, -1] = True
+    raster[3::4, 0] = True
+    return raster
+
+
+def _spiral(rows, cols):
+    """One-pixel inward spiral from the top-left corner, one blank pixel
+    between its turns."""
+    raster = np.zeros((rows, cols), dtype=bool)
+    x, y, dx, dy = 0, 0, 0, 1
+    raster[0, 0] = True
+    turns = 0
+    while turns < 2:
+        nx, ny, ax, ay = x + dx, y + dy, x + 2 * dx, y + 2 * dy
+        free = 0 <= nx < rows and 0 <= ny < cols and not raster[nx, ny]
+        blocked = 0 <= ax < rows and 0 <= ay < cols and raster[ax, ay]
+        if free and not blocked:
+            x, y, turns = nx, ny, 0
+            raster[x, y] = True
+        else:
+            dx, dy, turns = dy, -dx, turns + 1
+    return raster
+
+
+def _comb(rows, cols):
+    """Lines down every other column from seeded random heights, each joined
+    to the next by one pixel below both, so that the lines only meet at the
+    bottom and their first runs come in a scrambled order."""
+    raster = np.zeros((rows, cols), dtype=bool)
+    tops = np.random.default_rng(rows * cols).integers(0, rows - 2, (cols + 1) // 2)
+    for k, top in enumerate(tops):
+        raster[top : rows - 1, 2 * k] = True
+    raster[rows - 1, 1::2] = True
+    return raster
+
+
+_PATHS = {
+    "rows": _snake,
+    "columns": lambda rows, cols: _snake(cols, rows).T,
+    "spiral": _spiral,
+    "comb": _comb,
+}
+
+
+class TestRunLabelling:
+    """Row runs and their unions against the full-labelling oracle."""
+
+    @pytest.mark.parametrize("cols", [5, 6, 24, 257])
+    def test_run_at_the_last_column_does_not_wrap_into_the_next_row(self, cols):
+        # flat indices continue from (0, cols-1) to (1, 0), yet the pixels are apart
+        raster = np.zeros((3, cols), dtype=bool)
+        raster[0, -2:] = True
+        raster[1, :2] = True
+        raster[2, -1] = True
+        boxes = _corners(connected_components(raster))
+        assert boxes == components_oracle(raster)
+        assert boxes == [(0, cols - 2, 0, cols - 1), (1, 0, 1, 1), (2, cols - 1, 2, cols - 1)]
+
+    def test_first_and_last_columns_stay_two_lines(self):
+        raster = np.zeros((40, 9), dtype=bool)
+        raster[:, 0] = raster[:, -1] = True
+        assert _corners(connected_components(raster)) == [(0, 0, 39, 0), (0, 8, 39, 8)]
+
+    @pytest.mark.parametrize("shape", [(64, 257), (257, 64)])
+    @pytest.mark.parametrize("kind", list(_PATHS))
+    def test_snakes_and_spirals_are_one_component(self, shape, kind):
+        raster = _PATHS[kind](*shape)
+        boxes = _corners(connected_components(raster))
+        assert boxes == components_oracle(raster)
+        assert len(boxes) == 1
+        # cut the path in two: each piece keeps its own box
+        path = raster.copy()
+        path[np.unravel_index(np.flatnonzero(raster)[raster.sum() // 2], shape)] = False
+        assert _corners(connected_components(path)) == components_oracle(path)
+
+    @pytest.mark.parametrize("shape", [(1, 3000), (3000, 1), (40, 700), (700, 40), (97, 301)])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.6, 0.95])
+    @pytest.mark.parametrize("min_area", [1, 3])
+    def test_strips_and_wide_rasters(self, shape, density, min_area):
+        raster = np.random.default_rng(len(shape) + shape[0]).random(shape) < density
+        boxes = _corners(connected_components(raster, min_area=min_area))
+        assert boxes == components_oracle(raster, min_area)
+
+    @pytest.mark.parametrize("min_area", [1, 4])
+    def test_sparse_patches_and_speckle_on_a_1024_frame(self, min_area):
+        rng = np.random.default_rng(18)
+        raster = rng.random((1024, 1024)) < 0.01
+        for side in range(7, 16):
+            for _ in range(3):
+                x, y = rng.integers(0, 1024 - side, 2)
+                raster[x : x + side, y : y + side] = True
+        boxes = _corners(connected_components(raster, min_area=min_area))
+        assert boxes == components_oracle(raster, min_area)
+        assert len(boxes) >= 27
 
 
 class TestHistogramDifference:
@@ -179,6 +281,31 @@ class TestHistogramEquivalence:
         assert np.array_equal(ev.g_row, g_row)
         assert np.array_equal(ev.g_col, g_col)
         assert np.array_equal(ev.product, product)
+
+
+class TestEightBitBins:
+    @pytest.mark.filterwarnings("ignore:extended box clipped")
+    @pytest.mark.parametrize("levels", [256, 100, 2, 299])
+    def test_uint8_plane_gives_the_evidence_of_its_float_copy(self, levels):
+        # a seeded textured frame with dark and bright patches, some at the
+        # border, quantised to 8 bits as frames are read
+        rng = np.random.default_rng(9)
+        scene = 128.0 + 30.0 * synth_texture(FOUR_PAIRS, 160, 160, noise_sigma=0.3, seed=9)
+        boxes = []
+        for _ in range(12):
+            side = int(rng.integers(3, 16))
+            x, y = (int(v) for v in rng.integers(0, 160 - side, 2))
+            scene[x : x + side, y : y + side] = rng.choice([rng.uniform(0, 40),
+                                                            rng.uniform(215, 255)])
+            boxes.append(ObjectBox(x, y, x + side - 1, y + side - 1))
+        plane = np.clip(np.rint(scene), 0, 255).astype(np.uint8)
+        assert plane.max() >= levels or levels > 255
+        for box in boxes:
+            got = histogram_difference(plane, box, levels=levels)
+            want = histogram_difference(plane.astype(np.float64), box, levels=levels)
+            assert np.array_equal(got.g_row, want.g_row)
+            assert np.array_equal(got.g_col, want.g_col)
+            assert np.array_equal(got.product, want.product)
 
 
 class TestBinarize:
