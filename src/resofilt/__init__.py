@@ -59,7 +59,6 @@ from .postfilter import (
     HistogramEvidence,
     ObjectBox,
     TrackState,
-    TrackedObject,
     binarize_evidence,
     binary_correlation,
     connected_components,

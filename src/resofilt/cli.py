@@ -29,7 +29,7 @@ from .filtering import apply_filter
 from .harmonic import synth_texture
 from .imageio import ImageStack, draw_boxes, read_image, write_image
 from .model_doc import RunReport, doc_to_model, dump_json, load_json, model_to_doc
-from .pipeline import PipelineConfig, _channels, _diag_doc, design, estimate, run_pipeline
+from .pipeline import PipelineConfig, _channels, design, estimate, run_pipeline
 
 # Not called here: the benchmark's tracer (perfbench/tracing.py BINDINGS)
 # wraps these two names of this module and fails when they are missing.
@@ -232,7 +232,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _, model, diag = estimate(read_image(args.input), _config_from_args(args))
-    doc = model_to_doc(model, extra=_diag_doc(diag))
+    doc = model_to_doc(model, diagnostics=diag)
     text = dump_json(doc, args.model_out)
     if getattr(args, "report_out", None):
         dump_json(doc.get("diagnostics", {}), args.report_out)
@@ -245,7 +245,7 @@ def _cmd_design(args) -> int:
     config = _config_from_args(args)
     base, model, diag = estimate(read_image(args.input), config)
     filters = design(base, model, config)
-    dump_json(model_to_doc(model, filters, extra=_diag_doc(diag)), args.model_out)
+    dump_json(model_to_doc(model, filters, diagnostics=diag), args.model_out)
     return EXIT_OK
 
 

@@ -22,9 +22,9 @@ buffers stay in L2.  A strip reads only its own source rows, in both
 passes, and carries nothing to the next; it sums the same taps in the
 same order as a whole-plane pass, so strips do not change the result.
 Planes may be 8-bit: each strip's source rows are converted to float64
-as they are read, and the sums go into an output buffer the caller may
-own and reuse.  The detector ORs its verdicts into one boolean raster,
-strip by strip as well.
+as they are read, and the sums go into a ``FilterBuffers`` set the
+caller may own and reuse.  The detector ORs its verdicts into one
+boolean raster, strip by strip as well.
 """
 
 from __future__ import annotations
@@ -271,18 +271,12 @@ def _strip_rows(cols: int) -> int:
 def _buffer_shapes(shape, irf: IRFilter):
     """Shapes of ``apply_filter``'s buffers for planes of ``shape``: the
     output buffer, one strip's float64 source rows, and a rank-one
-    kernel's column-pass sums over them (None for other kernels)."""
+    kernel's column-pass sums over them (no rows for other kernels)."""
     ox, oy = _valid_shape(shape, irf.kernel.shape)
     w = shape[1]
     rows = min(_strip_rows(oy), ox)
     src = (rows + irf.kernel.shape[0] - 1, w)
-    return (ox, w), src, None if irf.factors is None else (rows, w)
-
-
-def filter_buffer(shape, irf: IRFilter) -> np.ndarray:
-    """Output buffer of ``apply_filter`` for planes of ``shape``: a new
-    C-contiguous float64 array of n_x - P + 1 rows and n_y columns."""
-    return np.empty(_buffer_shapes(shape, irf)[0])
+    return (ox, w), src, (0 if irf.factors is None else rows, w)
 
 
 @dataclass(frozen=True)
@@ -304,17 +298,16 @@ def filter_buffers(shape, filters) -> list:
     ``apply_filter`` call at a time between them."""
     needs = [_buffer_shapes(shape, irf) for irf in filters]
     src = np.empty(max(s for _, s, _ in needs))
-    cols = np.empty(max((c for _, _, c in needs if c), default=(0, shape[1])))
+    cols = np.empty(max(c for _, _, c in needs))
     return [FilterBuffers(np.empty(out), src, cols) for out, _, _ in needs]
 
 
 def _scratch(buf, shape):
-    """The leading ``shape[0]`` rows of the scratch buffer ``buf``, or a
-    new buffer when ``buf`` is None."""
-    if buf is None:
-        return np.empty(shape)
-    if buf.dtype != np.float64 or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
-        raise ValueError(f"scratch buffer {buf.shape} does not hold {shape} float64")
+    """The leading ``shape[0]`` rows of the float64 scratch buffer ``buf``."""
+    if (not isinstance(buf, np.ndarray) or buf.dtype != np.float64
+            or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]):
+        held = getattr(buf, "shape", buf)
+        raise ValueError(f"scratch buffer {held} does not hold {shape} float64")
     return buf[: shape[0]]
 
 
@@ -333,22 +326,21 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
 
     The sums land in a C-contiguous float64 (n_x - P + 1, W) buffer, and
     the result is its valid ``[:, :n_y - Q + 1]`` view; the last Q - 1
-    columns of each buffer row are scratch.  ``out`` is that buffer
-    (``filter_buffer`` makes one), or ``FilterBuffers`` that also hold the
-    strip scratch, so that repeated calls allocate nothing; when None,
-    every buffer is new.  A buffer serves one call at a time: the next
-    call that is given it overwrites the previous result.
+    columns of each buffer row are scratch.  ``out`` is a ``FilterBuffers``
+    set (``filter_buffers`` makes them) holding that buffer and the strip
+    scratch, so that repeated calls allocate nothing; when None, the call
+    makes a new set.  A set serves one call at a time: the next call that
+    is given it overwrites the previous result.
     """
     image = np.asarray(image)
     out_shape, src_shape, cols_shape = _buffer_shapes(image.shape, irf)
-    bufs = out if isinstance(out, FilterBuffers) else FilterBuffers(out, None, None)
-    out = np.empty(out_shape) if bufs.out is None else bufs.out
-    if out.shape != out_shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+    bufs = filter_buffers(image.shape, [irf])[0] if out is None else out
+    out = bufs.out
+    if (not isinstance(out, np.ndarray) or out.shape != out_shape
+            or out.dtype != np.float64 or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous float64 buffer of shape {out_shape}")
     src = _scratch(bufs.src, src_shape)
-    if irf.factors is not None:
-        col, row = irf.factors
-        cols = _scratch(bufs.cols, cols_shape)
+    cols = _scratch(bufs.cols, cols_shape)
     p = irf.kernel.shape[0]
     ox, oy = _valid_shape(image.shape, irf.kernel.shape)
     step = _strip_rows(oy)
@@ -359,6 +351,7 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
         if irf.factors is None:
             _correlate_valid(rows, irf.kernel, out=out[a:b])
         else:
+            col, row = irf.factors
             _correlate_valid(rows, col[:, np.newaxis], out=cols[: b - a])
             _correlate_valid(cols[: b - a], row[np.newaxis, :], out=out[a:b])
     return out[:, :oy]

@@ -11,7 +11,7 @@ document rewrites an existing file in place.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,21 @@ def _to_complex(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
-def model_to_doc(model: HarmonicModel, filters=(), extra=None) -> dict:
+def _diag_doc(diag) -> dict:
+    out = {}
+    for key, value in asdict(diag).items():
+        if isinstance(value, np.ndarray):
+            out[key] = [float(v) for v in value]
+        elif isinstance(value, np.bool_):
+            out[key] = bool(value)
+        elif isinstance(value, (np.floating, np.integer)):
+            out[key] = float(value)
+        else:
+            out[key] = value
+    return out
+
+
+def model_to_doc(model: HarmonicModel, filters=(), diagnostics=None) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "resonance-model",
@@ -58,8 +72,8 @@ def model_to_doc(model: HarmonicModel, filters=(), extra=None) -> dict:
             for f in filters
         ],
     }
-    if extra:
-        doc["diagnostics"] = extra
+    if diagnostics is not None:
+        doc["diagnostics"] = _diag_doc(diagnostics)
     return doc
 
 

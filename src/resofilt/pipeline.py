@@ -32,7 +32,6 @@ from .linear_symmetry import estimate_model_ls
 from .model_doc import RunReport, model_to_doc
 from .pencil import default_split, estimate_model_pencil
 from .postfilter import (
-    TrackedObject,
     TrackState,
     binarize_evidence,
     binary_correlation,
@@ -278,20 +277,6 @@ def design(base: ImageStack, model: HarmonicModel, config: PipelineConfig) -> li
         ]
 
 
-def _diag_doc(diag) -> dict:
-    out = {}
-    for key, value in asdict(diag).items():
-        if isinstance(value, np.ndarray):
-            out[key] = [float(v) for v in value]
-        elif isinstance(value, np.bool_):
-            out[key] = bool(value)
-        elif isinstance(value, (np.floating, np.integer)):
-            out[key] = float(value)
-        else:
-            out[key] = value
-    return out
-
-
 def _box_doc(box) -> dict:
     return {"x0": box.x0, "y0": box.y0, "x1": box.x1, "y1": box.y1}
 
@@ -331,16 +316,13 @@ def _track_window(start: int, recent, config: PipelineConfig):
     of (positive raster, boxes) pairs; return the confirmed boxes and the
     window's report record."""
     boxes = recent[0][1]
-    objects = tuple(
-        TrackedObject(center=b.center, size=(b.height, b.width), box=b) for b in boxes
-    )
     state = TrackState(
         masks=tuple(raster for raster, _ in recent),
-        objects=objects,
+        objects=tuple(boxes),
         r_threshold=config.track_threshold,
     )
-    ratios = [binary_correlation(state, i) for i in range(len(objects))]
-    confirmed = track_filter(state, ratios=ratios)
+    ratios = [binary_correlation(state, i) for i in range(len(boxes))]
+    confirmed = track_filter(state, ratios)
     record = {
         "frame": start,
         "boxes": [_box_doc(b) for b in boxes],
@@ -429,7 +411,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     if config.post == "track" and len(per_frame_boxes) < config.track_window:
         raise ConfigError("track_window: more frames than provided are required")
 
-    model_doc = model_to_doc(model, filters, extra=_diag_doc(diag))
+    model_doc = model_to_doc(model, filters, diagnostics=diag)
     report = RunReport(
         config=_config_doc(config),
         model=model_doc,

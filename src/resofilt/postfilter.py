@@ -5,9 +5,9 @@ surrounding ring through per-row and per-column gray-level histograms;
 the outer product of the differences concentrates where the object really
 differs, and a density rule over small cells gives the verdict.
 
-Dynamic scenes: candidate objects are confirmed by the overlap ratio of
-detection masks across a short window of consecutive frames; transient
-speckle decorrelates and is dropped.
+Dynamic scenes: candidate boxes are confirmed by the overlap ratio of
+detection masks, in each box's window, across a short run of consecutive
+frames; transient speckle decorrelates and is dropped.
 
 Coordinates follow (row, column) = (x, y) throughout, boxes inclusive.
 """
@@ -68,14 +68,6 @@ class HistogramEvidence:
     g_row: np.ndarray
     g_col: np.ndarray
     product: np.ndarray
-    levels: int
-
-
-@dataclass(frozen=True)
-class TrackedObject:
-    center: tuple
-    size: tuple
-    box: ObjectBox
 
 
 @dataclass(frozen=True)
@@ -83,9 +75,9 @@ class TrackState:
     """Immutable snapshot of L consecutive detection masks plus candidates.
 
     ``masks`` are kept as boolean support rasters (positive entries of
-    the given rasters, mask convention of the detector).  A boolean raster,
-    such as ``DetectionMask.positive()``, is kept as given, not copied;
-    ``objects`` are the frame-0 candidates to confirm.
+    the given rasters, mask convention of the detector), all of one shape.
+    A boolean raster, such as ``DetectionMask.positive()``, is kept as
+    given, not copied; ``objects`` are the frame-0 boxes to confirm.
     """
 
     masks: tuple
@@ -97,7 +89,10 @@ class TrackState:
             raise ValueError("at least one frame is required")
         if not (0.0 <= self.r_threshold <= 1.0):
             raise ValueError("r_threshold must lie in [0, 1]")
-        object.__setattr__(self, "masks", tuple(_support(m) for m in self.masks))
+        masks = tuple(_support(m) for m in self.masks)
+        if any(m.shape != masks[0].shape for m in masks):
+            raise ValueError(f"masks differ in shape: {[m.shape for m in masks]}")
+        object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "objects", tuple(self.objects))
 
 
@@ -242,7 +237,7 @@ def histogram_difference(
     g_row = row_counts.reshape(rows, levels) / float(cols) - g_ring
     g_col = col_counts.reshape(levels, cols) / float(rows) - g_ring[:, np.newaxis]
 
-    return HistogramEvidence(g_row=g_row, g_col=g_col, product=g_row @ g_col, levels=levels)
+    return HistogramEvidence(g_row=g_row, g_col=g_col, product=g_row @ g_col)
 
 
 def binarize_evidence(product: np.ndarray, epsilon_c: float) -> np.ndarray:
@@ -292,25 +287,24 @@ def combine_binaries(binaries, mode: str = "or") -> np.ndarray:
     raise ValueError(f"unknown combination mode {mode!r}")
 
 
-def _window_slices(center, size, shape):
-    hi, hk = size[0] // 2, size[1] // 2
-    x0 = max(0, center[0] - hi)
-    x1 = min(shape[0] - 1, center[0] + hi)
-    y0 = max(0, center[1] - hk)
-    y1 = min(shape[1] - 1, center[1] + hk)
-    return slice(x0, x1 + 1), slice(y0, y1 + 1)
+def _window_slices(box: ObjectBox):
+    """Correlation window of a box: its centre +- half its side per axis, so
+    an even side spans side + 1 pixels from one pixel before the box.
+    Clipped at row and column 0 here, and at the far edges by the slicing."""
+    cx, cy = box.center
+    hi, hk = box.height // 2, box.width // 2
+    return slice(max(0, cx - hi), cx + hi + 1), slice(max(0, cy - hk), cy + hk + 1)
 
 
 def binary_correlation(track: TrackState, object_index: int) -> float:
     """Mask overlap ratio of one candidate across the frame window.
 
-    r = sum_t |{v0 > 0} and {vt > 0}| / sum_t |{vt > 0}| over the object
-    window; 1 when every frame repeats the frame-0 support, small when
-    later frames are disorganised.  An all-empty window yields 0 with a
-    warning.
+    r = sum_t |{v0 > 0} and {vt > 0}| / sum_t |{vt > 0}| over the object's
+    correlation window (``_window_slices``); 1 when every frame repeats the
+    frame-0 support, small when later frames are disorganised.  An
+    all-empty window yields 0 with a warning.
     """
-    obj = track.objects[object_index]
-    sx, sy = _window_slices(obj.center, obj.size, track.masks[0].shape)
+    sx, sy = _window_slices(track.objects[object_index])
     ref = track.masks[0][sx, sy]
     numerator = 0
     denominator = 0
@@ -324,19 +318,17 @@ def binary_correlation(track: TrackState, object_index: int) -> float:
     return numerator / denominator
 
 
-def track_filter(track: TrackState, extension: int = 7, ratios=None):
+def track_filter(track: TrackState, ratios, extension: int = 7):
     """Confirmed objects, re-emitted with their background-extended boxes.
 
-    ``ratios`` are the objects' ``binary_correlation`` values when the
-    caller has them already; by default they are computed here.
+    ``ratios`` holds each object's ``binary_correlation`` value; an object
+    whose ratio exceeds the track's threshold is confirmed.
     """
-    if ratios is None:
-        ratios = [binary_correlation(track, i) for i in range(len(track.objects))]
     if len(ratios) != len(track.objects):
         raise ValueError("one correlation ratio per object is required")
     shape = track.masks[0].shape
     confirmed = []
-    for obj, r in zip(track.objects, ratios):
+    for box, r in zip(track.objects, ratios):
         if r > track.r_threshold:
-            confirmed.append(obj.box.extended(extension, shape))
+            confirmed.append(box.extended(extension, shape))
     return confirmed

@@ -15,7 +15,6 @@ from resofilt import (
     PolynomialCoeffs,
     TextureKernel,
     TrackState,
-    TrackedObject,
     apply_filter,
     binarize_evidence,
     binary_correlation,
@@ -248,14 +247,7 @@ class TestCriterion8BinaryCorrelation:
         mask = np.zeros((20, 20))
         mask[5:9, 6:11] = 3.0
         boxes = connected_components(mask)
-        state = TrackState(
-            masks=(mask, mask, mask),
-            objects=tuple(
-                TrackedObject(center=b.center, size=(b.height, b.width), box=b)
-                for b in boxes
-            ),
-            r_threshold=0.3,
-        )
+        state = TrackState(masks=(mask, mask, mask), objects=tuple(boxes), r_threshold=0.3)
         assert binary_correlation(state, 0) == 1.0
 
     def test_disjoint_ten_each(self):
@@ -268,7 +260,7 @@ class TestCriterion8BinaryCorrelation:
         box = ObjectBox(6, 10, 14, 19)
         state = TrackState(
             masks=(f0, f1, f2),
-            objects=(TrackedObject(center=box.center, size=(9, 10), box=box),),
+            objects=(box,),
             r_threshold=0.3,
         )
         assert binary_correlation(state, 0) == pytest.approx(1.0 / 3.0)
@@ -315,14 +307,7 @@ class TestCriterion8BinaryCorrelation:
                 f += obj
                 frames.append(f)
             boxes = connected_components(frames[0] > 0, min_area=1)
-            state = TrackState(
-                masks=tuple(frames),
-                objects=tuple(
-                    TrackedObject(center=b.center, size=(b.height, b.width), box=b)
-                    for b in boxes
-                ),
-                r_threshold=0.3,
-            )
+            state = TrackState(masks=tuple(frames), objects=tuple(boxes), r_threshold=0.3)
             ratios = [binary_correlation(state, i) for i in range(len(boxes))]
             persist = [
                 i

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from resofilt import (
     vandermonde,
 )
 from resofilt import filtering, pipeline
-from resofilt.filtering import FilterBuffers, _correlate_valid, filter_buffer, filter_buffers
+from resofilt.filtering import FilterBuffers, _correlate_valid, filter_buffers
 from resofilt.model_doc import dump_json
 
 from conftest import FOUR_PAIRS, pairs_subset, unit_roots
@@ -170,9 +171,10 @@ class TestApplyFilter:
         for kernel in (np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)),
                        rng.normal(0, 1, (5, 4))):
             irf = IRFilter(kernel, 0.0, 1.0)
-            out = filter_buffer(image.shape, irf)
+            bufs = filter_buffers(image.shape, [irf])[0]
+            out = bufs.out
             assert out.shape == (26, 20) and out.flags.c_contiguous
-            got = apply_filter(image, irf, out=out)
+            got = apply_filter(image, irf, out=bufs)
             assert got.shape == (26, 17) and np.shares_memory(got, out)
             assert np.array_equal(got, apply_filter(image, irf))
 
@@ -185,14 +187,17 @@ class TestApplyFilter:
             lambda ox, w: np.empty((ox, w), dtype=complex),
             lambda ox, w: np.empty((ox, w), order="F"),
             lambda ox, w: np.empty((ox, 2 * w))[:, ::2],
+            lambda ox, w: None,
         ],
-        ids=["valid-shape", "rows", "float32", "complex", "fortran", "strided"],
+        ids=["valid-shape", "rows", "float32", "complex", "fortran", "strided", "none"],
     )
     def test_wrong_out_buffer_raises(self, rng, make):
         image = rng.normal(0, 1, (30, 20))
         for kernel in (np.ones((5, 4)), rng.normal(0, 1, (5, 4))):
+            irf = IRFilter(kernel, 0.0, 1.0)
+            bufs = replace(filter_buffers(image.shape, [irf])[0], out=make(26, 20))
             with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
-                apply_filter(image, IRFilter(kernel, 0.0, 1.0), out=make(26, 20))
+                apply_filter(image, irf, out=bufs)
 
     def test_daxpy_is_one_fused_multiply_add_at_any_offset(self, rng):
         # The bit-exact tests pin this contract of the BLAS: every element
@@ -696,12 +701,12 @@ class TestStrips:
         irf = IRFilter(kernel, flat_level=0.0, sigma2=1.0)
         plane = rng.integers(0, 256, shape, dtype=np.uint8)
         reference = apply_filter(plane.astype(float), irf)
-        out = filter_buffer(shape, irf)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filtering, "STRIP_BYTES", 8 * oy * strip)
-            apply_filter(rng.integers(0, 256, shape, dtype=np.uint8), irf, out=out)
-            got = apply_filter(plane, irf, out=out)
-        assert np.shares_memory(got, out)
+            bufs = filter_buffers(shape, [irf])[0]
+            apply_filter(rng.integers(0, 256, shape, dtype=np.uint8), irf, out=bufs)
+            got = apply_filter(plane, irf, out=bufs)
+        assert np.shares_memory(got, bufs.out)
         assert np.array_equal(got, reference)
 
     def test_run_buffers_share_strip_scratch_and_change_no_result(self, rng, monkeypatch):
@@ -726,6 +731,13 @@ class TestStrips:
         short = FilterBuffers(bufs[0].out, bufs[0].src[:6], bufs[0].cols)
         with pytest.raises(ValueError, match="scratch buffer"):
             apply_filter(plane, filters[0], out=short)
+        # a missing or non-float64 scratch buffer is refused, whatever the
+        # kernel's kind, before the filter runs
+        for irf, buf in zip(filters, bufs):
+            for name in ("src", "cols"):
+                for bad in (None, getattr(buf, name).astype(np.float32)):
+                    with pytest.raises(ValueError, match="scratch buffer"):
+                        apply_filter(plane, irf, out=replace(buf, **{name: bad}))
 
     @given(
         p=st.integers(1, 17),

@@ -393,7 +393,7 @@ class TestConfigValidation:
         assert _defaults(postfilter.histogram_difference) == {"e": 7, "levels": 256}
         assert _defaults(postfilter.density_verdict) == {"cell_size": 5, "fill": 0.75}
         assert _defaults(postfilter.combine_binaries) == {"mode": "or"}
-        assert _defaults(postfilter.track_filter) == {"extension": 7, "ratios": None}
+        assert _defaults(postfilter.track_filter) == {"extension": 7}
 
     @given(
         field=st.sampled_from(

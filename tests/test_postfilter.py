@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from resofilt import (
     ObjectBox,
     TrackState,
-    TrackedObject,
     binarize_evidence,
     binary_correlation,
     connected_components,
@@ -17,7 +16,12 @@ from resofilt import (
     synth_texture,
     track_filter,
 )
-from resofilt.postfilter import _histogram, combine_binaries, default_evidence_threshold
+from resofilt.postfilter import (
+    _histogram,
+    _window_slices,
+    combine_binaries,
+    default_evidence_threshold,
+)
 
 from conftest import FOUR_PAIRS, components_oracle
 
@@ -404,10 +408,7 @@ class TestDensityVerdict:
 
 
 def _track(masks, boxes, threshold=0.3):
-    objects = tuple(
-        TrackedObject(center=b.center, size=(b.height, b.width), box=b) for b in boxes
-    )
-    return TrackState(masks=tuple(masks), objects=objects, r_threshold=threshold)
+    return TrackState(masks=tuple(masks), objects=tuple(boxes), r_threshold=threshold)
 
 
 class TestBinaryCorrelation:
@@ -446,6 +447,30 @@ class TestBinaryCorrelation:
                 r = binary_correlation(state, i)
                 assert 0.0 <= r <= 1.0
 
+    @pytest.mark.parametrize(
+        "box, window",
+        [
+            ((4, 5, 6, 9), (4, 5, 6, 9)),
+            ((4, 5, 7, 9), (3, 5, 7, 9)),
+            ((4, 5, 6, 8), (4, 4, 6, 8)),
+            ((2, 2, 5, 5), (1, 1, 5, 5)),
+            ((0, 5, 3, 9), (0, 5, 3, 9)),
+            ((4, 0, 6, 3), (4, 0, 6, 3)),
+        ],
+        ids=["odd", "even-height", "even-width", "even-both", "row-0", "column-0"],
+    )
+    def test_window_is_the_centre_plus_minus_half_the_side(self, rng, box, window):
+        # an odd side spans the box, an even side adds the row above or the
+        # column to the left, and a window is clipped at row and column 0
+        sx, sy = _window_slices(ObjectBox(*box))
+        assert (sx.start, sy.start, sx.stop - 1, sy.stop - 1) == window
+        # the ratio reads that window and nothing else
+        masks = [rng.random((12, 12)) < 0.5 for _ in range(3)]
+        x0, y0, x1, y1 = window
+        cut = [m[x0 : x1 + 1, y0 : y1 + 1] for m in masks]
+        want = sum(int((cut[0] & c).sum()) for c in cut) / sum(int(c.sum()) for c in cut)
+        assert binary_correlation(_track(masks, [ObjectBox(*box)]), 0) == want
+
 
 class TestTrackStateMasks:
     def test_masks_kept_as_boolean_support(self):
@@ -453,6 +478,14 @@ class TestTrackStateMasks:
         state = _track([m], [])
         assert state.masks[0].dtype == bool
         assert state.masks[0].tolist() == [[False, True], [False, True]]
+
+    def test_masks_of_different_shapes_raise(self):
+        # a short frame would broadcast its window against frame 0's and
+        # give a ratio outside [0, 1]
+        f0 = np.zeros((20, 20))
+        f0[5:9, 6:11] = 1.0
+        with pytest.raises(ValueError, match=r"\(20, 20\), \(5, 20\), \(20, 20\)"):
+            _track([f0, np.ones((5, 20)), f0], [ObjectBox(5, 6, 8, 10)])
 
     def test_boolean_raster_is_not_copied(self):
         m = np.zeros((6, 6), dtype=bool)
@@ -477,7 +510,8 @@ class TestTrackFilter:
         m[5:9, 5:9] = 1.0
         m[20:24, 20:24] = 1.0
         state = _track([m, m, m], connected_components(m))
-        assert len(track_filter(state, extension=1)) == 2
+        ratios = [binary_correlation(state, i) for i in range(len(state.objects))]
+        assert len(track_filter(state, ratios, extension=1)) == 2
         assert len(track_filter(state, extension=1, ratios=[1.0, 1.0])) == 2
         kept = track_filter(state, extension=1, ratios=[0.0, 1.0])
         assert [(b.x0, b.y0) for b in kept] == [(19, 19)]
@@ -499,7 +533,8 @@ class TestTrackFilter:
         f2 = f1.copy()
         boxes = connected_components(f0)
         state = _track([f0, f1, f2], boxes)
-        confirmed = track_filter(state, extension=2)
+        ratios = [binary_correlation(state, i) for i in range(len(boxes))]
+        confirmed = track_filter(state, ratios, extension=2)
         assert len(confirmed) == 1
         c = confirmed[0]
         assert (c.x0, c.y0, c.x1, c.y1) == (8, 8, 16, 16)  # extended by 2
