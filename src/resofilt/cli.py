@@ -71,15 +71,6 @@ def _pair_spec(text: str):
     return (fx, fy, amp, phase)
 
 
-def _e_policy(text: str):
-    """A number where the text parses as one; any other text is left for
-    PipelineConfig.validate to accept ('mean') or reject."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _listed(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -94,10 +85,12 @@ def _add_common_estimation(p: _Parser):
     p.add_argument("--split", type=int,
                    help="splitting parameter of the pencil estimator, in "
                         "[P, min(H, W) - 2] of the base region")
-    p.add_argument("--plain", dest="symmetric", action="store_false",
-                   help="plain (non-palindromic) coefficient solve")
-    p.add_argument("--no-project", dest="project_roots", action="store_false",
-                   help="keep raw root moduli (no unit-circle projection)")
+
+
+def _add_common_detection(p: _Parser):
+    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
+    p.add_argument("--multiplier", dest="sigma_multiplier", type=float, metavar="MULTIPLIER")
+    p.add_argument("--min-area", type=int)
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -133,8 +126,6 @@ def build_parser() -> _Parser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
-    p.add_argument("--no-dc", dest="dc_root", action="store_false",
-                   help="do not add a unit root (such a model cannot be designed)")
     p.add_argument("--model-out", default=None)
     p.add_argument("--report-out", default=None, help="diagnostics dump")
 
@@ -143,10 +134,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
     p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
-    p.add_argument("--e-policy", type=_e_policy,
-                   help="flat level: 'mean' (of the base region) or an "
-                        "explicit number; 0 gives an all-zero kernel, which "
-                        "is a numeric failure")
     p.add_argument("--model-out", required=True)
 
     p = sub.add_parser("filter", help="apply designed filters to an image")
@@ -158,9 +145,7 @@ def build_parser() -> _Parser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
-    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
-    p.add_argument("--multiplier", dest="sigma_multiplier", type=float, metavar="MULTIPLIER")
-    p.add_argument("--min-area", type=int)
+    _add_common_detection(p)
     p.add_argument("--post", choices=("hist", "none"))
     p.add_argument("--hist-epsilon", type=float,
                    help="evidence threshold (default: mean + 2 std policy)")
@@ -175,9 +160,7 @@ def build_parser() -> _Parser:
     p.set_defaults(post="track")
     p.add_argument("--inputs", nargs="+", required=True)
     _add_common_estimation(p)
-    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
-    p.add_argument("--multiplier", dest="sigma_multiplier", type=float, metavar="MULTIPLIER")
-    p.add_argument("--min-area", type=int)
+    _add_common_detection(p)
     p.add_argument("--window", dest="track_window", type=int, metavar="WINDOW",
                    help="frame window L")
     p.add_argument("--threshold", dest="track_threshold", type=float, metavar="THRESHOLD",
@@ -203,6 +186,8 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"noise: {args.noise} is not a finite number >= 0")
     if args.frames < 1:
         raise ConfigError(f"frames: {args.frames} is not a positive count")
+    if args.seed < 0:
+        raise ConfigError(f"seed: {args.seed} is not an integer >= 0")
     values = [("mean", args.mean), ("patch-value", args.patch_value)]
     values += [("pair", v) for pair in args.pair for v in pair[2:]]  # amplitude, phase
     for name, value in values:

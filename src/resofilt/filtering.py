@@ -158,32 +158,24 @@ def _unit_lagrange(roots: ResonanceRoots, axis: str):
 
 
 def design_filter(
-    base_region: np.ndarray,
-    model: HarmonicModel,
-    e_policy="mean",
-    channel: str = "gray",
+    base_region: np.ndarray, model: HarmonicModel, channel: str = "gray"
 ) -> IRFilter:
     """Design the inverse filter of a base region under a harmonic model.
 
     The kernel is (E / A_uu) hx hy^T: hx and hy are the axes' unit-root
     Lagrange polynomials and A_uu is the base region's unit-root amplitude,
     so every texture in the model span filters to the flat level E, the
-    region's mean (``e_policy='mean'``) or a given number.  A model without
-    a unit root raises ModelError; no mean component, a model that is not
-    conjugate-closed or an all-zero kernel (E = 0, which flags nothing)
-    raise NumericError.  The noise dispersion is the filtered base region's
-    mean squared deviation from E.
+    region's mean.  A model without a unit root raises ModelError; no mean
+    component, a model that is not conjugate-closed or an all-zero kernel
+    (a zero-mean region, whose E = 0 flags nothing) raise NumericError.
+    The noise dispersion is the filtered base region's mean squared
+    deviation from E.
     """
     base_region = np.asarray(base_region, dtype=float)
     p, q = model.order
     if base_region.shape[0] < p + 1 or base_region.shape[1] < q + 1:
         raise ValueError(f"base region {base_region.shape} must exceed the model order ({p}, {q})")
-    if e_policy == "mean":
-        flat = float(base_region.mean())
-    elif isinstance(e_policy, (int, float)) and not isinstance(e_policy, bool):
-        flat = float(e_policy)
-    else:
-        raise ValueError(f"unknown flat-level policy {e_policy!r}")
+    flat = float(base_region.mean())
     ux, hx = _unit_lagrange(model.zx, "x")
     uy, hy = _unit_lagrange(model.zy, "y")
 

@@ -32,14 +32,16 @@ class LsSolution:
     """Estimated coefficients plus the model-error dispersion.
 
     ``rho_last`` is the last diagonal element of the inverse correlation
-    matrix; ``sigma2`` is its reciprocal.  ``degenerate`` flags solves that
-    needed ridge regularisation (rank-deficient input, typically an order
-    above the data rank).
+    matrix; ``sigma2`` is its reciprocal.  ``condition`` is the condition
+    number of the block the solve inverted, and ``degenerate`` flags that
+    it exceeded COND_LIMIT, so the solve needed ridge regularisation
+    (rank-deficient input, typically an order above the data rank).
     """
 
     coeffs: PolynomialCoeffs
     sigma2: float
     rho_last: float
+    condition: float
     degenerate: bool = False
 
 
@@ -72,10 +74,10 @@ def marginal_correlations(image: np.ndarray, window_x: int, window_y: int):
 def _guarded_inverse(r: np.ndarray):
     """Inverse with a scale-relative ridge fallback for rank-deficient input.
 
-    Returns (inverse, degenerate_flag).  A hard error is reserved for
-    non-finite or all-zero input; a singular but structured matrix (an
-    exact annihilation order) still carries the information we need in its
-    dominant inverse directions.
+    Returns (inverse, condition number, degenerate flag).  A hard error is
+    reserved for non-finite or all-zero input; a singular but structured
+    matrix (an exact annihilation order) still carries the information we
+    need in its dominant inverse directions.
     """
     if not np.all(np.isfinite(r)):
         raise NumericError("correlation matrix has non-finite entries")
@@ -86,7 +88,7 @@ def _guarded_inverse(r: np.ndarray):
     degenerate = bool(not np.isfinite(cond) or cond > COND_LIMIT)
     if degenerate:
         r = r + (_RIDGE * scale) * np.eye(r.shape[0])
-    return np.linalg.inv(r), degenerate
+    return np.linalg.inv(r), float(cond), degenerate
 
 
 def ls_coefficients(corr, order: int) -> LsSolution:
@@ -106,7 +108,7 @@ def ls_coefficients(corr, order: int) -> LsSolution:
             f"correlation matrix of size {r.shape[0]} cannot support order {order}: "
             f"lags 0..{order} are required"
         )
-    rho, degenerate = _guarded_inverse(r[:m, :m])
+    rho, cond, degenerate = _guarded_inverse(r[:m, :m])
     last = rho[:, -1]
     denom = last[-1]
     if denom <= 0.0:
@@ -117,6 +119,7 @@ def ls_coefficients(corr, order: int) -> LsSolution:
         coeffs=PolynomialCoeffs(a),
         sigma2=1.0 / denom,
         rho_last=float(denom),
+        condition=cond,
         degenerate=degenerate,
     )
 
@@ -139,7 +142,7 @@ def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
             f"lags 0..{p} are required"
         )
 
-    rho, degenerate = _guarded_inverse(r_full[:p, :p])
+    rho, cond, degenerate = _guarded_inverse(r_full[:p, :p])
     rho_last = float(rho[-1, -1])
     if rho_last <= 0.0:
         raise NumericError("inverse correlation has non-positive last diagonal entry")
@@ -168,6 +171,7 @@ def ls_symmetric_coefficients(corr, order: int) -> LsSolution:
         coeffs=PolynomialCoeffs(a, symmetric=True),
         sigma2=1.0 / rho_last,
         rho_last=rho_last,
+        condition=cond,
         degenerate=degenerate,
     )
 
@@ -183,38 +187,31 @@ class LsDiagnostics:
     fit_residual: float
 
 
-def estimate_model_ls(
-    region: np.ndarray,
-    order_x: int,
-    order_y: int,
-    symmetric: bool = True,
-    project: bool = True,
-    dc_root: bool = True,
-):
+def estimate_model_ls(region: np.ndarray, order_x: int, order_y: int, dc_root: bool = True):
     """Full LS estimate of a region: per-axis roots plus joint amplitudes.
 
-    Roots come from the axis marginals of the 2D lag correlation
-    (symmetric palindromic solve by default).  The estimate runs on the mean-removed
-    region; with ``dc_root`` a unit root is appended to both axes and the
-    amplitudes are fitted on the raw region so the mean rides on it.
-    Returns (HarmonicModel, LsDiagnostics).
+    Roots come from the palindromic solve on each axis marginal of the 2D
+    lag correlation, projected onto the unit circle.  The estimate runs on
+    the mean-removed region; with ``dc_root`` a unit root is appended to
+    both axes and the amplitudes are fitted on the raw region so the mean
+    rides on it.  The diagnostics' condition numbers are those the solves
+    judged.  Returns (HarmonicModel, LsDiagnostics).
     """
     region = np.asarray(region, dtype=float)
     work = region - region.mean() if dc_root else region
     rx, ry = marginal_correlations(work, order_x + 1, order_y + 1)
-    solver = ls_symmetric_coefficients if symmetric else ls_coefficients
-    sol_x = solver(rx, order_x)
-    sol_y = solver(ry, order_y)
-    zx = polynomial_roots(sol_x.coeffs, project=project)
-    zy = polynomial_roots(sol_y.coeffs, project=project)
+    sol_x = ls_symmetric_coefficients(rx, order_x)
+    sol_y = ls_symmetric_coefficients(ry, order_y)
+    zx = polynomial_roots(sol_x.coeffs, project=True)
+    zy = polynomial_roots(sol_y.coeffs, project=True)
     model = fit_estimate(region, zx, zy, dc_root)
     diag = LsDiagnostics(
         sigma2_x=sol_x.sigma2,
         sigma2_y=sol_y.sigma2,
         degenerate_x=sol_x.degenerate,
         degenerate_y=sol_y.degenerate,
-        condition_x=float(np.linalg.cond(rx)),
-        condition_y=float(np.linalg.cond(ry)),
+        condition_x=sol_x.condition,
+        condition_y=sol_y.condition,
         fit_residual=model.fit_residual,
     )
     return model, diag

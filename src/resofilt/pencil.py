@@ -323,18 +323,16 @@ class PencilDiagnostics:
 
 
 def estimate_model_pencil(
-    region: np.ndarray,
-    n_modes: int,
-    split: int = None,
-    project: bool = True,
-    dc_root: bool = True,
+    region: np.ndarray, n_modes: int, split: int = None, dc_root: bool = True
 ):
     """Full pencil estimate of a region: roots of both axes plus amplitudes.
 
-    The estimate runs on the mean-removed region; with ``dc_root`` a unit
-    root is appended to both axes afterwards and the amplitudes are fitted
-    on the raw region, so the mean rides on the unit-root component.
-    Returns (HarmonicModel, PencilDiagnostics).
+    The estimate runs on the mean-removed region, and its roots are
+    projected onto the unit circle; the diagnostics' dampings are those of
+    the roots before projection.  With ``dc_root`` a unit root is appended
+    to both axes afterwards and the amplitudes are fitted on the raw
+    region, so the mean rides on the unit-root component.  Returns
+    (HarmonicModel, PencilDiagnostics).
     """
     region = np.asarray(region, dtype=float)
     work = region - region.mean() if dc_root else region
@@ -343,16 +341,13 @@ def estimate_model_pencil(
     basis = svd_windows(work, split, n_modes)
     u0, ux, uy = extract_submatrices(basis)
     gram_inv = gram_inverse_direct(u0)
-    zx = pencil_eigenvalues(u0, ux, gram_inv)
-    zy = pencil_eigenvalues(u0, uy, gram_inv)
-    raw_dampings = (zx.dampings, zy.dampings)
-    if project:
-        zx, zy = zx.projected(), zy.projected()
+    zx = pencil_eigenvalues(u0, ux, gram_inv).projected()
+    zy = pencil_eigenvalues(u0, uy, gram_inv).projected()
     model = fit_estimate(region, zx, zy, dc_root)
     diag = PencilDiagnostics(
         singular_values=basis.singular_values,
-        dampings_x=raw_dampings[0],
-        dampings_y=raw_dampings[1],
+        dampings_x=zx.dampings,
+        dampings_y=zy.dampings,
         split=split,
         fit_residual=model.fit_residual,
     )

@@ -59,10 +59,6 @@ def _integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _valid_e_policy(policy) -> bool:
-    return policy == "mean" if isinstance(policy, str) else _finite_number(policy)
-
-
 @dataclass
 class PipelineConfig:
     """Run settings; defaults follow the reference operating points.
@@ -75,19 +71,18 @@ class PipelineConfig:
     fixed operating points (ring width 7 over 256 levels, 5x5 cells at
     0.75 fill, the "or" channel rule, track boxes grown by 7) are the
     defaults of the ``postfilter`` functions, which the pipeline calls
-    with them.
+    with them.  The method itself has no switches: the ls estimator solves
+    for palindromic coefficients (so its orders are even), both estimators
+    project their roots onto the unit circle and append the unit root, and
+    every filter drives the texture to the base region's mean.
     """
 
     base_region: tuple = (0, 0, 64, 64)
     order: tuple = (16, 16)
     estimator: str = "ls"
-    symmetric: bool = True
     channel_mode: str = "gray"
     sigma_multiplier: float = 3.0
     min_area: int = 4
-    e_policy: object = "mean"
-    dc_root: bool = True
-    project_roots: bool = True
     split: int = None
     post: str = "hist"
     hist_epsilon: float = None
@@ -106,13 +101,8 @@ class PipelineConfig:
             raise ConfigError("order: must leave room inside the base region")
         if self.estimator not in _ESTIMATORS:
             raise ConfigError(f"estimator: unknown value {self.estimator!r}")
-        if self.estimator == "ls" and self.symmetric and (p % 2 or q % 2):
+        if self.estimator == "ls" and (p % 2 or q % 2):
             raise ConfigError("order: symmetric estimation needs even orders")
-        if not _valid_e_policy(self.e_policy):
-            raise ConfigError(
-                f"e_policy: unknown value {self.e_policy!r}; "
-                "expected 'mean' or a finite number"
-            )
         if self.channel_mode not in _CHANNEL_MODES:
             raise ConfigError(f"channel_mode: unknown value {self.channel_mode!r}")
         if not (_finite_number(self.sigma_multiplier) and self.sigma_multiplier > 0):
@@ -219,21 +209,8 @@ def estimate_model(base: np.ndarray, config: PipelineConfig):
     """Root estimation on one base-region plane, per the configured method."""
     p, q = (int(v) for v in config.order)
     if config.estimator == "ls":
-        return estimate_model_ls(
-            base,
-            p,
-            q,
-            symmetric=config.symmetric,
-            project=config.project_roots,
-            dc_root=config.dc_root,
-        )
-    return estimate_model_pencil(
-        base,
-        p,
-        split=config.split,
-        project=config.project_roots,
-        dc_root=config.dc_root,
-    )
+        return estimate_model_ls(base, p, q)
+    return estimate_model_pencil(base, p, split=config.split)
 
 
 def estimate(stack: ImageStack, config: PipelineConfig):
@@ -255,24 +232,12 @@ def estimate(stack: ImageStack, config: PipelineConfig):
     return base, model, diag
 
 
-def _require_designable(config: PipelineConfig):
-    if not config.dc_root:
-        raise ConfigError(
-            "dc_root: filter design needs the unit root; only estimate runs without it"
-        )
-
-
 def design(base: ImageStack, model: HarmonicModel, config: PipelineConfig) -> list:
-    """Design stage: one inverse filter per channel of the base region.
-
-    A config without ``dc_root`` is a ConfigError: the design is built on
-    the unit root.
-    """
-    _require_designable(config)
+    """Design stage: one inverse filter per channel of the base region."""
     with _stage("design"):
         planes, names = _channels(base, config.channel_mode)
         return [
-            design_filter(plane, model, e_policy=config.e_policy, channel=name)
+            design_filter(plane, model, channel=name)
             for plane, name in zip(planes, names)
         ]
 
@@ -367,7 +332,6 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     first = next(frames, None)
     if first is None:
         raise ConfigError("frames: at least one frame is required")
-    _require_designable(config)
     base, model, diag = estimate(first, config)
     filters = design(base, model, config)
     with _stage("filter+detect"):

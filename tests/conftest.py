@@ -25,6 +25,16 @@ def pairs_subset(k, rng=None):
     return [(fx, fy, amp, float(rng.uniform(0, 2 * np.pi))) for fx, fy, amp, _ in pairs]
 
 
+def zero_mean_base():
+    """np.rint of a 32x32 texture of the first two pairs (amplitudes x40),
+    one pixel corrected so that its sum, and so its mean, is exactly 0.
+    Its unit-root amplitude does not vanish (about 0.8% of the largest)."""
+    pairs = [(fx, fy, 40 * amp, phase) for fx, fy, amp, phase in FOUR_PAIRS[:2]]
+    base = np.rint(synth_texture(pairs, 32, 32))
+    base[0, 0] -= base.sum()
+    return base
+
+
 def unit_roots(freqs):
     return ResonanceRoots(np.exp(2j * np.pi * np.asarray(freqs, dtype=float)))
 

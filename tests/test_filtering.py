@@ -36,7 +36,7 @@ from resofilt import filtering, pipeline
 from resofilt.filtering import FilterBuffers, _correlate_valid, filter_buffers
 from resofilt.model_doc import dump_json
 
-from conftest import FOUR_PAIRS, pairs_subset, unit_roots
+from conftest import FOUR_PAIRS, pairs_subset, unit_roots, zero_mean_base
 
 
 def fma(k, x, acc):
@@ -98,20 +98,16 @@ class TestDesignFilter:
             lo.append(irf.sigma2 / predicted)
         assert min(lo) > 1 / 4 and max(lo) < 4
 
-    def test_e_policy_zero(self):
-        # with a unit root in the model only the null kernel drives the
-        # texture's mean to zero; it would flag nothing, so design refuses
-        base, model = exact_model(FOUR_PAIRS[:1], 10.0, 32, 32)
-        with pytest.raises(NumericError, match="all-zero kernel"):
-            design_filter(base, model, e_policy=0.0)
-        with pytest.raises(ValueError, match="unknown flat-level policy 'zero'"):
-            design_filter(base, model, e_policy="zero")
-
-    def test_e_policy_explicit(self):
-        base, model = exact_model(FOUR_PAIRS[:1], 10.0, 32, 32)
-        irf = design_filter(base, model, e_policy=55.0)
-        out = apply_filter(base, irf)
-        assert np.abs(out - 55.0).max() < 1e-7 * max(np.abs(base).max(), 55.0)
+    def test_zero_mean_base_gives_all_zero_kernel(self):
+        # the base has a unit-root amplitude but a mean of exactly 0, so
+        # only the null kernel drives it to its mean; that would flag
+        # nothing, so design refuses
+        base = zero_mean_base()
+        zx = unit_roots([0.0, 0.11, -0.11, 0.27, -0.27])
+        zy = unit_roots([0.0, 0.23, -0.23, 0.08, -0.08])
+        model = HarmonicModel.fit(base, zx, zy)
+        with pytest.raises(NumericError, match="flat level 0 gives an all-zero kernel"):
+            design_filter(base, model)
 
     def test_vanishing_mean_component_is_numeric_error(self):
         # the flat target rides on the unit-root component; a texture
@@ -121,7 +117,7 @@ class TestDesignFilter:
         zy = unit_roots([0.0, 0.23, -0.23])
         model = HarmonicModel.fit(base, zx, zy)
         with pytest.raises(NumericError, match="no mean component"):
-            design_filter(base, model, e_policy=7.0)
+            design_filter(base, model)
 
     def test_no_dc_model_cannot_be_designed(self):
         base = _patch_scene(2)[:64, :64]

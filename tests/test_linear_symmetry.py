@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resofilt import (
+    estimate_model_ls,
     ls_coefficients,
     ls_symmetric_coefficients,
     marginal_correlations,
@@ -14,7 +15,7 @@ from resofilt import (
 )
 from resofilt.linear_symmetry import COND_LIMIT
 
-from conftest import lag_correlation, root_set_error
+from conftest import FOUR_PAIRS, lag_correlation, root_set_error
 
 
 def naive_correlation(image, wx, wy):
@@ -247,3 +248,20 @@ class TestDegenerateInputs:
 
     def test_cond_limit_is_sane(self):
         assert COND_LIMIT == 1e12
+
+    def test_condition_is_the_one_the_solve_judged(self):
+        # two pairs at order 4: the P x P block the palindromic solve inverts
+        # is well conditioned, though the whole (P+1)^2 marginal is not
+        region = synth_texture(FOUR_PAIRS[:2], 64, 64)
+        _, diag = estimate_model_ls(region, 4, 4)
+        rx, ry = marginal_correlations(region - region.mean(), 5, 5)
+        assert min(np.linalg.cond(rx), np.linalg.cond(ry)) > 1e6
+        assert diag.condition_x < 1e3 and diag.condition_y < 1e3
+        assert not (diag.degenerate_x or diag.degenerate_y)
+        # one pair at order 6 leaves the block rank deficient
+        rx, _ = marginal_correlations(synth_texture(FOUR_PAIRS[:1], 64, 64), 7, 7)
+        solutions = [ls_symmetric_coefficients(rx, 6), ls_coefficients(rx, 6),
+                     ls_symmetric_coefficients(rx, 2), ls_coefficients(rx, 1)]
+        assert [s.degenerate for s in solutions] == [True, True, False, False]
+        for sol in solutions:
+            assert sol.degenerate == (sol.condition > COND_LIMIT)

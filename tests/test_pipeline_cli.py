@@ -33,7 +33,7 @@ from resofilt.imageio import draw_boxes, read_image, write_image
 from resofilt.model_doc import dump_json
 from resofilt.pipeline import PipelineConfig, estimate_model, run_pipeline
 
-from conftest import FOUR_PAIRS
+from conftest import FOUR_PAIRS, zero_mean_base
 
 
 def patch_scene(seed=7, n=128, patch_value=200.0):
@@ -200,20 +200,6 @@ class TestRunPipeline:
         assert result.boxes == reference.boxes
         assert any(b.x0 <= 85 <= b.x1 and b.y0 <= 85 <= b.y1 for b in result.boxes[0])
         assert (result.mask.originals[0][pos] < 0).all()
-
-    def test_no_dc_root_is_config_error_before_estimating(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(pipeline, "estimate_model_ls",
-                            lambda *a, **k: calls.append(1))
-        cfg = PipelineConfig(order=(8, 8), dc_root=False)
-        with pytest.raises(ConfigError, match="dc_root: filter design needs the unit root"):
-            run_pipeline(cfg, [patch_scene()])
-        assert calls == []
-        monkeypatch.undo()
-        base, model, _ = pipeline.estimate(patch_scene(), cfg)  # estimate accepts it
-        assert model.order == (8, 8)
-        with pytest.raises(ConfigError, match="dc_root"):
-            pipeline.design(base, model, cfg)
 
     def test_post_none_keeps_candidates(self):
         cfg = PipelineConfig(order=(8, 8), post="none")
@@ -411,9 +397,6 @@ class TestConfigValidation:
                 ("track_window", 0),
                 ("track_threshold", 1.5),
                 ("split", 0),
-                ("e_policy", "abc"),
-                ("e_policy", float("nan")),
-                ("e_policy", True),
                 ("sigma_multiplier", float("inf")),
                 ("sigma_multiplier", float("nan")),
                 ("sigma_multiplier", True),
@@ -558,8 +541,6 @@ class TestStageProperties:
         channels=st.sampled_from([1, 3]),
         scene=st.sampled_from(["texture", "noise", "flat"]),
         estimator=st.sampled_from(["ls", "pencil"]),
-        symmetric=st.booleans(),
-        dc_root=st.booleans(),
         channel_mode=st.sampled_from(["gray", "rgb"]),
         post=st.sampled_from(["hist", "track", "none"]),
         n_frames=st.integers(1, 3),
@@ -567,8 +548,7 @@ class TestStageProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_stages_give_a_result_or_a_typed_error(
-        self, data, shape, channels, scene, estimator, symmetric, dc_root,
-        channel_mode, post, n_frames, seed,
+        self, data, shape, channels, scene, estimator, channel_mode, post, n_frames, seed,
     ):
         base, order, split = _draw_base_order_split(data, shape, estimator)
         rows, cols = shape
@@ -582,8 +562,8 @@ class TestStageProperties:
             planes = [np.full(shape, 100.0)] * channels
         stack = ImageStack(tuple(planes))
         cfg = PipelineConfig(
-            base_region=base, order=order, estimator=estimator, symmetric=symmetric,
-            split=split, dc_root=dc_root, channel_mode=channel_mode, post=post,
+            base_region=base, order=order, estimator=estimator, split=split,
+            channel_mode=channel_mode, post=post,
         )
         try:
             base_stack, model, _ = pipeline.estimate(stack, cfg)
@@ -734,26 +714,18 @@ class TestCli:
     def test_options_set_their_config_fields(self):
         args = cli.build_parser().parse_args(
             ["track", "--inputs", "a.pgm", "--base", "1,2,30,40", "--order", "4,4",
-             "--estimator", "pencil", "--split", "5", "--plain", "--no-project",
-             "--channels", "rgb", "--multiplier", "2.5", "--min-area", "2",
+             "--estimator", "pencil", "--split", "5", "--channels", "rgb", "--multiplier", "2.5", "--min-area", "2",
              "--window", "2", "--threshold", "0.5"]
         )
         assert cli._config_from_args(args) == PipelineConfig(
             base_region=(1, 2, 30, 40), order=(4, 4), estimator="pencil", split=5,
-            symmetric=False, project_roots=False, channel_mode="rgb",
-            sigma_multiplier=2.5, min_area=2, post="track", track_window=2,
+            channel_mode="rgb", sigma_multiplier=2.5, min_area=2, post="track", track_window=2,
             track_threshold=0.5,
         )
-        args = cli.build_parser().parse_args(
-            ["design", "--input", "x.pgm", "--model-out", "m.json", "--e-policy", "120"]
-        )
-        assert cli._config_from_args(args) == PipelineConfig(e_policy=120.0)
         args = cli.build_parser().parse_args(
             ["detect", "--input", "x.pgm", "--post", "none", "--hist-epsilon", "0.05"]
         )
         assert cli._config_from_args(args) == PipelineConfig(post="none", hist_epsilon=0.05)
-        args = cli.build_parser().parse_args(["estimate", "--input", "x.pgm", "--no-dc"])
-        assert cli._config_from_args(args) == PipelineConfig(dc_root=False)
 
     def test_every_config_field_has_an_option(self):
         (sub,) = [a for a in cli.build_parser()._actions
@@ -806,6 +778,8 @@ class TestCli:
         # reports written before the post-filter constants left the config
         doc["config"].update(hist_extension=7, hist_levels=256, hist_cell=5, hist_fill=0.75,
                              hist_combine="or", track_extension=7, seed=0)
+        # and before the method switches left it
+        doc["config"].update(symmetric=True, project_roots=True, dc_root=True, e_policy="mean")
         report.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["report", "--path", str(report)]) == EXIT_OK
@@ -940,32 +914,32 @@ class TestCli:
         assert code == EXIT_USAGE
         assert "configuration error: model:" in capsys.readouterr().err
 
-    def test_design_unknown_e_policy_is_config_error(self, tmp_path, capsys):
-        tex = self._synth(tmp_path)
-        for policy in ("abc", "zero"):
-            code = main(["design", "--input", str(tex), "--order", "8,8",
-                         "--e-policy", policy, "--model-out", str(tmp_path / "model.json")])
-            assert code == EXIT_USAGE
-            assert "e_policy" in capsys.readouterr().err
-
-    def test_design_null_kernel_is_numeric_error(self, tmp_path, capsys):
-        tex = self._synth(tmp_path)
+    def test_design_null_kernel_is_numeric_error(self, monkeypatch, tmp_path, capsys):
+        # a PGM cannot hold a zero-mean base, so the frame is handed over as read
+        monkeypatch.setattr(cli, "read_image", lambda path: ImageStack((zero_mean_base(),)))
         model = tmp_path / "model.json"
-        code = main(["design", "--input", str(tex), "--order", "8,8",
-                     "--e-policy", "0", "--model-out", str(model)])
+        code = main(["design", "--input", "zero-mean.pgm", "--base", "0,0,32,32",
+                     "--order", "4,4", "--model-out", str(model)])
         assert code == EXIT_NUMERIC
-        assert "all-zero kernel" in capsys.readouterr().err
+        assert "flat level 0 gives an all-zero kernel" in capsys.readouterr().err
         assert not model.exists()
 
-    def test_no_dc_is_an_estimate_option_only(self, tmp_path, capsys):
+    def test_removed_method_flags_are_unrecognized(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
-        code = main(["detect", "--input", str(tex), "--order", "8,8", "--no-dc"])
-        assert code == EXIT_USAGE
-        assert "unrecognized arguments: --no-dc" in capsys.readouterr().err
         model = tmp_path / "model.json"
-        assert main(["estimate", "--input", str(tex), "--order", "8,8", "--no-dc",
-                     "--model-out", str(model)]) == EXIT_OK
-        assert json.loads(model.read_text())["order"] == [8, 8]
+        inputs = {"estimate": ["--input", str(tex)],
+                  "design": ["--input", str(tex), "--model-out", str(model)],
+                  "detect": ["--input", str(tex)],
+                  "track": ["--inputs", str(tex), str(tex), str(tex)]}
+        # each flag on every subcommand that took it
+        flags = {"--plain": inputs, "--no-project": inputs, "--no-dc": ["estimate"],
+                 "--e-policy=mean": ["design"]}
+        for flag, commands in flags.items():
+            for command in commands:
+                capsys.readouterr()
+                assert main([command, *inputs[command], "--order", "8,8", flag]) == EXIT_USAGE
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_pencil_order_pair_must_match(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
@@ -1072,6 +1046,14 @@ class TestCli:
         assert code == EXIT_USAGE
         assert f"configuration error: {option}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("noise", [[], ["--noise", "1"]])
+    def test_synth_negative_seed_is_config_error(self, tmp_path, capsys, noise):
+        code = main(["synth", "--out", str(tmp_path / "s.pgm"), "--size", "16,16",
+                     "--seed", "-1", *noise])
+        assert code == EXIT_USAGE
+        assert "configuration error: seed: -1 is not an integer >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_model_without_order_prints_the_parsed_order(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
