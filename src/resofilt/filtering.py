@@ -29,10 +29,14 @@ boolean raster, strip by strip as well.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import daxpy
+import scipy
 
 from .errors import ModelError, NumericError
 from .harmonic import UNIT_ROOT_TOL, HarmonicModel, ResonanceRoots, spectrum
@@ -48,6 +52,37 @@ RANK_ONE_TOL = 1e-12
 # Bytes of float64 output held per row strip by apply_filter and detect;
 # a strip's temporaries are a few times this, sized to stay in L2.
 STRIP_BYTES = 256 * 1024
+
+
+def _bind_daxpy():
+    """The daxpy of scipy's f2py BLAS wrapper, without ``scipy.linalg``.
+
+    ``scipy.linalg.blas`` re-exports the routines of the compiled module
+    ``scipy.linalg._fblas``, but importing it runs the whole
+    ``scipy.linalg`` package, which adds some 24 MB of memory and 0.2 s
+    to a process.  So the extension is loaded from its file under its own
+    name, whose last part selects its entry point ``PyInit__fblas``: the
+    same compiled routine, so the filter's bits are the same.  When
+    ``scipy.linalg`` is loaded already, or scipy has no such file, the
+    routine comes from ``scipy.linalg.blas``.
+    """
+    name = "scipy.linalg._fblas"
+    linalg = [os.path.join(path, "linalg") for path in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+    if spec is None or name in sys.modules:
+        from scipy.linalg.blas import daxpy
+
+        return daxpy
+    fblas = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fblas)
+    # Creating a single-phase extension module may register it in
+    # sys.modules; a later import of scipy.linalg would then bind no
+    # _fblas attribute, so the entry goes and that import makes its own.
+    sys.modules.pop(name, None)
+    return fblas.daxpy
+
+
+daxpy = _bind_daxpy()
 
 
 @dataclass(frozen=True)

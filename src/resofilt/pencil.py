@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh
 
 from .errors import NumericError
 from .harmonic import ResonanceRoots, _sorted_roots, fit_estimate
@@ -41,6 +40,17 @@ _DIAG_TAIL = 8
 # the residual ||G v - theta v|| <= tol * theta_1 every requested pair meets.
 _MAX_STEPS = 8
 _RESIDUAL_TOL = 1e-10
+
+
+def eigh(*args, **kwargs):
+    """``scipy.linalg.eigh``, imported on the dense eigensolve's first call.
+
+    Only that fallback needs ``scipy.linalg``, whose import adds some
+    24 MB of memory and 0.2 s to a process.
+    """
+    from scipy.linalg import eigh as dense_eigh
+
+    return dense_eigh(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -199,8 +199,6 @@ class TestApplyFilter:
         # The bit-exact tests pin this contract of the BLAS: every element
         # of y + a * x[offx:] is rounded once, whatever the call's offset
         # and length (vector bodies and scalar tails alike).
-        from scipy.linalg.blas import daxpy
-
         flat = rng.normal(0, 1, 64)
         told_apart = 0
         for offset in range(24):
@@ -208,11 +206,53 @@ class TestApplyFilter:
                 a, y = rng.normal(), rng.normal(0, 1, n)
                 x = flat[offset : offset + n]
                 expected = fma_array(a, x, y)
-                got = daxpy(flat, y.copy(), n=n, a=a, offx=offset)
+                got = filtering.daxpy(flat, y.copy(), n=n, a=a, offx=offset)
                 assert np.array_equal(got, expected), (offset, n)
                 told_apart += int(np.sum(expected != a * x + y))
         # the data separate fused from multiply-then-add rounding
         assert told_apart > 100
+
+    def test_daxpy_bound_by_file_is_scipy_linalg_blas_daxpy(self):
+        # the pytest process imported scipy.linalg before resofilt, so only
+        # a fresh interpreter loads the wrapper from its file
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from resofilt import filtering\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+            "import scipy.linalg\n"
+            "from scipy.linalg import blas\n"
+            "assert scipy.linalg._fblas is sys.modules['scipy.linalg._fblas']\n"
+            "rng = np.random.default_rng(8)\n"
+            "flat = rng.normal(0, 1, 64)\n"
+            "for offset in range(24):\n"
+            "    for n in (1, 3, 4, 7, 8, 9, 16, 17, 33, 40):\n"
+            "        a, y = rng.normal(), rng.normal(0, 1, n)\n"
+            "        ours = filtering.daxpy(flat, y.copy(), n=n, a=a, offx=offset)\n"
+            "        theirs = blas.daxpy(flat, y.copy(), n=n, a=a, offx=offset)\n"
+            "        assert ours.tobytes() == theirs.tobytes(), (offset, n)\n"
+            "vals = scipy.linalg.eigh(np.diag([3.0, 1.0, 2.0]), eigvals_only=True)\n"
+            "assert vals.tolist() == [1.0, 2.0, 3.0]\n"
+            "print('ok')\n"
+        )
+        package_root = str(Path(filtering.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    def test_scipy_without_the_wrapper_file_gives_scipy_linalg_blas(
+        self, monkeypatch, tmp_path
+    ):
+        import scipy
+        from scipy.linalg import blas
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        assert filtering._bind_daxpy() is blas.daxpy
 
     def test_replicated_texture_stays_in_band(self):
         base, model = exact_model(FOUR_PAIRS[:2], 50.0, 64, 64)

@@ -1045,7 +1045,7 @@ class TestCli:
         code = main(["synth", "--out", str(out), "--size", "64,64", *extra])
         assert code == EXIT_USAGE
         assert f"configuration error: {option}:" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("noise", [[], ["--noise", "1"]])
     def test_synth_negative_seed_is_config_error(self, tmp_path, capsys, noise):
@@ -1224,13 +1224,23 @@ class TestCli:
         assert outs[0] == outs[1]
 
 
-def test_package_and_cli_load_without_scipy_ndimage():
-    # conftest imports ndimage for its oracle, so only a fresh interpreter
-    # shows what importing resofilt loads
+def test_cli_runs_without_scipy_ndimage_or_linalg(tmp_path):
+    # conftest imports ndimage, and with it scipy.linalg, so only a fresh
+    # interpreter shows what importing and running resofilt loads
     script = (
         "import sys\n"
-        "import resofilt, resofilt.cli\n"
-        "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage was imported'\n"
+        "from resofilt.cli import main\n"
+        f"d = {str(tmp_path)!r}\n"
+        "frames = [f'{d}/f{i}.pgm' for i in range(3)]\n"
+        "assert main(['synth', '--out', d + '/f{i}.pgm', '--frames', '3',\n"
+        "             '--size', '96,96', '--pair', '0.2,0.15,30,0', '--mean', '120',\n"
+        "             '--noise', '1.0', '--patch', '60,60,9,9', '--patch-value', '210']) == 0\n"
+        "assert main(['detect', '--input', frames[0], '--order', '6,6',\n"
+        "             '--estimator', 'ls', '--base', '0,0,48,48']) == 0\n"
+        "assert main(['track', '--inputs', *frames, '--order', '6,6',\n"
+        "             '--base', '0,0,48,48']) == 0\n"
+        "for name in ('scipy.ndimage', 'scipy.linalg'):\n"
+        "    assert name not in sys.modules, name + ' was imported'\n"
         "print('ok')\n"
     )
     package_root = str(Path(pipeline.__file__).resolve().parents[1])
@@ -1240,4 +1250,4 @@ def test_package_and_cli_load_without_scipy_ndimage():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
+    assert done.stdout.strip().endswith("ok")
