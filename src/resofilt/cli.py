@@ -264,7 +264,7 @@ def _run_and_write(args, frames, overlay_frame=None) -> int:
         # no name holds the mask planes, so they are freed before the overlay copy
         flagged = result.mask.positive()
         write_image(args.mask_out,
-                    ImageStack(tuple(np.where(flagged, p, 0) for p in result.mask.originals)))
+                    ImageStack(tuple(p * flagged for p in result.mask.originals)))
     if getattr(args, "overlay_out", None):
         write_image(args.overlay_out, draw_boxes(overlay_frame, result.confirmed[0]))
     if getattr(args, "report_out", None):

@@ -7,8 +7,11 @@ thresholded by the union rule and split into candidate boxes, which the
 static histogram post-filter judges at once and the dynamic cross-frame
 correlation filter judges once the window of L frames they open is
 complete.  A run holds one frame at a time, plus the boolean rasters of
-the last L frames and frame 0's mask; each channel's filter writes into
-one output buffer that the run allocates once and reuses for every frame.
+the last L frames and frame 0's mask.  A frame is filtered and detected
+one row strip at a time (the filter's strip rule), so no filtered plane
+is ever whole: each channel's filter writes a strip into one strip-sized
+buffer, and the detector writes that strip's rows of the frame's verdict
+raster, through one scratch buffer; the run allocates these once.
 
 Stages run sequentially and deterministically: identical configuration
 and inputs produce identical reports and masks.
@@ -19,13 +22,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ResofiltError
-from .filtering import DetectionMask, apply_filter, design_filter, detect, filter_buffers
+from .filtering import (
+    DetectionMask,
+    _strip_rows,
+    apply_filter,
+    design_filter,
+    detect,
+    filter_buffers,
+)
 from .harmonic import HarmonicModel
 from .imageio import ImageStack
 from .linear_symmetry import estimate_model_ls
@@ -315,6 +325,30 @@ def _frame_verdicts(index: int, planes, boxes, config: PipelineConfig):
     return kept, record
 
 
+def _strips(shape, valid, filters):
+    """The row strips of frames of ``shape``, whose filter output is
+    ``valid`` in shape, and the detector's scratch.
+
+    Output rows a..b-1 of a strip (``_strip_rows`` of them, the last one
+    fewer) are filtered from source rows a..b+P-2, and the strip's detect
+    call writes verdict rows a..b-1, the last strip's running to the
+    frame's end, so the strips fill the raster.  Each strip is (source
+    rows, verdict rows, one ``FilterBuffers`` set per channel); all share
+    the sets made for the first strip, the last strip viewing the leading
+    rows of their output buffers.
+    """
+    p = filters[0].order[0]
+    ox, oy = valid
+    step = min(_strip_rows(oy), ox)
+    sets = filter_buffers((step + p - 1, shape[1]), filters)
+    strips = []
+    for a in range(0, ox, step):
+        b = min(a + step, ox)
+        bufs = sets if b - a == step else [replace(buf, out=buf.out[: b - a]) for buf in sets]
+        strips.append((slice(a, b + p - 1), slice(a, b if b < ox else shape[0]), bufs))
+    return strips, np.empty((step, oy))
+
+
 def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     """Run the full chain over an iterable of frames, one frame at a time.
 
@@ -324,9 +358,11 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     ``frames``.  The track post-filter keeps the positive rasters and boxes
     of the last ``track_window`` frames and correlates the window starting
     at frame k - L + 1 once frame k has been detected.  Of the detection
-    masks only frame 0's is kept.  Every frame's filter output for a
-    channel lands in the same buffer, and every filter call uses the same
-    strip scratch; all are allocated once per run.
+    masks only frame 0's is kept.  Each frame is filtered and detected one
+    row strip at a time: every strip's filter output for a channel lands
+    in the same strip-sized buffer, every filter call uses the same strip
+    scratch, and every detect call the same deviation scratch; all are
+    allocated once per run.
     """
     frames = iter(frames)
     first = next(frames, None)
@@ -334,8 +370,10 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
         raise ConfigError("frames: at least one frame is required")
     base, model, diag = estimate(first, config)
     filters = design(base, model, config)
+    p, q = filters[0].order
+    valid = (first.shape[0] - p + 1, first.shape[1] - q + 1)
     with _stage("filter+detect"):
-        outs = filter_buffers(first.shape, filters)
+        strips, scratch = _strips(first.shape, valid, filters)
 
     first_mask = None
     recent = deque(maxlen=int(config.track_window))
@@ -351,12 +389,18 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
             )
         with _stage("filter+detect"):
             planes, _ = _channels(frame, config.channel_mode)
-            mask = detect(
-                [apply_filter(p, irf, out=out) for p, irf, out in zip(planes, filters, outs)],
-                filters,
-                planes,
-                multiplier=config.sigma_multiplier,
-            )
+            verdicts = np.empty(frame.shape, dtype=bool)
+            for source, rows, bufs in strips:
+                detect(
+                    [apply_filter(plane[source], irf, out=out)
+                     for plane, irf, out in zip(planes, filters, bufs)],
+                    filters,
+                    [plane[rows] for plane in planes],
+                    multiplier=config.sigma_multiplier,
+                    out=verdicts[rows],
+                    scratch=scratch,
+                )
+            mask = DetectionMask(verdicts, planes, valid)
             boxes = connected_components(mask.positive(), min_area=config.min_area)
         if index == 0:
             first_mask = mask

@@ -290,6 +290,15 @@ class TestWriteBytes:
         write_bytes(path, data[:new])
         assert path.read_bytes() == data[:new]
 
+    def test_chunks_are_written_one_after_the_other(self, tmp_path):
+        # a header and an array body go out as they are, and the file is
+        # cut to their total length
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"\xaa" * 100)
+        body = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        write_bytes(path, b"P5\n", body, b"")
+        assert path.read_bytes() == b"P5\n" + body.tobytes()
+
     def test_creates_a_new_file_with_the_open_mode(self, tmp_path):
         path = tmp_path / "new.bin"
         write_bytes(path, b"fresh")

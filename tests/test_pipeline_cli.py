@@ -10,12 +10,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resofilt import (
@@ -26,12 +27,14 @@ from resofilt import (
     ResofiltError,
     synth_texture,
 )
-from resofilt import cli, pipeline, postfilter
+from resofilt import cli, filtering, pipeline, postfilter
 from resofilt.cli import main
 from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
+from resofilt.filtering import apply_filter, detect
 from resofilt.imageio import draw_boxes, read_image, write_image
 from resofilt.model_doc import dump_json
 from resofilt.pipeline import PipelineConfig, estimate_model, run_pipeline
+from resofilt.postfilter import connected_components
 
 from conftest import FOUR_PAIRS, zero_mean_base
 
@@ -117,7 +120,10 @@ class TestRunPipeline:
         cfg = PipelineConfig(order=(8, 8), post="track", track_window=3, min_area=1)
         result = run_pipeline(cfg, frames)
         assert len(states) == 2 and len(masks) == 4
-        assert result.mask is masks[0]
+        # a 128x128 frame is one strip: frame 0's mask wraps the raster
+        # its one detect call filled
+        assert np.shares_memory(result.mask.positive(), masks[0].positive())
+        assert np.array_equal(result.mask.positive(), masks[0].positive())
         expected = [(id(st), i) for st in states for i in range(len(st.objects))]
         assert expected and sorted(calls) == sorted(expected)
         for start, state in enumerate(states):
@@ -305,8 +311,8 @@ class TestStreaming:
         assert long <= 1.25 * short, (short, long)
 
     def test_peak_memory_of_one_frame(self):
-        # beyond the frame itself a run holds about one filtered plane, or
-        # the label raster of the components, at a time
+        # beyond the frame itself a run holds at most about one filtered
+        # plane at a time
         cfg = PipelineConfig(order=(8, 8), post="hist")
         img = synth_texture(FOUR_PAIRS, 512, 512, noise_sigma=0.01, seed=7, mean=128.0)
         img[300:311, 300:311] = 200.0
@@ -319,6 +325,25 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak - img.nbytes <= 2 * img.nbytes, (peak - img.nbytes) / img.nbytes
+
+    def test_peak_memory_holds_no_filtered_plane(self):
+        # a frame is filtered one strip at a time: beyond the 8-bit frame,
+        # a run's peak stays below the (n_x - P + 1) x n_y float64 plane
+        # of a frame-sized filter output buffer
+        cfg = PipelineConfig(order=(8, 8), post="hist")
+        img = synth_texture(FOUR_PAIRS, 512, 512, noise_sigma=0.01, seed=7, mean=128.0)
+        img[300:311, 300:311] = 200.0
+        img = np.rint(img).astype(np.uint8)
+        run_pipeline(cfg, [ImageStack((img,))])  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            result = run_pipeline(cfg, [ImageStack((img.copy(),))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        p = result.filters[0].kernel.shape[0]
+        plane = 8 * (img.shape[0] - p + 1) * img.shape[1]
+        assert peak - img.nbytes < plane, (peak - img.nbytes) / plane
 
     def test_same_windows_from_a_generator_and_a_list(self):
         frames = list(texture_frames(5, [], []))
@@ -357,6 +382,107 @@ class TestStreaming:
             message = f"frames: frame 1 is {size} channel(s), frame 0 is 96x96 with 1 channel(s)"
             with pytest.raises(ConfigError, match=re.escape(message)):
                 run_pipeline(self._config(), iter([frames[0], other, frames[2]]))
+
+
+def strip_frames(size, channels, seed, count=2):
+    """``count`` 8-bit texture frames of ``size`` with ``channels`` planes,
+    each with the same 16x16 base region, on which every order from 1 to 9
+    estimates."""
+    base = synth_texture(FOUR_PAIRS, 16, 16, noise_sigma=2.0, seed=2, mean=128.0)
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(count):
+        planes = []
+        for _ in range(channels):
+            img = synth_texture(FOUR_PAIRS, *size, noise_sigma=2.0,
+                                seed=int(rng.integers(2**16)), mean=128.0)
+            img[rng.random(size) < 0.01] = 250.0
+            img[:16, :16] = base
+            planes.append(np.rint(img).astype(np.uint8))
+        frames.append(ImageStack(tuple(planes)))
+    return frames
+
+
+class TestStrips:
+    """A frame is filtered and detected one row strip at a time."""
+
+    @given(
+        order=st.integers(1, 9),
+        size=st.tuples(st.integers(16, 40), st.integers(16, 40)),
+        strip=st.integers(1, 40),
+        rgb=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # 32 output rows: one strip, strips of an exact multiple, a short last strip
+    @example(order=8, size=(40, 40), strip=40, rgb=False, seed=1)
+    @example(order=8, size=(40, 40), strip=8, rgb=True, seed=2)
+    @example(order=8, size=(40, 40), strip=5, rgb=False, seed=3)
+    @example(order=8, size=(40, 40), strip=1, rgb=True, seed=4)
+    @settings(max_examples=40, deadline=None)
+    def test_strips_equal_the_whole_plane_reference(self, order, size, strip, rgb, seed):
+        cfg = PipelineConfig(
+            base_region=(0, 0, 16, 16),
+            order=(order, order),
+            estimator="pencil" if order % 2 else "ls",
+            channel_mode="rgb" if rgb else "gray",
+            post="none",
+            min_area=1,
+        )
+        frames = strip_frames(size, 3 if rgb else 1, seed)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # one strip holding every row of a frame
+            mp.setattr(filtering, "STRIP_BYTES", 8 * size[0] * size[1])
+            whole = run_pipeline(cfg, frames)
+            filters = whole.filters
+            oy = size[1] - filters[0].kernel.shape[1] + 1
+            mp.setattr(filtering, "STRIP_BYTES", 8 * oy * strip)
+            result = run_pipeline(cfg, frames)
+        assert dump_json(result.report.to_doc()) == dump_json(whole.report.to_doc())
+        for index, frame in enumerate(frames):
+            mask = detect([apply_filter(p, irf) for p, irf in zip(frame.planes, filters)],
+                          filters, frame.planes, multiplier=cfg.sigma_multiplier)
+            assert result.boxes[index] == connected_components(mask.positive(), min_area=1)
+            if index == 0:
+                assert np.array_equal(result.mask.positive(), mask.positive())
+                assert result.mask.valid_shape == mask.valid_shape
+                assert all(a is b or np.shares_memory(a, b)
+                           for a, b in zip(result.mask.originals, frame.planes))
+
+    def test_strip_calls_keep_the_benchmark_counter_contract(self, monkeypatch):
+        # perfbench's tracer counts a run from its pipeline.apply_filter and
+        # pipeline.detect calls: the filter's (image, irf) positional
+        # arguments and each detect result's positive() raster.  Over a
+        # frame's strips, taps x output pixels and flagged pixels sum to
+        # one whole-plane call's.
+        applied, masks = [], []
+        apply, find = pipeline.apply_filter, pipeline.detect
+
+        def spy_apply(*args, **kwargs):
+            assert len(args) == 2 and set(kwargs) == {"out"}
+            applied.append(args)
+            return apply(*args, **kwargs)
+
+        def spy_detect(*args, **kwargs):
+            masks.append(find(*args, **kwargs))
+            return masks[-1]
+
+        monkeypatch.setattr(pipeline, "apply_filter", spy_apply)
+        monkeypatch.setattr(pipeline, "detect", spy_detect)
+        # 120 x 120 output pixels of a 128 x 128 frame at order 8, in
+        # strips of 25 rows: four full strips and one of 20 rows
+        monkeypatch.setattr(filtering, "STRIP_BYTES", 8 * 120 * 25)
+        frame = ImageStack(patch_scene().planes * 3)
+        cfg = PipelineConfig(order=(8, 8), channel_mode="rgb", post="none")
+        result = run_pipeline(cfg, [frame])
+        assert len(applied) == 3 * 5 and len(masks) == 5
+        macs = 0
+        for image, irf in applied:
+            p, q = irf.kernel.shape
+            macs += p * q * (image.shape[0] - p + 1) * (image.shape[1] - q + 1)
+        assert macs == 3 * 81 * 120 * 120
+        flagged = sum(int(m.positive().sum()) for m in masks)
+        assert flagged == int(result.mask.positive().sum()) > 0
 
 
 def _defaults(fn) -> dict:
