@@ -23,6 +23,7 @@ from .filtering import (
     noise_dispersion,
 )
 from .harmonic import (
+    AmplitudeBasis,
     HarmonicModel,
     PolynomialCoeffs,
     ResonanceRoots,

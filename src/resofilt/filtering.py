@@ -41,7 +41,7 @@ import numpy as np
 import scipy
 
 from .errors import ModelError, NumericError
-from .harmonic import UNIT_ROOT_TOL, HarmonicModel, ResonanceRoots, spectrum
+from .harmonic import UNIT_ROOT_TOL, HarmonicModel, amplitude_basis
 
 # Unit-root amplitude, relative to the base region's largest, at or below
 # which the region has no mean component to design on.
@@ -184,16 +184,6 @@ def _rank_one_factors(kernel: np.ndarray):
     return col, row
 
 
-def _unit_lagrange(roots: ResonanceRoots, axis: str):
-    """Unit-root index and ascending coefficients of the unit root's Lagrange
-    polynomial prod_{i != u} (z - z_i) / (1 - z_i): 1 at z = 1, 0 at the rest."""
-    u = roots.unit_root_index()
-    if u is None:
-        raise ModelError(f"axis {axis}: no root within {UNIT_ROOT_TOL:g} of 1 to design on")
-    others = np.delete(roots.roots, u)
-    return u, np.atleast_1d(np.poly(others))[::-1] / np.prod(1.0 - others)
-
-
 def design_filter(
     base_region: np.ndarray, model: HarmonicModel, channel: str = "gray"
 ) -> IRFilter:
@@ -206,17 +196,23 @@ def design_filter(
     component, a model that is not conjugate-closed or an all-zero kernel
     (a zero-mean region, whose E = 0 flags nothing) raise NumericError.
     The noise dispersion is the filtered base region's mean squared
-    deviation from E.
+    deviation from E.  The Lagrange factors are the model's own, and so is
+    the amplitude basis when the model was fitted on a region of the base
+    region's shape; otherwise the basis is built here.
     """
     base_region = np.asarray(base_region, dtype=float)
     p, q = model.order
     if base_region.shape[0] < p + 1 or base_region.shape[1] < q + 1:
         raise ValueError(f"base region {base_region.shape} must exceed the model order ({p}, {q})")
     flat = float(base_region.mean())
-    ux, hx = _unit_lagrange(model.zx, "x")
-    uy, hy = _unit_lagrange(model.zy, "y")
-
-    amp = spectrum(base_region, model.zx, model.zy)
+    for axis, factor in (("x", model.lagrange_x), ("y", model.lagrange_y)):
+        if factor is None:
+            raise ModelError(f"axis {axis}: no root within {UNIT_ROOT_TOL:g} of 1 to design on")
+    (ux, hx), (uy, hy) = model.lagrange_x, model.lagrange_y
+    basis = model.basis
+    if basis is None or basis.shape != base_region.shape:
+        basis = amplitude_basis(model.zx, model.zy, base_region.shape)
+    amp = basis.spectrum(base_region)
     if not abs(amp[ux, uy]) > MEAN_TOL * np.abs(amp).max():
         raise NumericError("no mean component: the base region's unit-root amplitude vanishes")
     kernel_c = (flat / amp[ux, uy]) * np.outer(hx, hy)

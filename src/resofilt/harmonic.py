@@ -7,7 +7,9 @@ amplitude model) and the operations on them: the linear shift operator in
 companion form, root extraction, Vandermonde bases, forward and inverse
 spectral transforms, the unit-root amplitude fit that ends both
 estimators, kernel shifting, and a synthetic-texture generator used
-throughout the tests.
+throughout the tests.  A fitted model keeps the amplitude basis of its
+fit and every model its unit-root Lagrange factors, which filter design
+reuses.
 
 Everything here is a pure function over immutable inputs; concurrent use
 needs no locking.
@@ -215,13 +217,72 @@ def vandermonde(roots, n: int) -> np.ndarray:
     return z[None, :] ** np.arange(n)[:, None]
 
 
-def _checked_pinv(z_matrix: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(z_matrix, compute_uv=False)
+def _checked_pinv(basis: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a Vandermonde basis from one SVD.
+
+    The steps are ``np.linalg.pinv(basis, rcond=PINV_RCOND)``'s own (SVD
+    of the conjugate, relative cutoff, vt^H (s^-1 u^H)), so the result is
+    the same bit for bit; that SVD's singular values also judge whether the
+    roots are too close to fit amplitudes to.
+    """
+    u, s, vt = np.linalg.svd(basis.conj(), full_matrices=False)
     if s[-1] < PINV_RCOND * s[0]:
         raise ModelError(
             "coincident resonance roots: the amplitude fit is ill-posed"
         )
-    return np.linalg.pinv(z_matrix, rcond=PINV_RCOND)
+    large = s > PINV_RCOND * s.max()
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    pinv = np.matmul(vt.T, np.multiply(s[:, None], u.T))
+    pinv.setflags(write=False)
+    return pinv
+
+
+def unit_lagrange(roots: ResonanceRoots):
+    """Unit-root index and ascending coefficients of the unit root's Lagrange
+    polynomial prod_{i != u} (z - z_i) / (1 - z_i): 1 at z = 1, 0 at the
+    rest.  None when no root lies within UNIT_ROOT_TOL of 1."""
+    u = roots.unit_root_index()
+    if u is None:
+        return None
+    others = np.delete(roots.roots, u)
+    h = np.atleast_1d(np.poly(others))[::-1] / np.prod(1.0 - others)
+    h.setflags(write=False)
+    return u, h
+
+
+@dataclass(frozen=True, eq=False)
+class AmplitudeBasis:
+    """Pseudoinverses of both axes' Vandermonde bases over an n_x x n_y
+    region, from one SVD each: what an amplitude fit on the region and
+    every filter design on a base region of its shape share.  Read-only;
+    ``amplitude_basis`` builds one.
+    """
+
+    zx: ResonanceRoots
+    zy: ResonanceRoots
+    pinv_x: np.ndarray = field(repr=False)
+    pinv_y: np.ndarray = field(repr=False)
+
+    @property
+    def shape(self):
+        return (self.pinv_x.shape[1], self.pinv_y.shape[1])
+
+    def spectrum(self, region: np.ndarray) -> np.ndarray:
+        """Amplitude matrix of a float region of this basis's shape."""
+        return self.pinv_x @ region @ self.pinv_y.T
+
+
+def _bases(zx, zy, shape):
+    if len(shape) != 2:
+        raise ValueError("region must be 2D")
+    return vandermonde(zx, shape[0]), vandermonde(zy, shape[1])
+
+
+def amplitude_basis(zx: ResonanceRoots, zy: ResonanceRoots, shape) -> AmplitudeBasis:
+    """The ``AmplitudeBasis`` of the roots over a region of ``shape``."""
+    vx, vy = _bases(zx, zy, shape)
+    return AmplitudeBasis(zx, zy, _checked_pinv(vx), _checked_pinv(vy))
 
 
 def spectrum(region: np.ndarray, zx: ResonanceRoots, zy: ResonanceRoots) -> np.ndarray:
@@ -229,38 +290,54 @@ def spectrum(region: np.ndarray, zx: ResonanceRoots, zy: ResonanceRoots) -> np.n
 
     Solves region ~ Zx A Zy^T for A with the overdetermined Vandermonde
     bases of both axes, using SVD pseudoinverses with a relative cutoff of
-    ``PINV_RCOND``.
+    ``PINV_RCOND``.  Builds its own ``AmplitudeBasis``; a fitted model
+    carries the one its fit built.
     """
     region = np.asarray(region, dtype=float)
-    if region.ndim != 2:
-        raise ValueError("region must be 2D")
-    zx_b = vandermonde(zx, region.shape[0])
-    zy_b = vandermonde(zy, region.shape[1])
-    return _checked_pinv(zx_b) @ region @ _checked_pinv(zy_b).T
+    return amplitude_basis(zx, zy, region.shape).spectrum(region)
 
 
 def fit_residual(region: np.ndarray, zx, zy, amplitudes: np.ndarray) -> float:
     """Max-abs reconstruction error of an amplitude fit over a region."""
     region = np.asarray(region, dtype=float)
-    synth = vandermonde(zx, region.shape[0]) @ amplitudes @ vandermonde(zy, region.shape[1]).T
+    return _residual(region, *_bases(zx, zy, region.shape), amplitudes)
+
+
+def _residual(region, vx, vy, amplitudes) -> float:
+    synth = vx @ amplitudes @ vy.T
     return float(np.abs(synth.real - region).max())
 
 
 @dataclass(frozen=True)
 class HarmonicModel:
-    """Resonance roots of both axes plus the complex amplitude matrix."""
+    """Resonance roots of both axes plus the complex amplitude matrix.
+
+    ``lagrange_x`` and ``lagrange_y`` are each axis's ``unit_lagrange``
+    (None without a unit root), built with the model.  ``basis`` is the
+    ``AmplitudeBasis`` of the region ``fit`` fitted on, which filter
+    design on a base region of that shape reuses; a model built from its
+    parts (a loaded document, say) has none.  All are read-only.
+    """
 
     zx: ResonanceRoots
     zy: ResonanceRoots
     amplitudes: np.ndarray
     fit_residual: float = float("nan")
+    basis: AmplitudeBasis = field(default=None, repr=False, compare=False)
+    lagrange_x: tuple = field(init=False, repr=False, compare=False)
+    lagrange_y: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).copy()
         if a.shape != (len(self.zx), len(self.zy)):
             raise ValueError("amplitude matrix must be (len(zx), len(zy))")
+        basis = self.basis
+        if basis is not None and (basis.zx is not self.zx or basis.zy is not self.zy):
+            raise ValueError("amplitude basis was built on other roots")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "lagrange_x", unit_lagrange(self.zx))
+        object.__setattr__(self, "lagrange_y", unit_lagrange(self.zy))
 
     @property
     def order(self):
@@ -268,8 +345,13 @@ class HarmonicModel:
 
     @classmethod
     def fit(cls, region: np.ndarray, zx: ResonanceRoots, zy: ResonanceRoots) -> "HarmonicModel":
-        amp = spectrum(region, zx, zy)
-        return cls(zx, zy, amp, fit_residual=fit_residual(region, zx, zy, amp))
+        """Least-squares amplitudes of a region (see ``spectrum``) and their
+        fit residual, from one ``AmplitudeBasis`` that the model keeps."""
+        region = np.asarray(region, dtype=float)
+        vx, vy = _bases(zx, zy, region.shape)
+        basis = AmplitudeBasis(zx, zy, _checked_pinv(vx), _checked_pinv(vy))
+        amp = basis.spectrum(region)
+        return cls(zx, zy, amp, fit_residual=_residual(region, vx, vy, amp), basis=basis)
 
 
 def fit_estimate(

@@ -50,7 +50,22 @@ def _diag_doc(diag) -> dict:
     return out
 
 
+def _check_finite(model: HarmonicModel, error) -> None:
+    """Raise ``error`` naming the first model field a document cannot hold:
+    one that is non-finite, which JSON would write as NaN or Infinity."""
+    for name, values in (("amplitudes", model.amplitudes), ("zx_moduli", model.zx.source_moduli),
+                         ("zy_moduli", model.zy.source_moduli),
+                         ("fit_residual", model.fit_residual)):
+        if not np.all(np.isfinite(values)):
+            raise error(f"non-finite {name}")
+
+
 def model_to_doc(model: HarmonicModel, filters=(), diagnostics=None) -> dict:
+    """Model document of a model and its filters; NumericError for a model
+    with a non-finite field (such as the NaN ``fit_residual`` of a model
+    built without ``HarmonicModel.fit``), which ``doc_to_model`` would
+    refuse."""
+    _check_finite(model, NumericError)
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "resonance-model",
@@ -89,12 +104,8 @@ def doc_to_model(doc: dict):
         amp = np.array(
             [[complex(re, im) for re, im in row] for row in doc["amplitudes"]], dtype=complex
         )
-        fit = float(doc["fit_residual"])
-        for name, values in (("amplitudes", amp), ("zx_moduli", zx.source_moduli),
-                             ("zy_moduli", zy.source_moduli), ("fit_residual", fit)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"non-finite {name}")
-        model = HarmonicModel(zx, zy, amp, fit_residual=fit)
+        model = HarmonicModel(zx, zy, amp, fit_residual=float(doc["fit_residual"]))
+        _check_finite(model, ValueError)
         filters = [
             IRFilter(
                 kernel=np.array(f["kernel"], dtype=float),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,7 @@ from resofilt import (
     synth_texture,
     vandermonde,
 )
-from resofilt import filtering, pipeline
+from resofilt import filtering, harmonic, pipeline
 from resofilt.filtering import FilterBuffers, _correlate_valid, filter_buffers
 from resofilt.model_doc import dump_json
 
@@ -485,6 +486,116 @@ class TestClosedFormDesign:
         out = apply_filter(base, irf)
         assert np.abs(out - irf.flat_level).max() < 1e-8 * np.abs(base).max()
         assert irf.sigma2 < 1e-16 * irf.flat_level**2
+
+
+def _same_filter(a: IRFilter, b: IRFilter) -> bool:
+    """Bitwise equality of kernels, rank-one factors, levels and dispersions."""
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    if (a.factors is None) != (b.factors is None):
+        return False
+    factors = zip(a.factors, b.factors) if a.factors is not None else ()
+    return (
+        bits(a.kernel) == bits(b.kernel)
+        and all(bits(x) == bits(y) for x, y in factors)
+        and bits(a.flat_level) == bits(b.flat_level)
+        and bits(a.sigma2) == bits(b.sigma2)
+        and a.channel == b.channel
+    )
+
+
+def _without_basis(model: HarmonicModel) -> HarmonicModel:
+    """The model as a document loads it: same values, no amplitude basis."""
+    loaded = doc_to_model(model_to_doc(model))[0]
+    assert loaded.basis is None
+    return loaded
+
+
+class TestSharedBasis:
+    """The amplitude fit and every channel's design share one basis."""
+
+    @pytest.mark.parametrize("channel_mode", ["gray", "rgb"])
+    def test_estimate_and_design_build_one_basis(self, monkeypatch, channel_mode):
+        # 2 Vandermonde bases, 2 SVDs and 2 Lagrange factors per run, for
+        # any number of channels
+        counts = {"vandermonde": 0, "svd": 0, "lagrange": 0}
+        vandermonde_, svd, lagrange = (harmonic.vandermonde, np.linalg.svd,
+                                       harmonic.unit_lagrange)
+
+        def spy(name, fn, module=None):
+            def counted(*args, **kwargs):
+                caller = sys._getframe(1).f_globals.get("__name__")
+                if module is None or caller == module:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(harmonic, "vandermonde", spy("vandermonde", vandermonde_))
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", svd, "resofilt.harmonic"))
+        monkeypatch.setattr(harmonic, "unit_lagrange", spy("lagrange", lagrange))
+        cfg = PipelineConfig(order=(8, 8), channel_mode=channel_mode)
+        base, model, _ = pipeline.estimate(_rgb_scene(1.0), cfg)
+        filters = pipeline.design(base, model, cfg)
+        assert len(filters) == (3 if channel_mode == "rgb" else 1)
+        assert counts == {"vandermonde": 2, "svd": 2, "lagrange": 2}
+
+    @pytest.mark.parametrize("channel_mode", ["gray", "rgb"])
+    @pytest.mark.parametrize("estimator,order", [("ls", 8), ("pencil", 4)])
+    def test_design_equals_a_model_without_basis(self, estimator, order, channel_mode):
+        cfg = PipelineConfig(order=(order, order), estimator=estimator,
+                             channel_mode=channel_mode)
+        base, model, _ = pipeline.estimate(_rgb_scene(1.0), cfg)
+        assert model.basis is not None and model.basis.shape == (64, 64)
+        filters = pipeline.design(base, model, cfg)
+        loaded = _without_basis(model)
+        planes, names = pipeline._channels(base, channel_mode)
+        for plane, name, irf in zip(planes, names, filters):
+            assert _same_filter(irf, design_filter(plane, loaded, channel=name))
+
+    def test_base_region_of_another_shape_builds_its_own_basis(self):
+        scene = _patch_scene(3)
+        model, _ = estimate_model_ls(scene[:64, :64], 8, 8)
+        assert model.basis.shape == (64, 64)
+        other = scene[16:64, 8:64]
+        assert other.shape == (48, 56)
+        assert _same_filter(design_filter(other, model),
+                            design_filter(other, _without_basis(model)))
+
+    def test_threads_design_from_one_model(self):
+        # the basis and Lagrange factors are read-only and built with the
+        # model, so concurrent designs read them and change nothing
+        cfg = PipelineConfig(order=(8, 8), channel_mode="rgb")
+        base, model, _ = pipeline.estimate(_rgb_scene(1.0), cfg)
+        assert not (model.basis.pinv_x.flags.writeable or model.basis.pinv_y.flags.writeable
+                    or model.lagrange_x[1].flags.writeable
+                    or model.lagrange_y[1].flags.writeable)
+        expected = pipeline.design(base, model, cfg)
+        results = []
+
+        def work():
+            results.append([pipeline.design(base, model, cfg) for _ in range(5)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        for runs in results:
+            for filters in runs:
+                assert all(_same_filter(a, b) for a, b in zip(filters, expected, strict=True))
+
+    def test_basis_of_other_roots_is_refused(self):
+        _, model = exact_model(FOUR_PAIRS[:1], 100.0, 32, 32)
+        with pytest.raises(ValueError, match="other roots"):
+            replace(model, zx=unit_roots([0.0, 0.2, -0.2]))
 
 
 class TestNoiseDispersion:

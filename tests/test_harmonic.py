@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resofilt import (
     HarmonicModel,
@@ -18,7 +20,7 @@ from resofilt import (
     synth_texture,
     vandermonde,
 )
-from resofilt.harmonic import fit_estimate
+from resofilt.harmonic import PINV_RCOND, _checked_pinv, fit_estimate
 
 from conftest import FOUR_PAIRS, unit_roots
 
@@ -177,6 +179,26 @@ class TestSpectrum:
         region = np.ones((8, 8))
         with pytest.raises(ModelError):
             spectrum(region, ResonanceRoots([1.0 + 0j, 1.0 + 0j]), unit_roots([0.0]))
+
+    # Frequencies on a 1/32 grid keep every drawn basis well-posed: 8 pairs
+    # at 1/32 .. 8/32 plus the unit root have s_min / s_max = 1.3e-7 on 17
+    # rows, far above PINV_RCOND.
+    @given(
+        steps=st.lists(st.integers(1, 15), max_size=8, unique=True),
+        unit=st.booleans(),
+        nyquist=st.booleans(),
+        rows=st.integers(16, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_svd_pinv_equals_numpy_pinv(self, steps, unit, nyquist, rows):
+        z = np.exp(2j * np.pi * np.asarray(steps, dtype=float) / 32)
+        z = np.concatenate([z, z.conj(), [1.0 + 0j] * unit, [-1.0 + 0j] * nyquist])
+        assume(1 <= z.size <= 17)
+        basis = vandermonde(z, max(rows, z.size))
+        expected = np.linalg.pinv(basis, rcond=PINV_RCOND)
+        got = _checked_pinv(basis)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestReconstruct:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from resofilt import (
     IRFilter,
     ImageFormatError,
     ImageStack,
+    NumericError,
     ObjectBox,
     doc_to_model,
     model_to_doc,
@@ -235,6 +238,28 @@ class TestModelDocument:
         assert back_filters[0].sigma2 == filters[0].sigma2
         # and the serialised text itself is stable
         assert dump_json(model_to_doc(back_model, back_filters)) == text
+
+    def test_unfitted_model_is_not_written(self):
+        # a model built from its parts has a NaN fit residual, which the
+        # reader would refuse; the writer names the field instead
+        model = HarmonicModel(unit_roots([0.0]), unit_roots([0.0]), np.array([[7.0 + 0j]]))
+        with pytest.raises(NumericError, match="non-finite fit_residual"):
+            model_to_doc(model)
+        nan_amplitude = HarmonicModel(model.zx, model.zy, np.array([[np.nan + 0j]]),
+                                      fit_residual=0.0)
+        with pytest.raises(NumericError, match="non-finite amplitudes"):
+            model_to_doc(nan_amplitude)
+        finite = HarmonicModel(model.zx, model.zy, model.amplitudes, fit_residual=0.0)
+        back, _ = doc_to_model(json.loads(dump_json(model_to_doc(finite))))
+        assert back.fit_residual == 0.0
+
+    def test_golden_example_round_trips(self):
+        text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        section = text[text.index("### Golden example"):]
+        doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        model, filters = doc_to_model(doc)
+        assert len(filters) == 1 and filters[0].factors is None
+        assert model_to_doc(model, filters) == doc
 
     def test_version_field_checked(self):
         model, filters = self._model_and_filters()
