@@ -8,14 +8,13 @@ leaves the E +- k*sigma band in any colour channel are flagged as anomalies
 carrying their original intensities.
 
 Functions are pure; per-channel designs are independent and may run
-concurrently.  A rank-one kernel (every designed kernel is c * hx (x) hy)
-is applied as a column pass then a row pass, P + Q shifted adds instead
-of P * Q; any other kernel, which only a loaded model document can carry,
-runs the direct double sum.  Each shifted add is one BLAS daxpy over a
-flat row-major buffer as wide as the image: one fused multiply-add per
-pixel and tap, with taps in a fixed order, so results depend neither on
-scheduling nor on the BLAS thread count.  The two-pass result is not
-bit-equal to the double sum.
+concurrently.  Every kernel has rank one (every designed kernel is
+c * hx (x) hy, and ``IRFilter`` refuses any other), so it is applied as a
+column pass then a row pass, P + Q shifted adds instead of P * Q.  Each
+shifted add is one BLAS daxpy over a flat row-major buffer as wide as the
+image: one fused multiply-add per pixel and tap, with taps in a fixed
+order, so results depend neither on scheduling nor on the BLAS thread
+count.
 
 The filter runs in strips of output rows sized by STRIP_BYTES, so its
 buffers stay in L2.  A strip reads only its own source rows, in both
@@ -35,7 +34,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -48,7 +47,7 @@ from .harmonic import UNIT_ROOT_TOL, HarmonicModel, amplitude_basis
 MEAN_TOL = 1e-9
 
 # Largest deviation, relative to max|kernel|, of the outer product of a
-# kernel's factors from the kernel itself for the two-pass apply path.
+# kernel's factors from the kernel itself.
 RANK_ONE_TOL = 1e-12
 
 # Bytes of float64 output held per row strip by apply_filter and detect;
@@ -95,7 +94,8 @@ class IRFilter:
     the constant the filter drives own-texture output toward, ``sigma2``
     the dispersion of the filtered base region around that level.
     ``factors`` is the (column, row) pair whose outer product is the
-    kernel when it has rank one, else None.
+    kernel.  A kernel that is not rank one within RANK_ONE_TOL raises
+    ValueError, and an all-zero kernel NumericError.
     """
 
     kernel: np.ndarray
@@ -168,18 +168,23 @@ def _plane(values) -> np.ndarray:
 
 
 def _rank_one_factors(kernel: np.ndarray):
-    """Column and row through the largest entry if their outer product
-    reproduces the kernel within RANK_ONE_TOL, else None (also for an
-    all-zero kernel).  The column is a view of the read-only kernel."""
+    """Column and row through the largest entry, whose outer product must
+    reproduce the kernel within RANK_ONE_TOL (ValueError otherwise;
+    NumericError for an all-zero kernel).  The column is a view of the
+    read-only kernel."""
     mags = np.abs(kernel)
-    peak = mags.max(initial=0.0)
+    peak = mags.max()
     if peak == 0.0:
-        return None
+        raise NumericError("kernel is all zero: the filter would flag nothing")
     i, j = np.unravel_index(np.argmax(mags), kernel.shape)
     col = kernel[:, j]
     row = kernel[i, :] / kernel[i, j]
-    if np.abs(np.outer(col, row) - kernel).max() > RANK_ONE_TOL * peak:
-        return None
+    miss = np.abs(np.outer(col, row) - kernel).max()
+    if miss > RANK_ONE_TOL * peak:
+        raise ValueError(
+            f"kernel {kernel.shape} is not rank one: its factors miss it by "
+            f"{miss / peak:.3g} of its largest tap"
+        )
     row.setflags(write=False)
     return col, row
 
@@ -195,8 +200,9 @@ def design_filter(
     region's mean.  A model without a unit root raises ModelError; no mean
     component, a model that is not conjugate-closed or an all-zero kernel
     (a zero-mean region, whose E = 0 flags nothing) raise NumericError.
-    The noise dispersion is the filtered base region's mean squared
-    deviation from E.  The Lagrange factors are the model's own, and so is
+    The noise dispersion is the mean squared deviation from E of the base
+    region as ``apply_filter`` filters it, the arithmetic whose output
+    ``detect`` judges.  The Lagrange factors are the model's own, and so is
     the amplitude basis when the model was fitted on a region of the base
     region's shape; otherwise the basis is built here.
     """
@@ -229,9 +235,8 @@ def design_filter(
             "the filter would flag nothing"
         )
 
-    filtered = _correlate_valid(base_region, kernel)
-    sig2 = noise_dispersion(filtered, flat)
-    return IRFilter(kernel=kernel, flat_level=flat, sigma2=sig2, channel=channel)
+    irf = IRFilter(kernel=kernel, flat_level=flat, sigma2=0.0, channel=channel)
+    return replace(irf, sigma2=noise_dispersion(apply_filter(base_region, irf), flat))
 
 
 def _accumulate(acc: np.ndarray, flat: np.ndarray, taps, offsets) -> None:
@@ -265,9 +270,8 @@ def _correlate_valid(image: np.ndarray, kernel: np.ndarray, out=None) -> np.ndar
     sum bit for bit with one fused multiply-add per tap.  The sums are
     computed W wide: columns oy..W-1 of each row are scratch (the last
     row's are left unwritten).  ``out``, when given, is that C-contiguous
-    (ox, W) buffer.  Returns the valid (ox, oy) view of it.  This is the
-    apply path of kernels without rank-one factors, and each 1D pass of
-    those with them.
+    (ox, W) buffer.  Returns the valid (ox, oy) view of it.  Each 1D pass
+    of ``apply_filter`` is one call.
     """
     p, q = kernel.shape
     ox, oy = _valid_shape(image.shape, kernel.shape)
@@ -299,21 +303,20 @@ def _strip_rows(cols: int) -> int:
 
 def _buffer_shapes(shape, irf: IRFilter):
     """Shapes of ``apply_filter``'s buffers for planes of ``shape``: the
-    output buffer, one strip's float64 source rows, and a rank-one
-    kernel's column-pass sums over them (no rows for other kernels)."""
+    output buffer, one strip's float64 source rows, and the column pass's
+    sums over them."""
     ox, oy = _valid_shape(shape, irf.kernel.shape)
     w = shape[1]
     rows = min(_strip_rows(oy), ox)
-    src = (rows + irf.kernel.shape[0] - 1, w)
-    return (ox, w), src, (0 if irf.factors is None else rows, w)
+    return (ox, w), (rows + irf.kernel.shape[0] - 1, w), (rows, w)
 
 
 @dataclass(frozen=True)
 class FilterBuffers:
     """Buffers of ``apply_filter`` kept for call after call on planes of
     one shape (``filter_buffers`` makes them).  ``out`` receives the sums;
-    ``src`` holds a strip's source rows as float64 and ``cols`` a rank-one
-    kernel's column-pass sums over them, each in its leading rows."""
+    ``src`` holds a strip's source rows as float64 and ``cols`` the column
+    pass's sums over them, each in its leading rows."""
 
     out: np.ndarray
     src: np.ndarray
@@ -349,9 +352,9 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     the same taps in the same order as a whole-plane pass.  An 8-bit (or
     any other) plane is converted to float64 one strip of source rows at a
     time.  Each tap is one daxpy over a flat buffer W = n_y columns wide
-    (see _correlate_valid).  A rank-one kernel runs, per strip, as a
-    column pass of its P column taps (offsets m*W) over the source rows,
-    then a row pass of its Q row taps (offsets 0..Q-1) over that result.
+    (see _correlate_valid).  The kernel runs, per strip, as a column pass
+    of its P column taps (offsets m*W) over the source rows, then a row
+    pass of its Q row taps (offsets 0..Q-1) over that result.
 
     The sums land in a C-contiguous float64 (n_x - P + 1, W) buffer, and
     the result is its valid ``[:, :n_y - Q + 1]`` view; the last Q - 1
@@ -370,6 +373,7 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
         raise ValueError(f"out must be a C-contiguous float64 buffer of shape {out_shape}")
     src = _scratch(bufs.src, src_shape)
     cols = _scratch(bufs.cols, cols_shape)
+    col, row = irf.factors
     p = irf.kernel.shape[0]
     ox, oy = _valid_shape(image.shape, irf.kernel.shape)
     step = _strip_rows(oy)
@@ -377,12 +381,8 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
         b = min(a + step, ox)
         rows = src[: b - a + p - 1]
         rows[:] = image[a : b + p - 1]
-        if irf.factors is None:
-            _correlate_valid(rows, irf.kernel, out=out[a:b])
-        else:
-            col, row = irf.factors
-            _correlate_valid(rows, col[:, np.newaxis], out=cols[: b - a])
-            _correlate_valid(cols[: b - a], row[np.newaxis, :], out=out[a:b])
+        _correlate_valid(rows, col[:, np.newaxis], out=cols[: b - a])
+        _correlate_valid(cols[: b - a], row[np.newaxis, :], out=out[a:b])
     return out[:, :oy]
 
 

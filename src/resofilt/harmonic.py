@@ -297,12 +297,6 @@ def spectrum(region: np.ndarray, zx: ResonanceRoots, zy: ResonanceRoots) -> np.n
     return amplitude_basis(zx, zy, region.shape).spectrum(region)
 
 
-def fit_residual(region: np.ndarray, zx, zy, amplitudes: np.ndarray) -> float:
-    """Max-abs reconstruction error of an amplitude fit over a region."""
-    region = np.asarray(region, dtype=float)
-    return _residual(region, *_bases(zx, zy, region.shape), amplitudes)
-
-
 def _residual(region, vx, vy, amplitudes) -> float:
     synth = vx @ amplitudes @ vy.T
     return float(np.abs(synth.real - region).max())

@@ -93,7 +93,9 @@ def model_to_doc(model: HarmonicModel, filters=(), diagnostics=None) -> dict:
 
 
 def doc_to_model(doc: dict):
-    """Parse a model document back into (HarmonicModel, [IRFilter...])."""
+    """Parse a model document back into (HarmonicModel, [IRFilter...]).
+    A filter whose kernel is not rank one, or whose shape is not both its
+    record's ``order`` and the model's, makes the document malformed."""
     try:
         if doc.get("format_version") != FORMAT_VERSION:
             raise ImageFormatError(
@@ -106,15 +108,14 @@ def doc_to_model(doc: dict):
         )
         model = HarmonicModel(zx, zy, amp, fit_residual=float(doc["fit_residual"]))
         _check_finite(model, ValueError)
-        filters = [
-            IRFilter(
-                kernel=np.array(f["kernel"], dtype=float),
-                flat_level=float(f["flat_level"]),
-                sigma2=float(f["sigma2"]),
-                channel=f["channel"],
-            )
-            for f in doc.get("filters", [])
-        ]
+        filters = []
+        for f in doc.get("filters", []):
+            irf = IRFilter(np.array(f["kernel"], dtype=float), float(f["flat_level"]),
+                           float(f["sigma2"]), f["channel"])
+            if list(f["order"]) != list(irf.order) or irf.order != model.order:
+                raise ValueError(f"{irf.channel} filter: kernel {irf.order} must match "
+                                 f"its order {f['order']} and the model's {model.order}")
+            filters.append(irf)
     except (KeyError, TypeError, ValueError, NumericError) as exc:
         raise ImageFormatError(f"malformed model document: {exc}") from exc
     return model, filters

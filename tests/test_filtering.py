@@ -141,7 +141,7 @@ class TestApplyFilter:
     def test_definitional_double_sum_bit_for_bit(self, rng):
         image = rng.normal(0, 1, (20, 18))
         kernel = rng.normal(0, 1, (5, 4))
-        out = apply_filter(image, IRFilter(kernel, 0.0, 0.0))
+        out = _correlate_valid(image, kernel)
         # same accumulation order as the implementation's shifted adds:
         # m-major, n-minor, one fused multiply-add per tap
         for i in range(16):
@@ -165,15 +165,13 @@ class TestApplyFilter:
 
     def test_result_is_the_valid_view_of_the_given_buffer(self, rng):
         image = rng.normal(0, 1, (30, 20))
-        for kernel in (np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)),
-                       rng.normal(0, 1, (5, 4))):
-            irf = IRFilter(kernel, 0.0, 1.0)
-            bufs = filter_buffers(image.shape, [irf])[0]
-            out = bufs.out
-            assert out.shape == (26, 20) and out.flags.c_contiguous
-            got = apply_filter(image, irf, out=bufs)
-            assert got.shape == (26, 17) and np.shares_memory(got, out)
-            assert np.array_equal(got, apply_filter(image, irf))
+        irf = IRFilter(np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)), 0.0, 1.0)
+        bufs = filter_buffers(image.shape, [irf])[0]
+        out = bufs.out
+        assert out.shape == (26, 20) and out.flags.c_contiguous
+        got = apply_filter(image, irf, out=bufs)
+        assert got.shape == (26, 17) and np.shares_memory(got, out)
+        assert np.array_equal(got, apply_filter(image, irf))
 
     @pytest.mark.parametrize(
         "make",
@@ -190,7 +188,7 @@ class TestApplyFilter:
     )
     def test_wrong_out_buffer_raises(self, rng, make):
         image = rng.normal(0, 1, (30, 20))
-        for kernel in (np.ones((5, 4)), rng.normal(0, 1, (5, 4))):
+        for kernel in (np.ones((5, 4)), np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4))):
             irf = IRFilter(kernel, 0.0, 1.0)
             bufs = replace(filter_buffers(image.shape, [irf])[0], out=make(26, 20))
             with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
@@ -306,7 +304,6 @@ class TestSeparableApply:
         else:
             model, _ = estimate_model_pencil(base, order)
         irf = design_filter(base, model)
-        assert irf.factors is not None
         assert _close_to_direct(scene, irf)
         two_pass = detect([apply_filter(scene, irf)], [irf], [scene])
         direct = detect([_direct(scene, irf)], [irf], [scene])
@@ -344,7 +341,6 @@ class TestSeparableApply:
             "rng = np.random.default_rng(5)\n"
             "image = rng.normal(0, 10, (256, 256))\n"
             "irf = IRFilter(np.outer(rng.normal(0, 1, 9), rng.normal(0, 1, 9)), 0.0, 1.0)\n"
-            "assert irf.factors is not None\n"
             "print(hashlib.sha256(apply_filter(image, irf).tobytes()).hexdigest())\n"
         )
         package_root = str(Path(filtering.__file__).resolve().parents[1])
@@ -371,16 +367,28 @@ class TestSeparableApply:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_kernels_pick_the_right_path(self, p, q, extra, seed):
+    def test_random_kernels_are_rank_one_or_refused(self, p, q, extra, seed):
         rng = np.random.default_rng(seed)
         image = rng.normal(0, 10, (p + extra[0], q + extra[1]))
         outer = IRFilter(np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q)), 0.0, 0.0)
-        assert outer.factors is not None
         assert _close_to_direct(image, outer)
         if min(p, q) >= 2:
-            full = IRFilter(rng.normal(0, 1, (p, q)), 0.0, 0.0)
-            assert full.factors is None
-            assert np.array_equal(apply_filter(image, full), _direct(image, full))
+            with pytest.raises(ValueError, match=rf"kernel \({p}, {q}\) is not rank one"):
+                IRFilter(rng.normal(0, 1, (p, q)), 0.0, 0.0)
+
+    def test_rank_one_tolerance_is_relative_to_the_largest_tap(self):
+        # the factors through the peak 1024 at (1, 1) are exact, so they miss
+        # the bent tap (0, 0) by exactly its bend: 2**-41 or 2**-39 of the peak
+        # against a tolerance of 1e-12
+        kernel = np.outer([1.0, 2.0], [4.0, 512.0])
+        for miss, ok in ((2.0**-41, True), (2.0**-39, False)):
+            bent = kernel.copy()
+            bent[0, 0] += 1024.0 * miss
+            if ok:
+                assert np.array_equal(np.outer(*IRFilter(bent, 0.0, 0.0).factors), kernel)
+            else:
+                with pytest.raises(ValueError, match="not rank one"):
+                    IRFilter(bent, 0.0, 0.0)
 
     def test_model_document_round_trip_same_output(self):
         scene = _patch_scene(1)
@@ -389,13 +397,26 @@ class TestSeparableApply:
         irf = design_filter(base, model)
         doc = json.loads(dump_json(model_to_doc(model, [irf])))
         _, (back,) = doc_to_model(doc)
-        assert back.factors is not None
         assert np.array_equal(apply_filter(scene, back), apply_filter(scene, irf))
 
-    def test_all_zero_kernel_takes_direct_path(self):
-        irf = IRFilter(np.zeros((3, 4)), 0.0, 0.0)
-        assert irf.factors is None
-        assert not apply_filter(np.ones((6, 6)), irf).any()
+    def test_all_zero_kernel_is_refused(self):
+        for kernel in (np.zeros((1, 1)), np.zeros((3, 4)), np.full((3, 4), -0.0)):
+            with pytest.raises(NumericError, match="kernel is all zero"):
+                IRFilter(kernel, 0.0, 0.0)
+
+    @pytest.mark.parametrize("channel_mode", ["gray", "rgb"])
+    @pytest.mark.parametrize("estimator,order", [("ls", 8), ("ls", 16), ("pencil", 4)])
+    def test_sigma2_is_the_dispersion_of_the_applied_filter(self, estimator, order,
+                                                             channel_mode):
+        # the detector judges apply_filter's output against sigma2, so the
+        # design measures sigma2 on that same arithmetic
+        cfg = PipelineConfig(order=(order, order), estimator=estimator,
+                             channel_mode=channel_mode)
+        base, model, _ = pipeline.estimate(_rgb_scene(1.0), cfg)
+        planes, _ = pipeline._channels(base, channel_mode)
+        for plane, irf in zip(planes, pipeline.design(base, model, cfg)):
+            dispersion = noise_dispersion(apply_filter(plane, irf), irf.flat_level)
+            assert np.float64(irf.sigma2).tobytes() == np.float64(dispersion).tobytes()
 
 
 def _reference_design(base, model, flat, exact_flat=False):
@@ -450,7 +471,6 @@ class TestClosedFormDesign:
         planes, _ = pipeline._channels(base, channel_mode)
         assert len(filters) == len(planes)
         for plane, irf in zip(planes, filters):
-            assert irf.factors is not None
             kernel, sigma2 = _reference_design(plane, model, irf.flat_level, exact_flat)
             assert np.abs(irf.kernel - kernel).max() <= 1e-9 * np.abs(kernel).max()
             assert abs(irf.sigma2 - sigma2) <= 1e-9 * sigma2
@@ -482,7 +502,6 @@ class TestClosedFormDesign:
         amp[0, 0] = 0.0
         base = (vandermonde(zx, shape[0]) @ amp @ vandermonde(zy, shape[1]).T).real + mean
         irf = design_filter(base, HarmonicModel.fit(base, zx, zy))
-        assert irf.factors is not None
         out = apply_filter(base, irf)
         assert np.abs(out - irf.flat_level).max() < 1e-8 * np.abs(base).max()
         assert irf.sigma2 < 1e-16 * irf.flat_level**2
@@ -493,12 +512,9 @@ def _same_filter(a: IRFilter, b: IRFilter) -> bool:
     def bits(values):
         return np.asarray(values, dtype=float).tobytes()
 
-    if (a.factors is None) != (b.factors is None):
-        return False
-    factors = zip(a.factors, b.factors) if a.factors is not None else ()
     return (
         bits(a.kernel) == bits(b.kernel)
-        and all(bits(x) == bits(y) for x, y in factors)
+        and all(bits(x) == bits(y) for x, y in zip(a.factors, b.factors))
         and bits(a.flat_level) == bits(b.flat_level)
         and bits(a.sigma2) == bits(b.sigma2)
         and a.channel == b.channel
@@ -746,9 +762,8 @@ class TestDetect:
 
 
 def whole_plane_apply(image, irf):
-    """Reference: the filter as one whole-plane pass (the direct double sum,
-    or the column pass then the row pass of a rank-one kernel), one fused
-    multiply-add per tap."""
+    """Reference: the filter as one whole-plane pass, the column pass then
+    the row pass, one fused multiply-add per tap."""
 
     def correlate(img, kernel):
         p, q = kernel.shape
@@ -759,8 +774,6 @@ def whole_plane_apply(image, irf):
                 out = fma_array(kernel[m, n], img[m : m + ox, n : n + oy], out)
         return out
 
-    if irf.factors is None:
-        return correlate(image, irf.kernel)
     col, row = irf.factors
     return correlate(correlate(image, col[:, np.newaxis]), row[np.newaxis, :])
 
@@ -785,21 +798,17 @@ class TestStrips:
         strip=st.integers(1, 6),
         strips=st.integers(1, 3),
         offset=st.integers(-1, 1),
-        rank_one=st.booleans(),
         channels=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=80, deadline=None)
     def test_strip_boundaries_are_bit_exact(
-        self, p, q, extra_cols, strip, strips, offset, rank_one, channels, seed
+        self, p, q, extra_cols, strip, strips, offset, channels, seed
     ):
         rng = np.random.default_rng(seed)
         ox, oy = max(1, strips * strip + offset), extra_cols + 1
         shape = (ox + p - 1, oy + q - 1)
-        if rank_one:
-            kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
-        else:
-            kernel = rng.normal(0, 1, (p, q))
+        kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
         originals = [rng.integers(-3, 4, shape).astype(float) for _ in range(channels)]
         originals[0][rng.random(shape) < 0.2] = -0.0
         filters = [
@@ -818,8 +827,6 @@ class TestStrips:
         for out, reference in zip(filtered, whole):
             assert np.array_equal(out, reference)
             assert np.array_equal(np.signbit(out), np.signbit(reference))
-        if not rank_one and min(p, q) > 1:
-            assert filters[0].factors is None
         verdicts = whole_plane_detect(filtered, filters, originals, 0.5)
         assert np.array_equal(mask.positive(), verdicts)
 
@@ -829,22 +836,18 @@ class TestStrips:
         extra_cols=st.integers(0, 12),
         strip=st.integers(1, 6),
         strips=st.integers(1, 3),
-        rank_one=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
     def test_uint8_plane_into_a_reused_buffer_equals_float_plane(
-        self, p, q, extra_cols, strip, strips, rank_one, seed
+        self, p, q, extra_cols, strip, strips, seed
     ):
         # each strip's source rows are converted as they are read, and a
         # buffer that held another frame's sums gives the same result
         rng = np.random.default_rng(seed)
         ox, oy = strips * strip, extra_cols + 1
         shape = (ox + p - 1, oy + q - 1)
-        if rank_one:
-            kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
-        else:
-            kernel = rng.normal(0, 1, (p, q))
+        kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
         irf = IRFilter(kernel, flat_level=0.0, sigma2=1.0)
         plane = rng.integers(0, 256, shape, dtype=np.uint8)
         reference = apply_filter(plane.astype(float), irf)
@@ -857,12 +860,12 @@ class TestStrips:
         assert np.array_equal(got, reference)
 
     def test_run_buffers_share_strip_scratch_and_change_no_result(self, rng, monkeypatch):
-        # one scratch pair serves filters of different heights and kinds,
-        # frame after frame, in 3-row strips
+        # one scratch pair serves filters of different heights, frame
+        # after frame, in 3-row strips
         shape = (30, 20)
         filters = [
             IRFilter(np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)), 0.0, 1.0),
-            IRFilter(rng.normal(0, 1, (3, 4)), 0.0, 1.0),
+            IRFilter(np.outer(rng.normal(0, 1, 3), rng.normal(0, 1, 4)), 0.0, 1.0),
             IRFilter(np.outer(rng.normal(0, 1, 2), rng.normal(0, 1, 4)), 0.0, 1.0),
         ]
         monkeypatch.setattr(filtering, "STRIP_BYTES", 8 * 17 * 3)
@@ -879,7 +882,7 @@ class TestStrips:
         with pytest.raises(ValueError, match="scratch buffer"):
             apply_filter(plane, filters[0], out=short)
         # a missing or non-float64 scratch buffer is refused, whatever the
-        # kernel's kind, before the filter runs
+        # kernel's height, before the filter runs
         for irf, buf in zip(filters, bufs):
             for name in ("src", "cols"):
                 for bad in (None, getattr(buf, name).astype(np.float32)):
@@ -890,17 +893,13 @@ class TestStrips:
         p=st.integers(1, 17),
         q=st.integers(1, 17),
         extra=st.tuples(st.integers(0, 12), st.integers(0, 12)),
-        rank_one=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_whole_plane_pass_is_one_fma_per_tap(self, p, q, extra, rank_one, seed):
+    def test_whole_plane_pass_is_one_fma_per_tap(self, p, q, extra, seed):
         rng = np.random.default_rng(seed)
         shape = (p + extra[0], q + extra[1])
-        if rank_one:
-            kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
-        else:
-            kernel = rng.normal(0, 1, (p, q))
+        kernel = np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q))
         plane = rng.integers(-3, 4, shape).astype(float)
         plane[rng.random(shape) < 0.2] = -0.0
         irf = IRFilter(kernel, flat_level=0.0, sigma2=1.0)

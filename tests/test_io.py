@@ -221,7 +221,8 @@ class TestModelDocument:
         zx = unit_roots([0.0, 0.11, -0.11])
         zy = unit_roots([0.0, 0.23, -0.23])
         model = HarmonicModel.fit(region, zx, zy)
-        irf = IRFilter(np.array([[0.25, -0.1], [0.3, 0.55]]), 5.0, 1.25e-7, channel="gray")
+        irf = IRFilter(np.outer([0.25, -0.1, 0.3], [1.0, 0.55, -1.0 / 3.0]), 5.0, 1.25e-7,
+                       channel="gray")
         return model, [irf]
 
     def test_round_trip_full_precision(self, tmp_path):
@@ -258,7 +259,7 @@ class TestModelDocument:
         section = text[text.index("### Golden example"):]
         doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
         model, filters = doc_to_model(doc)
-        assert len(filters) == 1 and filters[0].factors is None
+        assert len(filters) == 1
         assert model_to_doc(model, filters) == doc
 
     def test_version_field_checked(self):
@@ -301,6 +302,18 @@ class TestModelDocument:
             doc = model_to_doc(model, filters)
             doc["filters"][0]["kernel"] = kernel
             with pytest.raises(ImageFormatError, match="at least one tap"):
+                doc_to_model(doc)
+
+    def test_kernel_must_match_its_order_and_the_model(self):
+        # the model has 3 roots per axis; each record breaks one rule or both
+        model, filters = self._model_and_filters()
+        two = [[1.0, 2.0], [2.0, 4.0]]
+        for order, kernel in (([99, 99], None), ([2, 2], two), ([3, 3], two)):
+            doc = model_to_doc(model, filters)
+            doc["filters"][0]["order"] = order
+            if kernel is not None:
+                doc["filters"][0]["kernel"] = kernel
+            with pytest.raises(ImageFormatError, match="gray filter: kernel .* must match"):
                 doc_to_model(doc)
 
 

@@ -1253,20 +1253,60 @@ class TestCli:
     def test_non_finite_model_document_is_input_error(self, tmp_path, capsys,
                                                       mutate, reason):
         tex = self._synth(tmp_path)
-        model = tmp_path / "model.json"
-        assert main(["design", "--input", str(tex), "--order", "8,8",
-                     "--model-out", str(model)]) == EXIT_OK
-        doc = json.loads(model.read_text())
+        model, doc = self._design_doc(tmp_path, tex)
         mutate(doc)
+        self._refused(capsys, tex, model, doc, reason)
+
+    def _design_doc(self, tmp_path, frame, *extra):
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(frame), "--order", "8,8",
+                     "--model-out", str(model), *extra]) == EXIT_OK
+        return model, json.loads(model.read_text())
+
+    def _refused(self, capsys, frame, model, doc, reason):
+        """``report`` and ``filter`` both refuse the document as an input
+        error naming ``reason``, and ``filter`` writes nothing."""
         model.write_text(json.dumps(doc))  # NaN and Infinity, as json parses them
-        filtered = tmp_path / "filtered.pgm"
+        filtered = model.parent / "filtered.out"
         for argv in (["report", "--path", str(model)],
-                     ["filter", "--input", str(tex), "--model", str(model),
+                     ["filter", "--input", str(frame), "--model", str(model),
                       "--out", str(filtered)]):
             assert main(argv) == EXIT_INPUT
             err = capsys.readouterr().err
             assert "malformed model document" in err and reason in err
+            assert "Traceback" not in err
         assert not filtered.exists()
+
+    @pytest.mark.parametrize(
+        "replace_kernel,reason",
+        [(lambda k: np.random.default_rng(0).normal(0, 1, k.shape), "is not rank one"),
+         (np.zeros_like, "kernel is all zero")],
+        ids=["full-rank", "all-zero"],
+    )
+    def test_kernel_that_is_not_rank_one_is_input_error(self, tmp_path, capsys,
+                                                        replace_kernel, reason):
+        tex = self._synth(tmp_path)
+        model, doc = self._design_doc(tmp_path, tex)
+        kernel = np.array(doc["filters"][0]["kernel"])
+        doc["filters"][0]["kernel"] = replace_kernel(kernel).tolist()
+        self._refused(capsys, tex, model, doc, reason)
+
+    @pytest.mark.parametrize("edit", ["kernel", "order"])
+    def test_filter_of_another_shape_is_input_error(self, tmp_path, capsys, edit):
+        # an rgb document whose b kernel is a rank-one 2x2, or whose r
+        # record claims an order its kernel does not have
+        scene = patch_scene().planes[0]
+        frame = tmp_path / "frame.ppm"
+        write_image(str(frame), ImageStack((scene, 255.0 - scene, 0.5 * scene)))
+        model, doc = self._design_doc(tmp_path, frame, "--channels", "rgb")
+        order = tuple(doc["order"])
+        if edit == "kernel":
+            doc["filters"][2]["kernel"] = [[1.0, 2.0], [2.0, 4.0]]
+            reason = f"b filter: kernel (2, 2) must match its order {list(order)}"
+        else:
+            doc["filters"][0]["order"] = [99, 99]
+            reason = f"r filter: kernel {order} must match its order [99, 99]"
+        self._refused(capsys, frame, model, doc, f"{reason} and the model's {order}")
 
     @pytest.mark.parametrize(
         "option,value,field",
