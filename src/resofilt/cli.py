@@ -241,6 +241,10 @@ def _cmd_filter(args) -> int:
         raise ConfigError("model: the document carries no designed filters")
     if len(filters) not in (1, 3):
         raise ConfigError(f"model: the document carries {len(filters)} filters, not 1 or 3")
+    channels = [f.channel for f in filters]
+    if channels not in (["gray"], ["r", "g", "b"]):
+        raise ConfigError(f"model: the filters' channels are {channels}, "
+                          "not ['gray'] or ['r', 'g', 'b'] in order")
     planes, _ = _channels(stack, "gray" if len(filters) == 1 else "rgb")
     for plane, f in zip(planes, filters):
         if plane.shape[0] < f.kernel.shape[0] or plane.shape[1] < f.kernel.shape[1]:

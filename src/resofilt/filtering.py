@@ -22,10 +22,11 @@ passes, and carries nothing to the next; it sums the same taps in the
 same order as a whole-plane pass, so strips do not change the result.
 Planes may be 8-bit: each strip's source rows are converted to float64
 as they are read, and the sums go into a ``FilterBuffers`` set the
-caller may own and reuse.  The detector ORs its verdicts into one
-boolean raster, strip by strip as well, and may be given that raster and
-its strip scratch, so a caller that filters a frame one strip of rows at
-a time can detect each strip into its rows of the frame's raster.
+caller may own and reuse.  The detector judges the rows it is given in
+one pass into one boolean raster, and may be given that raster and its
+deviation buffer, so a caller that filters a frame one strip at a time
+can detect each strip into its rows of the frame's raster.  A given
+float64 buffer may have more rows than needed; its leading ones are used.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ MEAN_TOL = 1e-9
 # kernel's factors from the kernel itself.
 RANK_ONE_TOL = 1e-12
 
-# Bytes of float64 output held per row strip by apply_filter and detect;
-# a strip's temporaries are a few times this, sized to stay in L2.
+# Bytes of float64 output held per row strip by apply_filter and the
+# pipeline's frame loop; a strip's temporaries are a few times this.
 STRIP_BYTES = 256 * 1024
 
 
@@ -276,11 +277,7 @@ def _correlate_valid(image: np.ndarray, kernel: np.ndarray, out=None) -> np.ndar
     p, q = kernel.shape
     ox, oy = _valid_shape(image.shape, kernel.shape)
     w = image.shape[1]
-    if out is None:
-        out = np.empty((ox, w))
-    elif not out.flags.c_contiguous:
-        # reshape would flatten a copy, and the sums would be lost with it
-        raise ValueError("out must be a C-contiguous buffer")
+    out = np.empty((ox, w)) if out is None else _scratch(out, (ox, w))
     offsets = [m * w + n for m in range(p) for n in range(q)]
     flat = np.ascontiguousarray(image, dtype=float).reshape(-1)
     _accumulate(out.reshape(-1)[: ox * w - q + 1], flat, kernel.ravel().tolist(), offsets)
@@ -313,10 +310,11 @@ def _buffer_shapes(shape, irf: IRFilter):
 
 @dataclass(frozen=True)
 class FilterBuffers:
-    """Buffers of ``apply_filter`` kept for call after call on planes of
-    one shape (``filter_buffers`` makes them).  ``out`` receives the sums;
-    ``src`` holds a strip's source rows as float64 and ``cols`` the column
-    pass's sums over them, each in its leading rows."""
+    """Buffers of ``apply_filter`` kept for call after call (``filter_buffers``
+    makes them).  ``out`` receives the sums, ``src`` holds a strip's source
+    rows as float64 and ``cols`` the column pass's sums over them.  A call
+    uses the leading rows of each, so a set made for planes of one shape
+    also serves planes with fewer rows of the same width."""
 
     out: np.ndarray
     src: np.ndarray
@@ -324,10 +322,10 @@ class FilterBuffers:
 
 
 def filter_buffers(shape, filters) -> list:
-    """One ``FilterBuffers`` per filter for planes of ``shape``: a new
-    output buffer each, and one pair of strip scratch buffers, large enough
-    for every filter, that all of them share.  So they serve one
-    ``apply_filter`` call at a time between them."""
+    """One ``FilterBuffers`` per filter for planes of ``shape`` (or fewer
+    rows): a new output buffer each, and one pair of strip scratch buffers,
+    large enough for every filter, that all of them share.  So they serve
+    one ``apply_filter`` call at a time between them."""
     needs = [_buffer_shapes(shape, irf) for irf in filters]
     src = np.empty(max(s for _, s, _ in needs))
     cols = np.empty(max(c for _, _, c in needs))
@@ -335,11 +333,15 @@ def filter_buffers(shape, filters) -> list:
 
 
 def _scratch(buf, shape):
-    """The leading ``shape[0]`` rows of the float64 scratch buffer ``buf``."""
+    """The leading ``shape[0]`` rows of ``buf``, which must be a C-contiguous
+    float64 array (a flattened copy would lose the sums) of ``shape[1:]``
+    trailing shape and at least ``shape[0]`` rows; ValueError otherwise.
+    Every float64 buffer a caller gives is checked here."""
     if (not isinstance(buf, np.ndarray) or buf.dtype != np.float64
+            or not buf.flags.c_contiguous
             or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]):
         held = getattr(buf, "shape", buf)
-        raise ValueError(f"scratch buffer {held} does not hold {shape} float64")
+        raise ValueError(f"scratch buffer {held} does not hold {shape} C-contiguous float64")
     return buf[: shape[0]]
 
 
@@ -356,21 +358,19 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     of its P column taps (offsets m*W) over the source rows, then a row
     pass of its Q row taps (offsets 0..Q-1) over that result.
 
-    The sums land in a C-contiguous float64 (n_x - P + 1, W) buffer, and
-    the result is its valid ``[:, :n_y - Q + 1]`` view; the last Q - 1
-    columns of each buffer row are scratch.  ``out`` is a ``FilterBuffers``
-    set (``filter_buffers`` makes them) holding that buffer and the strip
-    scratch, so that repeated calls allocate nothing; when None, the call
-    makes a new set.  A set serves one call at a time: the next call that
-    is given it overwrites the previous result.
+    The sums land in the leading n_x - P + 1 rows of a float64 buffer W
+    wide, and the result is their valid ``[:, :n_y - Q + 1]`` view; the
+    last Q - 1 columns of each buffer row are scratch.  ``out`` is a
+    ``FilterBuffers`` set (``filter_buffers`` makes them) holding that
+    buffer and the strip scratch, so that repeated calls allocate nothing;
+    a bad buffer is refused (``_scratch``) before any sum is written.  When
+    None, the call makes a new set.  A set serves one call at a time: the
+    next call that is given it overwrites the previous result.
     """
     image = np.asarray(image)
     out_shape, src_shape, cols_shape = _buffer_shapes(image.shape, irf)
     bufs = filter_buffers(image.shape, [irf])[0] if out is None else out
-    out = bufs.out
-    if (not isinstance(out, np.ndarray) or out.shape != out_shape
-            or out.dtype != np.float64 or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 buffer of shape {out_shape}")
+    out = _scratch(bufs.out, out_shape)
     src = _scratch(bufs.src, src_shape)
     cols = _scratch(bufs.cols, cols_shape)
     col, row = irf.factors
@@ -407,12 +407,12 @@ def detect(
 
     A pixel is anomalous when |filtered - E| exceeds multiplier * sigma in
     any channel.  The verdicts form one boolean raster of the originals'
-    shape, built strip by strip: each strip's deviations are taken into a
-    float64 buffer of (strip rows, filtered columns), so every pass over
-    them runs on contiguous memory.  ``out``, when given, is that raster (a
-    boolean array of the originals' shape, every element of which the
-    call writes), and ``scratch`` that buffer (one at least as large, of
-    whose leading rows the call writes); when None, the call makes them.
+    shape; the filtered rows given are judged in one pass per channel, whose
+    deviations are taken into a float64 buffer of the filtered shape, so
+    every pass over them runs on contiguous memory.  ``out``, when given,
+    is that raster (a boolean array of the originals' shape, every element
+    of which the call writes), and ``scratch`` that buffer (holding the
+    filtered shape in its leading rows); when None, the call makes them.
     """
     if len(filtered_channels) != len(filters) or len(filters) != len(original_planes):
         raise ValueError("channel counts of filtered, filters and original differ")
@@ -423,9 +423,7 @@ def detect(
     ox, oy = out_shape
     if ox > shape[0] or oy > shape[1]:
         raise ValueError("filtered channels exceed the original planes")
-    step = _strip_rows(oy)
-    dev_shape = (min(step, ox), oy)
-    deviation = _scratch(np.empty(dev_shape) if scratch is None else scratch, dev_shape)
+    deviation = _scratch(np.empty(out_shape) if scratch is None else scratch, out_shape)
     verdicts = np.empty(shape, dtype=bool) if out is None else out
     if not (isinstance(verdicts, np.ndarray) and verdicts.dtype == bool
             and verdicts.shape == shape):
@@ -436,10 +434,7 @@ def detect(
         filt_plane = np.asarray(filt_plane, dtype=float)
         if filt_plane.shape != out_shape:
             raise ValueError("filtered channels disagree in shape")
-        band = multiplier * np.sqrt(irf.sigma2)
-        for a in range(0, ox, step):
-            dev = deviation[: min(step, ox - a)]
-            np.subtract(filt_plane[a : a + step], irf.flat_level, out=dev)
-            np.abs(dev, out=dev)
-            flagged[a : a + step] |= dev > band
+        np.subtract(filt_plane, irf.flat_level, out=deviation)
+        np.abs(deviation, out=deviation)
+        flagged |= deviation > multiplier * np.sqrt(irf.sigma2)
     return DetectionMask(verdicts=verdicts, originals=original_planes, valid_shape=out_shape)

@@ -7,11 +7,11 @@ thresholded by the union rule and split into candidate boxes, which the
 static histogram post-filter judges at once and the dynamic cross-frame
 correlation filter judges once the window of L frames they open is
 complete.  A run holds one frame at a time, plus the boolean rasters of
-the last L frames and frame 0's mask.  A frame is filtered and detected
-one row strip at a time (the filter's strip rule), so no filtered plane
-is ever whole: each channel's filter writes a strip into one strip-sized
-buffer, and the detector writes that strip's rows of the frame's verdict
-raster, through one scratch buffer; the run allocates these once.
+the last L frames and frame 0's mask.  The frame loop alone cuts a frame
+into row strips (the filter's strip rule), so no filtered plane is ever
+whole: each channel's filter writes a strip into one strip-sized set, and
+the detector judges it into its rows of the frame's verdict raster,
+through one deviation buffer; the run allocates these once.
 
 Stages run sequentially and deterministically: identical configuration
 and inputs produce identical reports and masks.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -325,30 +325,6 @@ def _frame_verdicts(index: int, planes, boxes, config: PipelineConfig):
     return kept, record
 
 
-def _strips(shape, valid, filters):
-    """The row strips of frames of ``shape``, whose filter output is
-    ``valid`` in shape, and the detector's scratch.
-
-    Output rows a..b-1 of a strip (``_strip_rows`` of them, the last one
-    fewer) are filtered from source rows a..b+P-2, and the strip's detect
-    call writes verdict rows a..b-1, the last strip's running to the
-    frame's end, so the strips fill the raster.  Each strip is (source
-    rows, verdict rows, one ``FilterBuffers`` set per channel); all share
-    the sets made for the first strip, the last strip viewing the leading
-    rows of their output buffers.
-    """
-    p = filters[0].order[0]
-    ox, oy = valid
-    step = min(_strip_rows(oy), ox)
-    sets = filter_buffers((step + p - 1, shape[1]), filters)
-    strips = []
-    for a in range(0, ox, step):
-        b = min(a + step, ox)
-        bufs = sets if b - a == step else [replace(buf, out=buf.out[: b - a]) for buf in sets]
-        strips.append((slice(a, b + p - 1), slice(a, b if b < ox else shape[0]), bufs))
-    return strips, np.empty((step, oy))
-
-
 def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     """Run the full chain over an iterable of frames, one frame at a time.
 
@@ -359,10 +335,11 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     of the last ``track_window`` frames and correlates the window starting
     at frame k - L + 1 once frame k has been detected.  Of the detection
     masks only frame 0's is kept.  Each frame is filtered and detected one
-    row strip at a time: every strip's filter output for a channel lands
-    in the same strip-sized buffer, every filter call uses the same strip
-    scratch, and every detect call the same deviation scratch; all are
-    allocated once per run.
+    strip of ``_strip_rows`` output rows at a time: rows a..b-1 are
+    filtered from source rows a..b+P-2 into the leading rows of each
+    channel's one ``FilterBuffers`` set, then detected into verdict rows
+    a..b-1 (the last strip's run to the frame's end) through one deviation
+    buffer.  The run makes the sets and the buffer once.
     """
     frames = iter(frames)
     first = next(frames, None)
@@ -371,9 +348,11 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     base, model, diag = estimate(first, config)
     filters = design(base, model, config)
     p, q = filters[0].order
-    valid = (first.shape[0] - p + 1, first.shape[1] - q + 1)
+    ox, oy = valid = (first.shape[0] - p + 1, first.shape[1] - q + 1)
+    step = min(_strip_rows(oy), ox)
     with _stage("filter+detect"):
-        strips, scratch = _strips(first.shape, valid, filters)
+        sets = filter_buffers((step + p - 1, first.shape[1]), filters)
+        scratch = np.empty((step, oy))
 
     first_mask = None
     recent = deque(maxlen=int(config.track_window))
@@ -390,10 +369,12 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
         with _stage("filter+detect"):
             planes, _ = _channels(frame, config.channel_mode)
             verdicts = np.empty(frame.shape, dtype=bool)
-            for source, rows, bufs in strips:
+            for a in range(0, ox, step):
+                b = min(a + step, ox)
+                rows = slice(a, b if b < ox else frame.shape[0])
                 detect(
-                    [apply_filter(plane[source], irf, out=out)
-                     for plane, irf, out in zip(planes, filters, bufs)],
+                    [apply_filter(plane[a : b + p - 1], irf, out=bufs)
+                     for plane, irf, bufs in zip(planes, filters, sets)],
                     filters,
                     [plane[rows] for plane in planes],
                     multiplier=config.sigma_multiplier,

@@ -177,22 +177,40 @@ class TestApplyFilter:
         "make",
         [
             lambda ox, w: np.empty((ox, w - 3)),  # the valid shape, not W wide
-            lambda ox, w: np.empty((ox + 1, w)),
             lambda ox, w: np.empty((ox, w), dtype=np.float32),
             lambda ox, w: np.empty((ox, w), dtype=complex),
             lambda ox, w: np.empty((ox, w), order="F"),
             lambda ox, w: np.empty((ox, 2 * w))[:, ::2],
             lambda ox, w: None,
         ],
-        ids=["valid-shape", "rows", "float32", "complex", "fortran", "strided", "none"],
+        ids=["valid-shape", "float32", "complex", "fortran", "strided", "none"],
     )
     def test_wrong_out_buffer_raises(self, rng, make):
         image = rng.normal(0, 1, (30, 20))
         for kernel in (np.ones((5, 4)), np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4))):
             irf = IRFilter(kernel, 0.0, 1.0)
             bufs = replace(filter_buffers(image.shape, [irf])[0], out=make(26, 20))
-            with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
+            given = [b for b in (bufs.out, bufs.src, bufs.cols) if b is not None]
+            for buf in given:
+                buf.fill(np.nan)
+            with pytest.raises(ValueError, match="C-contiguous float64"):
                 apply_filter(image, irf, out=bufs)
+            # refused before any sum is written
+            assert all(np.isnan(buf).all() for buf in given)
+
+    def test_taller_buffer_set_serves_its_leading_rows(self, rng):
+        # a set made for taller planes of the same width is accepted: the
+        # result views the leading rows of its output buffer, bit for bit
+        # a fresh call's result
+        image = rng.normal(0, 1, (30, 20))
+        for kernel in (np.ones((5, 4)), np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4))):
+            irf = IRFilter(kernel, 0.0, 1.0)
+            bufs = filter_buffers((31, 20), [irf])[0]
+            assert bufs.out.shape == (27, 20)
+            got = apply_filter(image, irf, out=bufs)
+            assert got.shape == (26, 17)
+            assert got.ctypes.data == bufs.out.ctypes.data and got.strides == bufs.out.strides
+            assert got.tobytes() == apply_filter(image, irf).tobytes()
 
     def test_daxpy_is_one_fused_multiply_add_at_any_offset(self, rng):
         # The bit-exact tests pin this contract of the BLAS: every element
@@ -682,6 +700,24 @@ class TestDetect:
         assert flagged[:4, :4].any() and (flagged & (originals[0][:17, :18] < 0)).any()
         assert np.array_equal(mask.positive(), expected)
         assert mask.valid_shape == out_shape
+
+    def test_scratch_holds_the_filtered_shape_in_its_leading_rows(self, rng):
+        # one pass over all the rows given: a taller deviation buffer is
+        # used in its leading rows, any other is refused before the raster
+        # is written
+        filtered = [rng.normal(0.0, 1.0, (6, 7))]
+        irf = IRFilter(np.ones((2, 2)), flat_level=0.0, sigma2=0.25)
+        originals = [np.zeros((7, 8))]
+        raster = np.ones((7, 8), dtype=bool)
+        mask = detect(filtered, [irf], originals, out=raster, scratch=np.empty((9, 7)))
+        assert np.shares_memory(mask.positive(), raster)
+        assert np.array_equal(raster, whole_plane_detect(filtered, [irf], originals, 3.0))
+        for bad in (np.empty((5, 7)), np.empty((6, 8)), np.empty((6, 7), dtype=np.float32),
+                    np.empty((6, 7), order="F")):
+            raster.fill(True)
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                detect(filtered, [irf], originals, out=raster, scratch=bad)
+            assert raster.all()
 
     def test_positive_raster_cached_read_only(self):
         filtered = [np.zeros((4, 4)) for _ in range(3)]

@@ -153,25 +153,38 @@ class TestRunPipeline:
         assert len(full) == 2
         assert judged and all(any(p is g for g in full) for p in judged)
 
-    def test_each_channel_filters_every_frame_into_one_buffer(self, monkeypatch):
-        # one output buffer per channel per run, passed to every frame's
-        # filter call; reusing it changes no result
+    @pytest.mark.parametrize(
+        "strip_bytes,strips",
+        [(None, [120]), (8 * 120 * 25, [25, 25, 25, 25, 20])],
+        ids=["one-strip", "five-strips"],
+    )
+    def test_each_channel_filters_every_frame_into_one_buffer(
+        self, monkeypatch, strip_bytes, strips
+    ):
+        # one buffer set per channel per run, passed to the filter call of
+        # every strip of every frame, the short last strip included;
+        # reusing it changes no result
+        if strip_bytes is not None:
+            monkeypatch.setattr(filtering, "STRIP_BYTES", strip_bytes)
         calls = []
         apply = pipeline.apply_filter
 
         def spy_apply(image, irf, *, out=None):
             assert out is not None
-            calls.append((irf.channel, id(out)))
+            calls.append((irf.channel, image.shape[0] - irf.order[0] + 1, out))
             return apply(image, irf, out=out)
 
+        # the 9x9 kernels of order 8 leave 120 valid rows of a 128-row frame
         frames = [ImageStack(patch_scene(seed=s).planes * 3) for s in range(4)]
         cfg = PipelineConfig(order=(8, 8), channel_mode="rgb", post="track", track_window=3)
         monkeypatch.setattr(pipeline, "apply_filter", spy_apply)
         reused = run_pipeline(cfg, frames)
-        assert len(calls) == 12
-        ids = {channel: {ident for c, ident in calls if c == channel} for channel in "rgb"}
-        assert all(len(v) == 1 for v in ids.values())
-        assert len(set.union(*ids.values())) == 3
+        assert len(calls) == 12 * len(strips)
+        for channel in "rgb":
+            assert [rows for c, rows, _ in calls if c == channel] == 4 * strips
+        sets = {c: out for c, _, out in reversed(calls)}  # each channel's first set
+        assert all(out is sets[c] for c, _, out in calls)
+        assert len({id(out) for out in sets.values()}) == 3
         monkeypatch.setattr(pipeline, "apply_filter",
                             lambda image, irf, *, out=None: apply(image, irf))
         fresh = run_pipeline(cfg, frames)
@@ -1006,6 +1019,35 @@ class TestCli:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"configuration error: model: the document carries {count} filters" in err
+        assert not filtered.exists()
+
+    @pytest.mark.parametrize(
+        "mode,channels",
+        [("rgb", ["b", "g", "r"]), ("gray", ["r"]), ("gray", [[1, 2]])],
+        ids=["reversed-rgb", "gray-renamed-r", "non-string"],
+    )
+    def test_filter_channels_other_than_gray_or_rgb_in_order_are_config_error(
+        self, tmp_path, capsys, mode, channels
+    ):
+        # filters are applied to planes by position, so a document whose
+        # channels name other planes would filter the wrong ones
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(tex), "--order", "8,8", "--channels", mode,
+                     "--model-out", str(model)]) == EXIT_OK
+        doc = json.loads(model.read_text())
+        if mode == "rgb":
+            doc["filters"].reverse()
+        else:
+            doc["filters"][0]["channel"] = channels[0]
+        assert [f["channel"] for f in doc["filters"]] == channels
+        model.write_text(json.dumps(doc))
+        filtered = tmp_path / "filtered.pgm"
+        code = main(["filter", "--input", str(tex), "--model", str(model),
+                     "--out", str(filtered)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"configuration error: model: the filters' channels are {channels}" in err
         assert not filtered.exists()
 
     def test_synth_frame_i_equals_a_single_frame_at_seed_plus_i(self, tmp_path):
