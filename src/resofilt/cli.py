@@ -29,7 +29,7 @@ from .filtering import apply_filter
 from .harmonic import synth_texture
 from .imageio import ImageStack, draw_boxes, read_image, write_image
 from .model_doc import RunReport, doc_to_model, dump_json, load_json, model_to_doc
-from .pipeline import PipelineConfig, _channels, design, estimate, run_pipeline
+from .pipeline import _CHANNELS, PipelineConfig, _channels, design, estimate, run_pipeline
 
 # Not called here: the benchmark's tracer (perfbench/tracing.py BINDINGS)
 # wraps these two names of this module and fails when they are missing.
@@ -88,7 +88,7 @@ def _add_common_estimation(p: _Parser):
 
 
 def _add_common_detection(p: _Parser):
-    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
+    p.add_argument("--channels", dest="channel_mode", choices=tuple(_CHANNELS))
     p.add_argument("--multiplier", dest="sigma_multiplier", type=float, metavar="MULTIPLIER")
     p.add_argument("--min-area", type=int)
 
@@ -133,7 +133,7 @@ def build_parser() -> _Parser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
-    p.add_argument("--channels", dest="channel_mode", choices=("gray", "rgb"))
+    p.add_argument("--channels", dest="channel_mode", choices=tuple(_CHANNELS))
     p.add_argument("--model-out", required=True)
 
     p = sub.add_parser("filter", help="apply designed filters to an image")
@@ -239,13 +239,12 @@ def _cmd_filter(args) -> int:
     model, filters = doc_to_model(load_json(args.model))
     if not filters:
         raise ConfigError("model: the document carries no designed filters")
-    if len(filters) not in (1, 3):
-        raise ConfigError(f"model: the document carries {len(filters)} filters, not 1 or 3")
     channels = [f.channel for f in filters]
-    if channels not in (["gray"], ["r", "g", "b"]):
-        raise ConfigError(f"model: the filters' channels are {channels}, "
-                          "not ['gray'] or ['r', 'g', 'b'] in order")
-    planes, _ = _channels(stack, "gray" if len(filters) == 1 else "rgb")
+    modes = [mode for mode, names in _CHANNELS.items() if list(names) == channels]
+    if not modes:
+        known = " or ".join(str(list(names)) for names in _CHANNELS.values())
+        raise ConfigError(f"model: the filters' channels are {channels}, not {known} in order")
+    planes, _ = _channels(stack, modes[0])
     for plane, f in zip(planes, filters):
         if plane.shape[0] < f.kernel.shape[0] or plane.shape[1] < f.kernel.shape[1]:
             raise ConfigError(
@@ -257,9 +256,10 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _run_and_write(args, frames, overlay_frame=None) -> int:
-    """Run the pipeline and write what ``args`` asks for; ``overlay_frame``
-    is the frame ``--overlay-out`` draws on."""
+def _run_and_write(args, frames, first=None) -> int:
+    """Run the pipeline and write what ``args`` asks for; ``first`` is
+    frame 0, whose channel planes ``--mask-out`` masks with its verdicts
+    and on which ``--overlay-out`` draws."""
     config = _config_from_args(args)
     t0 = time.perf_counter()
     result = run_pipeline(config, frames)
@@ -267,10 +267,10 @@ def _run_and_write(args, frames, overlay_frame=None) -> int:
     if getattr(args, "mask_out", None):
         # no name holds the mask planes, so they are freed before the overlay copy
         flagged = result.mask.positive()
-        write_image(args.mask_out,
-                    ImageStack(tuple(p * flagged for p in result.mask.originals)))
+        write_image(args.mask_out, ImageStack(
+            tuple(p * flagged for p in _channels(first, config.channel_mode)[0])))
     if getattr(args, "overlay_out", None):
-        write_image(args.overlay_out, draw_boxes(overlay_frame, result.confirmed[0]))
+        write_image(args.overlay_out, draw_boxes(first, result.confirmed[0]))
     if getattr(args, "report_out", None):
         include = bool(getattr(args, "timings", False))
         dump_json(result.report.to_doc(include_timings=include), args.report_out)
@@ -285,7 +285,7 @@ def _run_and_write(args, frames, overlay_frame=None) -> int:
 
 def _cmd_detect(args) -> int:
     stack = read_image(args.input)
-    return _run_and_write(args, [stack], overlay_frame=stack)
+    return _run_and_write(args, [stack], first=stack)
 
 
 def _cmd_track(args) -> int:

@@ -5,7 +5,7 @@ Lagrange polynomials, so convolving it over a texture in the model span
 returns a flat level E everywhere; residual fluctuation on the training
 (base) region defines the noise dispersion, and pixels whose filtered value
 leaves the E +- k*sigma band in any colour channel are flagged as anomalies
-carrying their original intensities.
+in one boolean verdict raster.
 
 Functions are pure; per-channel designs are independent and may run
 concurrently.  Every kernel has rank one (every designed kernel is
@@ -133,39 +133,25 @@ class DetectionMask:
     ``verdicts`` is the detector's boolean raster, of the frame's shape:
     True where the pixel is anomalous in any channel.  Only the top-left
     valid region (the part fully covered by filter windows) can be True;
-    ``valid_shape`` gives its extent from the (0, 0) corner.  ``originals``
-    are the frame's planes, one per channel, 8-bit planes as given and any
-    other values as float64.  Both are held as read-only views (the
-    caller's arrays stay writable).
+    ``valid_shape`` gives its extent from the (0, 0) corner.  The raster is
+    held as a read-only view (the caller's array stays writable); the
+    intensities stay with the frame.
     """
 
     verdicts: np.ndarray
-    originals: tuple
     valid_shape: tuple
 
     def __post_init__(self):
         verdicts = np.asarray(self.verdicts, dtype=bool).view()
-        originals = tuple(_plane(p).view() for p in self.originals)
         if verdicts.ndim != 2:
             raise ValueError("verdicts must be a (rows, cols) raster")
-        if not originals or any(p.shape != verdicts.shape for p in originals):
-            raise ValueError("original channels must match the verdict raster's shape")
         verdicts.setflags(write=False)
-        for plane in originals:
-            plane.setflags(write=False)
         object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "originals", originals)
 
     def positive(self) -> np.ndarray:
         """Boolean raster, anomalous in any channel: the same read-only
         array on every call."""
         return self.verdicts
-
-
-def _plane(values) -> np.ndarray:
-    """An 8-bit (uint8) plane as given; any other values as float64."""
-    plane = np.asarray(values)
-    return plane if plane.dtype == np.uint8 else plane.astype(float, copy=False)
 
 
 def _rank_one_factors(kernel: np.ndarray):
@@ -407,7 +393,8 @@ def detect(
 
     A pixel is anomalous when |filtered - E| exceeds multiplier * sigma in
     any channel.  The verdicts form one boolean raster of the originals'
-    shape; the filtered rows given are judged in one pass per channel, whose
+    shape, which with the channel count is all ``original_planes`` gives;
+    the filtered rows given are judged in one pass per channel, whose
     deviations are taken into a float64 buffer of the filtered shape, so
     every pass over them runs on contiguous memory.  ``out``, when given,
     is that raster (a boolean array of the originals' shape, every element
@@ -437,4 +424,4 @@ def detect(
         np.subtract(filt_plane, irf.flat_level, out=deviation)
         np.abs(deviation, out=deviation)
         flagged |= deviation > multiplier * np.sqrt(irf.sigma2)
-    return DetectionMask(verdicts=verdicts, originals=original_planes, valid_shape=out_shape)
+    return DetectionMask(verdicts=verdicts, valid_shape=out_shape)

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ImageFormatError
-from .filtering import _plane, _strip_rows
+from .filtering import _strip_rows
+
+
+def _plane(values) -> np.ndarray:
+    """An 8-bit (uint8) plane as given; any other values as float64."""
+    plane = np.asarray(values)
+    return plane if plane.dtype == np.uint8 else plane.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

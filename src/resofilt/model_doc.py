@@ -135,6 +135,8 @@ def load_json(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ImageFormatError(f"malformed JSON document: {exc}") from exc
+    except RecursionError:
+        raise ImageFormatError(f"JSON document {path!r} nests too deeply to parse") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ImageFormatError(f"cannot read JSON document {path!r}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -20,7 +20,6 @@ and inputs produce identical reports and masks.
 from __future__ import annotations
 
 import math
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -54,7 +53,8 @@ from .postfilter import (
 )
 
 _ESTIMATORS = ("ls", "pencil")
-_CHANNEL_MODES = ("gray", "rgb")
+# Channel names of each channel mode, in plane order: the one such table.
+_CHANNELS = {"gray": ("gray",), "rgb": ("r", "g", "b")}
 _POSTS = ("hist", "track", "none")
 
 
@@ -113,7 +113,7 @@ class PipelineConfig:
             raise ConfigError(f"estimator: unknown value {self.estimator!r}")
         if self.estimator == "ls" and (p % 2 or q % 2):
             raise ConfigError("order: symmetric estimation needs even orders")
-        if self.channel_mode not in _CHANNEL_MODES:
+        if self.channel_mode not in tuple(_CHANNELS):  # by equality: a list is refused too
             raise ConfigError(f"channel_mode: unknown value {self.channel_mode!r}")
         if not (_finite_number(self.sigma_multiplier) and self.sigma_multiplier > 0):
             raise ConfigError("sigma_multiplier: must be a finite positive number")
@@ -206,13 +206,12 @@ def _stage(name: str):
 
 
 def _channels(stack: ImageStack, mode: str):
-    """Planes and channel names of a mode: the gray plane, or three planes
-    (an image without three planes gives its gray plane three times)."""
-    if mode == "gray":
-        return [stack.gray()], ["gray"]
-    if stack.channels == 3:
-        return list(stack.planes), ["r", "g", "b"]
-    return [stack.gray()] * 3, ["r", "g", "b"]
+    """Planes and channel names (``_CHANNELS``) of a mode: the frame's own
+    planes when it has one per name, else its gray plane once per name."""
+    names = _CHANNELS[mode]
+    if stack.channels == len(names):
+        return list(stack.planes), names
+    return [stack.gray()] * len(names), names
 
 
 def estimate_model(base: np.ndarray, config: PipelineConfig):
@@ -228,15 +227,15 @@ def estimate(stack: ImageStack, config: PipelineConfig):
     the base region once and estimate the model on its gray plane.
 
     Returns (base region as an ImageStack, HarmonicModel, diagnostics).
-    Unless the run designs on three colour planes, the returned base
-    region is its gray plane alone, so a run builds that plane once.
+    Unless the frame has one plane per channel of the run, the returned
+    base region is its gray plane alone, so a run builds that plane once.
     """
     config.validate(image_shape=stack.shape)
     x, y, h, w = (int(v) for v in config.base_region)
     with _stage("estimate"):
         base = ImageStack(tuple(p[x : x + h, y : y + w] for p in stack.planes))
         gray = base.gray()
-        if config.channel_mode == "gray" or base.channels != 3:
+        if base.channels != len(_CHANNELS[config.channel_mode]):
             base = ImageStack((gray,))
         model, diag = estimate_model(gray, config)
     return base, model, diag
@@ -355,7 +354,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
         scratch = np.empty((step, oy))
 
     first_mask = None
-    recent = deque(maxlen=int(config.track_window))
+    recent = []
     per_frame_boxes = []
     frames_doc = []
     confirmed_all = []
@@ -381,14 +380,14 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
                     out=verdicts[rows],
                     scratch=scratch,
                 )
-            mask = DetectionMask(verdicts, planes, valid)
+            mask = DetectionMask(verdicts, valid)
             boxes = connected_components(mask.positive(), min_area=config.min_area)
         if index == 0:
             first_mask = mask
         per_frame_boxes.append(boxes)
         if config.post == "track":
-            recent.append((mask.positive(), boxes))
-            if len(recent) < recent.maxlen:
+            recent = [*recent, (mask.positive(), boxes)][-int(config.track_window) :]
+            if len(recent) < config.track_window:
                 continue
             with _stage("track"):
                 confirmed, record = _track_window(index + 1 - len(recent), recent, config)

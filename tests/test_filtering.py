@@ -664,7 +664,10 @@ class TestDetect:
         mask = detect([filt], [irf], [original])
         pos = mask.positive()
         assert pos.sum() == 1 and pos[4, 4]
-        assert len(mask.originals) == 1 and np.array_equal(mask.originals[0], original)
+        assert (original * pos).sum() == original[4, 4] == 52.0
+        # the originals set the raster's shape; no intensity of theirs is read
+        blank = detect([filt], [irf], [np.full((12, 12), np.nan)])
+        assert np.array_equal(blank.positive(), pos) and blank.valid_shape == (10, 10)
 
     def test_union_over_channels(self):
         base = np.full((8, 8), 1.0)
@@ -675,7 +678,7 @@ class TestDetect:
         orig = [np.full((9, 9), 7.0), np.full((9, 9), 9.0)]
         mask = detect([f1, f2], [irf, irf], orig)
         assert mask.positive()[2, 3] and mask.positive().sum() == 1
-        assert [plane[2, 3] for plane in mask.originals] == [7.0, 9.0]
+        assert [(plane * mask.positive()).sum() for plane in orig] == [7.0, 9.0]
 
     def test_zero_valued_flagged_pixel_stays_positive(self):
         filt = np.zeros((4, 4))
@@ -728,16 +731,15 @@ class TestDetect:
         pos = mask.positive()
         assert pos is mask.positive()
         assert not pos.flags.writeable
-        assert not any(plane.flags.writeable for plane in mask.originals)
+        # the mask is its verdict raster: the planes stay with the caller
+        assert set(vars(mask)) == {"verdicts", "valid_shape"}
         # the caller's arrays are left alone
         assert all(a.flags.writeable for a in filtered + originals)
         assert pos.dtype == bool and pos.shape == (5, 5)
         assert pos.sum() == 1 and pos[2, 3]
-        assert [plane[2, 3] for plane in mask.originals] == [2.0, 4.0, -1.0]
+        assert [(plane * pos).sum() for plane in originals] == [2.0, 4.0, -1.0]
         with pytest.raises(ValueError):
             pos[0, 0] = True
-        with pytest.raises(ValueError):
-            mask.originals[0][0, 0] = 1.0
 
     def test_negative_valued_anomaly_is_positive(self):
         # the verdict, not the sign of the original value, decides
@@ -747,12 +749,29 @@ class TestDetect:
         original = np.full((8, 8), -128.0)
         mask = detect([filt], [irf], [original])
         assert mask.positive().sum() == 1 and mask.positive()[2, 3]
-        assert mask.originals[0][2, 3] == -128.0
+        assert (original * mask.positive())[2, 3] == -128.0
 
     def test_channel_count_mismatch(self):
         irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)
         with pytest.raises(ValueError):
             detect([np.zeros((4, 4))], [irf, irf], [np.zeros((5, 5))])
+
+    @pytest.mark.parametrize(
+        "filtered,channels,out,reason",
+        [([], 0, None, "at least one channel is required"),
+         ([np.zeros((6, 5))], 1, None, "filtered channels exceed the original planes"),
+         ([np.zeros((4, 4))], 1, np.zeros((5, 5), dtype=np.uint8),
+          r"out must be a boolean raster of shape \(5, 5\)"),
+         ([np.zeros((4, 4))], 1, np.zeros((5, 4), dtype=bool),
+          r"out must be a boolean raster of shape \(5, 5\)"),
+         ([np.zeros((4, 4)), np.zeros((4, 3))], 2, None, "filtered channels disagree in shape")],
+        ids=["no-channels", "filtered-too-large", "out-not-bool", "out-wrong-shape",
+             "filtered-disagree"],
+    )
+    def test_refusals(self, filtered, channels, out, reason):
+        irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)
+        with pytest.raises(ValueError, match=reason):
+            detect(filtered, [irf] * channels, [np.zeros((5, 5))] * channels, out=out)
 
     def test_patch_detection_rates(self):
         # anomaly-injection harness with generator ground truth

@@ -185,6 +185,21 @@ class TestPgm:
         assert stack.channels in (1, 3)
         assert all(plane.ndim == 2 and plane.size > 0 for plane in stack.planes)
 
+    @pytest.mark.parametrize(
+        "planes",
+        [(), (np.zeros((2, 2)), np.zeros((2, 3))), (np.zeros(4),)],
+        ids=["no-planes", "unequal-planes", "one-dimensional"],
+    )
+    def test_stack_refuses_planes_that_are_not_one_raster(self, planes):
+        with pytest.raises(ValueError, match="at least one plane|2D and equally shaped"):
+            ImageStack(planes)
+
+    def test_two_planes_cannot_be_written(self, tmp_path):
+        path = tmp_path / "two.pgm"
+        with pytest.raises(ImageFormatError, match="cannot write 2 channels as PGM/PPM"):
+            write_image(path, ImageStack((np.zeros((2, 2)), np.ones((2, 2)))))
+        assert not path.exists()
+
 
 class TestOverlay:
     def test_one_box_exact_rectangle(self):

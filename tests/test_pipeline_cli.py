@@ -218,7 +218,16 @@ class TestRunPipeline:
         assert np.array_equal(pos, reference.mask.positive())
         assert result.boxes == reference.boxes
         assert any(b.x0 <= 85 <= b.x1 and b.y0 <= 85 <= b.y1 for b in result.boxes[0])
-        assert (result.mask.originals[0][pos] < 0).all()
+        assert (shifted.planes[0][pos] < 0).all()
+
+    def test_box_without_a_ring_is_rejected(self):
+        # a box filling the frame leaves its histogram ring empty: it cannot
+        # be verified, so the hist post-filter rejects it
+        plane = np.full((10, 10), 100.0)
+        box = postfilter.ObjectBox(0, 0, 9, 9)
+        with pytest.warns(UserWarning, match="clipped"):
+            records = pipeline._hist_verdicts([plane], [box], PipelineConfig())
+        assert records == [(box, False, 0.0)]
 
     def test_post_none_keeps_candidates(self):
         cfg = PipelineConfig(order=(8, 8), post="none")
@@ -459,8 +468,8 @@ class TestStrips:
             if index == 0:
                 assert np.array_equal(result.mask.positive(), mask.positive())
                 assert result.mask.valid_shape == mask.valid_shape
-                assert all(a is b or np.shares_memory(a, b)
-                           for a, b in zip(result.mask.originals, frame.planes))
+                # the run keeps frame 0's verdicts, not its planes
+                assert set(vars(result.mask)) == {"verdicts", "valid_shape"}
 
     def test_strip_calls_keep_the_benchmark_counter_contract(self, monkeypatch):
         # perfbench's tracer counts a run from its pipeline.apply_filter and
@@ -713,7 +722,7 @@ class TestStageProperties:
         assert base_stack.shape == (base[2], base[3])
         assert len(filters) == (1 if channel_mode == "gray" else 3)
         p, q = filters[0].kernel.shape
-        assert len(result.mask.originals) == len(filters)
+        assert [f.channel for f in filters] == list(pipeline._CHANNELS[channel_mode])
         assert result.mask.positive().shape == (rows, cols)
         assert result.mask.valid_shape == (rows - p + 1, cols - q + 1)
 
@@ -830,6 +839,18 @@ class TestCli:
         # each frame is read when the pipeline reaches it
         assert events == ["read", "detect", "read", "detect", "read"]
 
+    @pytest.mark.parametrize("window", [25, 2**63, 10**23])
+    def test_track_window_of_any_length_beyond_the_frames_is_config_error(
+        self, tmp_path, capsys, window
+    ):
+        # a window longer than a C ssize_t fails like any other too long one
+        tex = self._synth(tmp_path)
+        code = main(["track", "--inputs", str(tex), str(tex), str(tex), "--order", "8,8",
+                     "--window", str(window)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("resofilt: configuration error: track_window: "
+                                           "more frames than provided are required\n")
+
     def test_track_fewer_frames_than_window_is_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
         code = main(["track", "--inputs", str(tex), str(tex), "--order", "8,8"])
@@ -943,6 +964,56 @@ class TestCli:
         bad.write_bytes(b"P5\n10 10\n255\n")
         assert main(["detect", "--input", str(bad), "--order", "8,8"]) == EXIT_INPUT
 
+    def test_maxval_above_255_is_input_error(self, tmp_path, capsys):
+        wide = tmp_path / "wide.pgm"
+        wide.write_bytes(b"P5\n4 4\n300\n" + bytes(32))
+        assert main(["detect", "--input", str(wide), "--order", "2,2"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("resofilt: input error: unsupported maxval 300 (8-bit data")
+        assert "Traceback" not in err
+
+    def test_malformed_json_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "run-report",')
+        assert main(["report", "--path", str(bad)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("resofilt: input error: malformed JSON document: ")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        filtered = tmp_path / "filtered.pgm"
+        for argv in (["report", "--path", str(deep)],
+                     ["filter", "--input", str(tex), "--model", str(deep),
+                      "--out", str(filtered)]):
+            assert main(argv) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err == (f"resofilt: input error: JSON document {str(deep)!r} "
+                           "nests too deeply to parse\n")
+        assert not filtered.exists()
+
+    def test_unknown_document_kind_is_input_error(self, tmp_path, capsys):
+        doc = tmp_path / "other.json"
+        doc.write_text('{"kind": "shopping-list"}')
+        assert main(["report", "--path", str(doc)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "resofilt: input error: unknown document kind 'shopping-list'\n"
+
+    def test_filter_with_an_estimate_document_is_config_error(self, tmp_path, capsys):
+        tex = self._synth(tmp_path)
+        model = tmp_path / "estimate.json"
+        assert main(["estimate", "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(model)]) == EXIT_OK
+        filtered = tmp_path / "filtered.pgm"
+        assert main(["filter", "--input", str(tex), "--model", str(model),
+                     "--out", str(filtered)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("resofilt: configuration error: model: the document carries "
+                       "no designed filters\n")
+        assert not filtered.exists()
+
     def test_directory_input_is_input_error(self, tmp_path, capsys):
         assert main(["detect", "--input", str(tmp_path), "--order", "8,8"]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -1018,7 +1089,8 @@ class TestCli:
                      "--out", str(filtered)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"configuration error: model: the document carries {count} filters" in err
+        assert (f"configuration error: model: the filters' channels are {['gray'] * count}, "
+                "not ['gray'] or ['r', 'g', 'b'] in order") in err
         assert not filtered.exists()
 
     @pytest.mark.parametrize(
@@ -1409,11 +1481,12 @@ class TestCli:
         cfg = PipelineConfig(order=(8, 8), hist_epsilon=0.05, channel_mode=mode)
         result = run_pipeline(cfg, [floats])
         assert result.confirmed[0]
-        assert all(p.dtype == np.float64 for p in result.mask.originals)
+        planes, _ = pipeline._channels(floats, mode)
+        assert all(p.dtype == np.float64 for p in planes)
         flagged = result.mask.positive()
         want = {name: tmp_path / f"{name}.ref" for name in got}
         write_image(str(want["mask"]), ImageStack(
-            tuple(np.where(flagged, p, 0.0) for p in result.mask.originals)))
+            tuple(np.where(flagged, p, 0.0) for p in planes)))
         write_image(str(want["overlay"]), draw_boxes(floats, result.confirmed[0]))
         dump_json(result.report.to_doc(include_timings=False), str(want["report"]))
         for name in got:
