@@ -393,7 +393,8 @@ def detect(
 
     A pixel is anomalous when |filtered - E| exceeds multiplier * sigma in
     any channel.  The verdicts form one boolean raster of the originals'
-    shape, which with the channel count is all ``original_planes`` gives;
+    shape, which every plane must share; that shape and the channel count
+    are all ``original_planes`` gives;
     the filtered rows given are judged in one pass per channel, whose
     deviations are taken into a float64 buffer of the filtered shape, so
     every pass over them runs on contiguous memory.  ``out``, when given,
@@ -405,7 +406,9 @@ def detect(
         raise ValueError("channel counts of filtered, filters and original differ")
     if not filters:
         raise ValueError("at least one channel is required")
-    shape = np.asarray(original_planes[0]).shape
+    shape = np.shape(original_planes[0])
+    if any(np.shape(plane) != shape for plane in original_planes):
+        raise ValueError("original planes disagree in shape")
     out_shape = np.asarray(filtered_channels[0]).shape
     ox, oy = out_shape
     if ox > shape[0] or oy > shape[1]:

@@ -386,7 +386,8 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
             first_mask = mask
         per_frame_boxes.append(boxes)
         if config.post == "track":
-            recent = [*recent, (mask.positive(), boxes)][-int(config.track_window) :]
+            recent.append((mask.positive(), boxes))
+            del recent[: -int(config.track_window)]
             if len(recent) < config.track_window:
                 continue
             with _stage("track"):

@@ -757,21 +757,23 @@ class TestDetect:
             detect([np.zeros((4, 4))], [irf, irf], [np.zeros((5, 5))])
 
     @pytest.mark.parametrize(
-        "filtered,channels,out,reason",
-        [([], 0, None, "at least one channel is required"),
-         ([np.zeros((6, 5))], 1, None, "filtered channels exceed the original planes"),
-         ([np.zeros((4, 4))], 1, np.zeros((5, 5), dtype=np.uint8),
+        "filtered,originals,out,reason",
+        [([], [], None, "at least one channel is required"),
+         ([np.zeros((6, 5))], [(5, 5)], None, "filtered channels exceed the original planes"),
+         ([np.zeros((4, 4))], [(5, 5)], np.zeros((5, 5), dtype=np.uint8),
           r"out must be a boolean raster of shape \(5, 5\)"),
-         ([np.zeros((4, 4))], 1, np.zeros((5, 4), dtype=bool),
+         ([np.zeros((4, 4))], [(5, 5)], np.zeros((5, 4), dtype=bool),
           r"out must be a boolean raster of shape \(5, 5\)"),
-         ([np.zeros((4, 4)), np.zeros((4, 3))], 2, None, "filtered channels disagree in shape")],
+         ([np.zeros((4, 4)), np.zeros((4, 3))], [(5, 5)] * 2, None,
+          "filtered channels disagree in shape"),
+         ([np.zeros((3, 3))] * 2, [(9, 9), (3, 3)], None, "original planes disagree in shape")],
         ids=["no-channels", "filtered-too-large", "out-not-bool", "out-wrong-shape",
-             "filtered-disagree"],
+             "filtered-disagree", "originals-disagree"],
     )
-    def test_refusals(self, filtered, channels, out, reason):
+    def test_refusals(self, filtered, originals, out, reason):
         irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)
         with pytest.raises(ValueError, match=reason):
-            detect(filtered, [irf] * channels, [np.zeros((5, 5))] * channels, out=out)
+            detect(filtered, [irf] * len(originals), [np.zeros(s) for s in originals], out=out)
 
     def test_patch_detection_rates(self):
         # anomaly-injection harness with generator ground truth

@@ -1,11 +1,11 @@
 """Byte parity of the resofilt command line between two source trees.
 
-    python3 tools/parity.py --parent DIR [--seeds 11 13] [--scenes 2]
+    python3 tools/parity.py --parent DIR
 
 Writes each benchmark workload's scenes with ``perfbench/fixtures.py``
-and, for every seed and scene, runs these calls, each in a process of its
-own, once with ``DIR/src`` and once with this checkout's ``src`` on
-``PYTHONPATH``:
+(``SCENES`` scenes for each fixture seed in ``SEEDS``) and, for every
+seed and scene, runs these calls, each in a process of its own, once
+with ``DIR/src`` and once with this checkout's ``src`` on ``PYTHONPATH``:
 
 - the workload's benchmark call, as ``perfbench/run.py`` ``WORKLOADS``
   gives it;
@@ -37,6 +37,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 # run the sides with the benchmark's one BLAS thread
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI = "import sys; from resofilt.cli import main; sys.exit(main())"
+SEEDS = (11, 13)
+SCENES = 2
 
 
 def _workloads() -> dict:
@@ -93,8 +95,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
                         help="checkout whose src/ is compared with this one's")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 13])
-    parser.add_argument("--scenes", type=int, default=2, help="scenes per workload and seed")
     args = parser.parse_args(argv)
     sides = {"parent": os.path.join(os.path.abspath(args.parent), "src"),
              "change": os.path.join(ROOT, "src")}
@@ -106,12 +106,12 @@ def main(argv=None) -> int:
     diffs, calls, files, failed = [], 0, 0, 0
     with tempfile.TemporaryDirectory(prefix="parity-") as work:
         for name, wl in _workloads().items():
-            for seed in args.seeds:
+            for seed in SEEDS:
                 fixtures = os.path.join(work, "fixtures", name, str(seed))
                 subprocess.run([sys.executable, os.path.join(PERFBENCH, "fixtures.py"),
                                 "--workload", name, "--seed", str(seed), "--out", fixtures,
-                                "--scenes", str(args.scenes)], check=True, timeout=600)
-                for k in range(args.scenes):
+                                "--scenes", str(SCENES)], check=True, timeout=600)
+                for k in range(SCENES):
                     scene_dir = os.path.join(fixtures, f"scene{k}")
                     with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as fh:
                         truth = json.load(fh)
