@@ -29,7 +29,8 @@ from .filtering import apply_filter
 from .harmonic import synth_texture
 from .imageio import ImageStack, draw_boxes, read_image, write_image
 from .model_doc import RunReport, doc_to_model, dump_json, load_json, model_to_doc
-from .pipeline import _CHANNELS, PipelineConfig, _channels, design, estimate, run_pipeline
+from .pipeline import _CHANNELS, PipelineConfig, _channels, _check_track_frames
+from .pipeline import design, estimate, run_pipeline
 
 # Not called here: the benchmark's tracer (perfbench/tracing.py BINDINGS)
 # wraps these two names of this module and fails when they are missing.
@@ -289,6 +290,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    # refused before any frame is read, filtered and detected
+    _check_track_frames(_config_from_args(args), len(args.inputs))
     # a generator: the pipeline reads each frame when it reaches it
     frames = (read_image(path) for path in args.inputs)
     return _run_and_write(args, frames)

@@ -10,11 +10,12 @@ in one boolean verdict raster.
 Functions are pure; per-channel designs are independent and may run
 concurrently.  Every kernel has rank one (every designed kernel is
 c * hx (x) hy, and ``IRFilter`` refuses any other), so it is applied as a
-column pass then a row pass, P + Q shifted adds instead of P * Q.  Each
-shifted add is one BLAS daxpy over a flat row-major buffer as wide as the
-image: one fused multiply-add per pixel and tap, with taps in a fixed
-order, so results depend neither on scheduling nor on the BLAS thread
-count.
+column pass then a row pass, P + Q taps per pixel instead of P * Q.  Each
+pass is one batch of GEMMs, a banded Toeplitz matrix of its taps times
+overlapping windows of the plane (the lowering of convolution to matrix
+products, in its banded 1D form): one fused multiply-add per pixel and
+tap, with taps in a fixed order, so results depend neither on scheduling
+nor on the BLAS thread count.
 
 The filter runs in strips of output rows sized by STRIP_BYTES, so its
 buffers stay in L2.  A strip reads only its own source rows, in both
@@ -31,14 +32,10 @@ float64 buffer may have more rows than needed; its leading ones are used.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ModelError, NumericError
 from .harmonic import UNIT_ROOT_TOL, HarmonicModel, amplitude_basis
@@ -55,36 +52,11 @@ RANK_ONE_TOL = 1e-12
 # pipeline's frame loop; a strip's temporaries are a few times this.
 STRIP_BYTES = 256 * 1024
 
-
-def _bind_daxpy():
-    """The daxpy of scipy's f2py BLAS wrapper, without ``scipy.linalg``.
-
-    ``scipy.linalg.blas`` re-exports the routines of the compiled module
-    ``scipy.linalg._fblas``, but importing it runs the whole
-    ``scipy.linalg`` package, which adds some 24 MB of memory and 0.2 s
-    to a process.  So the extension is loaded from its file under its own
-    name, whose last part selects its entry point ``PyInit__fblas``: the
-    same compiled routine, so the filter's bits are the same.  When
-    ``scipy.linalg`` is loaded already, or scipy has no such file, the
-    routine comes from ``scipy.linalg.blas``.
-    """
-    name = "scipy.linalg._fblas"
-    linalg = [os.path.join(path, "linalg") for path in scipy.__path__]
-    spec = importlib.machinery.PathFinder.find_spec(name, linalg)
-    if spec is None or name in sys.modules:
-        from scipy.linalg.blas import daxpy
-
-        return daxpy
-    fblas = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fblas)
-    # Creating a single-phase extension module may register it in
-    # sys.modules; a later import of scipy.linalg would then bind no
-    # _fblas attribute, so the entry goes and that import makes its own.
-    sys.modules.pop(name, None)
-    return fblas.daxpy
-
-
-daxpy = _bind_daxpy()
+# Output rows of one column-pass GEMM block and output columns of one
+# row-pass block: the fastest of 8/16 and 8/16/32 for 17 x 17 on 1024-wide
+# planes and 9 x 9 on 256-wide planes (2-vCPU Xeon, one BLAS thread).
+COL_BLOCK = 8
+ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -95,8 +67,9 @@ class IRFilter:
     the constant the filter drives own-texture output toward, ``sigma2``
     the dispersion of the filtered base region around that level.
     ``factors`` is the (column, row) pair whose outer product is the
-    kernel.  A kernel that is not rank one within RANK_ONE_TOL raises
-    ValueError, and an all-zero kernel NumericError.
+    kernel, and ``bands`` the two banded matrices ``apply_filter`` runs
+    them as (see _bands).  A kernel that is not rank one within
+    RANK_ONE_TOL raises ValueError, and an all-zero kernel NumericError.
     """
 
     kernel: np.ndarray
@@ -104,6 +77,7 @@ class IRFilter:
     sigma2: float
     channel: str = "gray"
     factors: tuple = field(init=False, repr=False, compare=False)
+    bands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float).copy()
@@ -120,6 +94,7 @@ class IRFilter:
         k.setflags(write=False)
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "factors", _rank_one_factors(k))
+        object.__setattr__(self, "bands", _bands(*self.factors))
 
     @property
     def order(self):
@@ -176,6 +151,29 @@ def _rank_one_factors(kernel: np.ndarray):
     return col, row
 
 
+def _bands(col: np.ndarray, row: np.ndarray):
+    """The column pass's (COL_BLOCK, COL_BLOCK + P - 1) band T, with
+    T[r, r + m] = col[m], and the row pass's (ROW_BLOCK + Q - 1, ROW_BLOCK)
+    band R, with R[k + n, k] = row[n]; zero elsewhere, read-only.
+
+    Each is stored contiguous along its output index (T in Fortran order, R
+    in C order): with numpy's bundled OpenBLAS, that layout makes every
+    output of ``T @ rows`` and ``cols @ R`` one fused multiply-add per band
+    entry in index order, bit for bit the taps in order.  The zero entries
+    leave a sum alone, as long as the values they meet are finite.
+    """
+    p, q = col.size, row.size
+    col_band = np.zeros((COL_BLOCK, COL_BLOCK + p - 1), order="F")
+    for r in range(COL_BLOCK):
+        col_band[r, r : r + p] = col
+    row_band = np.zeros((ROW_BLOCK + q - 1, ROW_BLOCK))
+    for k in range(ROW_BLOCK):
+        row_band[k : k + q, k] = row
+    col_band.setflags(write=False)
+    row_band.setflags(write=False)
+    return col_band, row_band
+
+
 def design_filter(
     base_region: np.ndarray, model: HarmonicModel, channel: str = "gray"
 ) -> IRFilter:
@@ -226,50 +224,6 @@ def design_filter(
     return replace(irf, sigma2=noise_dispersion(apply_filter(base_region, irf), flat))
 
 
-def _accumulate(acc: np.ndarray, flat: np.ndarray, taps, offsets) -> None:
-    """acc[i] = sum_k taps[k] * flat[i + offsets[k]] for every i of ``acc``.
-
-    ``acc`` is zero-filled, then each tap in turn adds with one BLAS daxpy:
-    one fused multiply-add per element, one pass over memory.  Each
-    element's sum depends only on its own inputs and the tap order, not on
-    where the call starts or how long it is.  Both arrays are 1D float64;
-    ``flat`` must reach index max(offsets) + acc.size - 1, which daxpy
-    checks.  ``taps`` and ``offsets`` are Python floats and ints, passed
-    positionally as daxpy's (n, a, offx): f2py parses them in 0.46 us a
-    call against 1.35 us for NumPy scalars by keyword (2-vCPU Xeon), and
-    a frame's filter makes one call per tap and strip.
-    """
-    acc.fill(0.0)
-    n = acc.size
-    for tap, offset in zip(taps, offsets):
-        # f2py updates y in place only for a contiguous float64 array; any
-        # other y comes back as a copy and the tap would be lost
-        if daxpy(flat, acc, n, tap, offset) is not acc:
-            raise RuntimeError("daxpy did not accumulate in place")
-
-
-def _correlate_valid(image: np.ndarray, kernel: np.ndarray, out=None) -> np.ndarray:
-    """Valid-region sliding sum: out[i,k] = sum_{m,n} h[m,n] d[m+i, n+k].
-
-    The image is read as one flat row-major buffer W = image.shape[1]
-    wide, and the taps accumulate over it at offsets m*W + n in row-major
-    (m, n) order, so every output pixel reproduces the definitional double
-    sum bit for bit with one fused multiply-add per tap.  The sums are
-    computed W wide: columns oy..W-1 of each row are scratch (the last
-    row's are left unwritten).  ``out``, when given, is that C-contiguous
-    (ox, W) buffer.  Returns the valid (ox, oy) view of it.  Each 1D pass
-    of ``apply_filter`` is one call.
-    """
-    p, q = kernel.shape
-    ox, oy = _valid_shape(image.shape, kernel.shape)
-    w = image.shape[1]
-    out = np.empty((ox, w)) if out is None else _scratch(out, (ox, w))
-    offsets = [m * w + n for m in range(p) for n in range(q)]
-    flat = np.ascontiguousarray(image, dtype=float).reshape(-1)
-    _accumulate(out.reshape(-1)[: ox * w - q + 1], flat, kernel.ravel().tolist(), offsets)
-    return out[:, :oy]
-
-
 def _valid_shape(image_shape, kernel_shape):
     ox = image_shape[0] - kernel_shape[0] + 1
     oy = image_shape[1] - kernel_shape[1] + 1
@@ -284,23 +238,31 @@ def _strip_rows(cols: int) -> int:
     return max(1, STRIP_BYTES // (8 * cols))
 
 
+def _block_count(n: int, block: int) -> int:
+    """Blocks of ``block`` that cover ``n``."""
+    return -(-n // block)
+
+
 def _buffer_shapes(shape, irf: IRFilter):
     """Shapes of ``apply_filter``'s buffers for planes of ``shape``: the
     output buffer, one strip's float64 source rows, and the column pass's
-    sums over them."""
+    sums over them.  The strip buffers have whole column-pass blocks of
+    rows and ROW_BLOCK - 1 columns more than the plane, for the zero
+    padding of the last blocks of each pass."""
     ox, oy = _valid_shape(shape, irf.kernel.shape)
-    w = shape[1]
-    rows = min(_strip_rows(oy), ox)
-    return (ox, w), (rows + irf.kernel.shape[0] - 1, w), (rows, w)
+    w = shape[1] + ROW_BLOCK - 1
+    rows = _block_count(min(_strip_rows(oy), ox), COL_BLOCK) * COL_BLOCK
+    return (ox, shape[1]), (rows + irf.kernel.shape[0] - 1, w), (rows, w)
 
 
 @dataclass(frozen=True)
 class FilterBuffers:
     """Buffers of ``apply_filter`` kept for call after call (``filter_buffers``
     makes them).  ``out`` receives the sums, ``src`` holds a strip's source
-    rows as float64 and ``cols`` the column pass's sums over them.  A call
-    uses the leading rows of each, so a set made for planes of one shape
-    also serves planes with fewer rows of the same width."""
+    rows as float64 (then, once the column pass has read them, the row
+    pass's padded last blocks) and ``cols`` the column pass's sums over
+    them.  A call uses the leading rows of each, so a set made for planes
+    of one shape also serves planes with fewer rows of the same width."""
 
     out: np.ndarray
     src: np.ndarray
@@ -331,6 +293,61 @@ def _scratch(buf, shape):
     return buf[: shape[0]]
 
 
+def _blocks(a: np.ndarray, axis: int, step: int, shape, count: int, writeable=False):
+    """``count`` views of ``shape`` into the 2D array ``a``, the j-th from
+    element j * step along ``axis``: a stack of blocks or of overlapping
+    windows, as one strided view with no copy.  The caller keeps every
+    block inside ``a``."""
+    strides = (step * a.strides[axis], *a.strides)
+    return as_strided(a, (count, *shape), strides, writeable=writeable)
+
+
+def _column_pass(source: np.ndarray, band: np.ndarray, src: np.ndarray, cols: np.ndarray):
+    """cols[i, k] = sum_m col[m] * source[i + m, k], for the i of every
+    source row but the last P - 1 and the k of ``src``'s leading columns:
+    ``band @ windows`` in blocks of COL_BLOCK output rows.  ``source`` is
+    copied into ``src`` as float64, and the rows and columns the last
+    blocks read past it are zeroed."""
+    n, w = source.shape
+    p = band.shape[1] - COL_BLOCK + 1
+    count = _block_count(n - p + 1, COL_BLOCK)
+    rows = src[: count * COL_BLOCK + p - 1]
+    rows[:n, :w] = source
+    rows[n:] = 0.0
+    rows[:n, w:] = 0.0
+    width = rows.shape[1]
+    np.matmul(
+        band,
+        _blocks(rows, 0, COL_BLOCK, (band.shape[1], width), count),
+        out=_blocks(cols, 0, COL_BLOCK, (COL_BLOCK, width), count, writeable=True),
+    )
+
+
+def _row_pass(cols: np.ndarray, band: np.ndarray, out: np.ndarray, pad: np.ndarray):
+    """out[i, k] = sum_n row[n] * cols[i, k + n] for every row i of ``out``
+    and the k of its valid columns: ``windows @ band`` in blocks of
+    ROW_BLOCK output columns, written through a strided view of ``out``.
+    The last, partial block, and every block of a one-row ``out``, run
+    padded (to ROW_BLOCK columns and two rows, from the padding
+    ``_column_pass`` left in ``cols``) into the flat buffer ``pad`` and
+    are copied from there."""
+    h, w = out.shape
+    q = band.shape[0] - ROW_BLOCK + 1
+    oy = w - q + 1
+    m = max(h, 2)
+    count = _block_count(oy, ROW_BLOCK)
+    windows = _blocks(cols[:m], 1, ROW_BLOCK, (m, band.shape[0]), count)
+    full = oy // ROW_BLOCK if h > 1 else 0
+    if full:
+        np.matmul(windows[:full], band,
+                  out=_blocks(out, 1, ROW_BLOCK, (h, ROW_BLOCK), full, writeable=True))
+    if full < count:
+        rest = pad[: (count - full) * m * ROW_BLOCK].reshape(count - full, m, ROW_BLOCK)
+        np.matmul(windows[full:], band, out=rest)
+        tail = rest[:, :h].transpose(1, 0, 2).reshape(h, -1)
+        out[:, full * ROW_BLOCK : oy] = tail[:, : oy - full * ROW_BLOCK]
+
+
 def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     """Filter one plane; output shape (n_x - P + 1, n_y - Q + 1).
 
@@ -339,15 +356,20 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     value passes from one strip to the next, and every output pixel sums
     the same taps in the same order as a whole-plane pass.  An 8-bit (or
     any other) plane is converted to float64 one strip of source rows at a
-    time.  Each tap is one daxpy over a flat buffer W = n_y columns wide
-    (see _correlate_valid).  The kernel runs, per strip, as a column pass
-    of its P column taps (offsets m*W) over the source rows, then a row
-    pass of its Q row taps (offsets 0..Q-1) over that result.
+    time.  The kernel runs, per strip, as a column pass of its P column
+    taps over the source rows, then a row pass of its Q row taps over that
+    result; each pass is one batch of GEMMs of its band (``irf.bands``)
+    with windows of the rows it reads.  Every GEMM, the last blocks
+    included, is at least two wide and two high and runs on zero padding
+    where the plane ends, so every pixel gets the same arithmetic: one
+    fused multiply-add per tap, in tap order (the band's zeros also meet
+    neighbouring pixels, so a non-finite value in a plane makes NaN of
+    every output of its blocks).
 
-    The sums land in the leading n_x - P + 1 rows of a float64 buffer W
-    wide, and the result is their valid ``[:, :n_y - Q + 1]`` view; the
-    last Q - 1 columns of each buffer row are scratch.  ``out`` is a
-    ``FilterBuffers`` set (``filter_buffers`` makes them) holding that
+    The sums land in the leading n_x - P + 1 rows of a float64 buffer W =
+    n_y columns wide, and the result is their valid ``[:, :n_y - Q + 1]``
+    view; the last Q - 1 columns of each buffer row are scratch.  ``out``
+    is a ``FilterBuffers`` set (``filter_buffers`` makes them) holding that
     buffer and the strip scratch, so that repeated calls allocate nothing;
     a bad buffer is refused (``_scratch``) before any sum is written.  When
     None, the call makes a new set.  A set serves one call at a time: the
@@ -359,16 +381,17 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     out = _scratch(bufs.out, out_shape)
     src = _scratch(bufs.src, src_shape)
     cols = _scratch(bufs.cols, cols_shape)
-    col, row = irf.factors
+    col_band, row_band = irf.bands
     p = irf.kernel.shape[0]
     ox, oy = _valid_shape(image.shape, irf.kernel.shape)
+    # both passes run on the columns the row pass's last block reads
+    width = _block_count(oy, ROW_BLOCK) * ROW_BLOCK + irf.kernel.shape[1] - 1
     step = _strip_rows(oy)
     for a in range(0, ox, step):
         b = min(a + step, ox)
-        rows = src[: b - a + p - 1]
-        rows[:] = image[a : b + p - 1]
-        _correlate_valid(rows, col[:, np.newaxis], out=cols[: b - a])
-        _correlate_valid(cols[: b - a], row[np.newaxis, :], out=out[a:b])
+        _column_pass(image[a : b + p - 1], col_band, src[:, :width], cols[:, :width])
+        # the column pass has read src, so the row pass pads into it
+        _row_pass(cols[:, :width], row_band, out[a:b], bufs.src.reshape(-1))
     return out[:, :oy]
 
 

@@ -134,7 +134,7 @@ def load_json(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ImageFormatError(f"malformed JSON document: {exc}") from exc
+        raise ImageFormatError(f"malformed JSON document {path!r}: {exc}") from exc
     except RecursionError:
         raise ImageFormatError(f"JSON document {path!r} nests too deeply to parse") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -324,6 +324,13 @@ def _frame_verdicts(index: int, planes, boxes, config: PipelineConfig):
     return kept, record
 
 
+def _check_track_frames(config: PipelineConfig, count: int) -> None:
+    """ConfigError when a track run of ``count`` frames cannot fill one
+    window."""
+    if config.post == "track" and count < config.track_window:
+        raise ConfigError("track_window: more frames than provided are required")
+
+
 def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     """Run the full chain over an iterable of frames, one frame at a time.
 
@@ -397,8 +404,7 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
                 confirmed, record = _frame_verdicts(index, planes, boxes, config)
         confirmed_all.append(confirmed)
         frames_doc.append(record)
-    if config.post == "track" and len(per_frame_boxes) < config.track_window:
-        raise ConfigError("track_window: more frames than provided are required")
+    _check_track_frames(config, len(per_frame_boxes))
 
     model_doc = model_to_doc(model, filters, diagnostics=diag)
     report = RunReport(

@@ -64,6 +64,20 @@ def lag_correlation(image, wx, wy):
     return f.T @ f
 
 
+def correlate_valid(image, kernel):
+    """Valid-region sliding sum of a kernel of any rank:
+    out[i, k] = sum_{m,n} h[m, n] d[m + i, n + k], the taps added over the
+    whole plane in row-major (m, n) order."""
+    image = np.asarray(image, dtype=float)
+    p, q = kernel.shape
+    ox, oy = image.shape[0] - p + 1, image.shape[1] - q + 1
+    out = np.zeros((ox, oy))
+    for m in range(p):
+        for n in range(q):
+            out += kernel[m, n] * image[m : m + ox, n : n + oy]
+    return out
+
+
 def components_oracle(raster, min_area=1):
     """Inclusive (x0, y0, x1, y1) boxes of the 8-connected positive
     components with at least ``min_area`` pixels, in label order: a full

@@ -34,10 +34,10 @@ from resofilt import (
     vandermonde,
 )
 from resofilt import filtering, harmonic, pipeline
-from resofilt.filtering import FilterBuffers, _correlate_valid, filter_buffers
+from resofilt.filtering import COL_BLOCK, ROW_BLOCK, FilterBuffers, filter_buffers
 from resofilt.model_doc import dump_json
 
-from conftest import FOUR_PAIRS, pairs_subset, unit_roots, zero_mean_base
+from conftest import FOUR_PAIRS, correlate_valid, pairs_subset, unit_roots, zero_mean_base
 
 
 def fma(k, x, acc):
@@ -138,30 +138,12 @@ class TestApplyFilter:
         irf = IRFilter(np.array([[1.0]]), flat_level=3.3, sigma2=0.1)
         assert np.array_equal(apply_filter(image, irf), image)
 
-    def test_definitional_double_sum_bit_for_bit(self, rng):
-        image = rng.normal(0, 1, (20, 18))
-        kernel = rng.normal(0, 1, (5, 4))
-        out = _correlate_valid(image, kernel)
-        # same accumulation order as the implementation's shifted adds:
-        # m-major, n-minor, one fused multiply-add per tap
-        for i in range(16):
-            for k in range(15):
-                acc = 0.0
-                for m in range(5):
-                    for n in range(4):
-                        acc = fma(kernel[m, n], image[i + m, k + n], acc)
-                assert out[i, k] == acc
-
-    def test_tap_lost_to_a_copied_accumulator_raises(self):
-        flat = np.arange(12.0)
-        for acc in (np.zeros(12)[::2], np.zeros(6, dtype=np.float32)):
-            with pytest.raises(RuntimeError, match="in place"):
-                filtering._accumulate(acc, flat, [1.0], [0])
-
     def test_non_contiguous_out_buffer_raises(self):
+        irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)
+        bufs = filter_buffers((5, 6), [irf])[0]
         out = np.empty((4, 12))[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            _correlate_valid(np.ones((5, 6)), np.ones((2, 2)), out=out)
+            apply_filter(np.ones((5, 6)), irf, out=replace(bufs, out=out))
 
     def test_result_is_the_valid_view_of_the_given_buffer(self, rng):
         image = rng.normal(0, 1, (30, 20))
@@ -212,64 +194,66 @@ class TestApplyFilter:
             assert got.ctypes.data == bufs.out.ctypes.data and got.strides == bufs.out.strides
             assert got.tobytes() == apply_filter(image, irf).tobytes()
 
-    def test_daxpy_is_one_fused_multiply_add_at_any_offset(self, rng):
-        # The bit-exact tests pin this contract of the BLAS: every element
-        # of y + a * x[offx:] is rounded once, whatever the call's offset
-        # and length (vector bodies and scalar tails alike).
-        flat = rng.normal(0, 1, 64)
-        told_apart = 0
-        for offset in range(24):
-            for n in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 40):
-                a, y = rng.normal(), rng.normal(0, 1, n)
-                x = flat[offset : offset + n]
-                expected = fma_array(a, x, y)
-                got = filtering.daxpy(flat, y.copy(), n=n, a=a, offx=offset)
-                assert np.array_equal(got, expected), (offset, n)
-                told_apart += int(np.sum(expected != a * x + y))
-        # the data separate fused from multiply-then-add rounding
-        assert told_apart > 100
-
-    def test_daxpy_bound_by_file_is_scipy_linalg_blas_daxpy(self):
-        # the pytest process imported scipy.linalg before resofilt, so only
-        # a fresh interpreter loads the wrapper from its file
+    def test_band_product_is_one_fma_per_tap(self, tmp_path):
+        # The bit-exact tests pin this contract of the BLAS: each of the
+        # GEMMs apply_filter runs, its band times windows of the strip,
+        # rounds every output once per tap in tap order, whatever the tap
+        # count, the block and the BLAS thread count
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from resofilt import filtering\n"
-            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
-            "import scipy.linalg\n"
-            "from scipy.linalg import blas\n"
-            "assert scipy.linalg._fblas is sys.modules['scipy.linalg._fblas']\n"
-            "rng = np.random.default_rng(8)\n"
-            "flat = rng.normal(0, 1, 64)\n"
-            "for offset in range(24):\n"
-            "    for n in (1, 3, 4, 7, 8, 9, 16, 17, 33, 40):\n"
-            "        a, y = rng.normal(), rng.normal(0, 1, n)\n"
-            "        ours = filtering.daxpy(flat, y.copy(), n=n, a=a, offx=offset)\n"
-            "        theirs = blas.daxpy(flat, y.copy(), n=n, a=a, offx=offset)\n"
-            "        assert ours.tobytes() == theirs.tobytes(), (offset, n)\n"
-            "vals = scipy.linalg.eigh(np.diag([3.0, 1.0, 2.0]), eigvals_only=True)\n"
-            "assert vals.tolist() == [1.0, 2.0, 3.0]\n"
-            "print('ok')\n"
+            "from resofilt.filtering import COL_BLOCK, ROW_BLOCK, IRFilter, _blocks\n"
+            "rng = np.random.default_rng(12)\n"
+            "got = {}\n"
+            "for taps in range(1, 18):\n"
+            "    irf = IRFilter(np.outer(rng.normal(0, 1, taps), rng.normal(0, 1, taps)), 0.0, 1.0)\n"
+            "    col_band, row_band = irf.bands\n"
+            "    got[f'col_taps{taps}'], got[f'row_taps{taps}'] = irf.factors\n"
+            "    for w in (40, 43):\n"
+            "        rows = rng.normal(0, 1, (2 * COL_BLOCK + taps - 1, w))\n"
+            "        windows = _blocks(rows, 0, COL_BLOCK, (col_band.shape[1], w), 2)\n"
+            "        got[f'col{taps}_{w}'] = np.concatenate(col_band @ windows)\n"
+            "        got[f'rows{taps}_{w}'] = rows\n"
+            "    for m in (2, 7):\n"
+            "        cols = rng.normal(0, 1, (m, 2 * ROW_BLOCK + taps - 1))\n"
+            "        windows = _blocks(cols, 1, ROW_BLOCK, (m, row_band.shape[0]), 2)\n"
+            "        got[f'row{taps}_{m}'] = np.concatenate(windows @ row_band, axis=1)\n"
+            "        got[f'cols{taps}_{m}'] = cols\n"
+            "np.savez(sys.argv[1], **got)\n"
         )
         package_root = str(Path(filtering.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=package_root),
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "ok"
-
-    def test_scipy_without_the_wrapper_file_gives_scipy_linalg_blas(
-        self, monkeypatch, tmp_path
-    ):
-        import scipy
-        from scipy.linalg import blas
-
-        monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
-        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-        assert filtering._bind_daxpy() is blas.daxpy
+        results = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package_root)
+            subprocess.run([sys.executable, "-c", script, str(path)],
+                           env=env, capture_output=True, text=True, timeout=120, check=True)
+            with np.load(path) as saved:
+                results.append(dict(saved))
+        told_apart = 0
+        for taps in range(1, 18):
+            col, row = results[0][f"col_taps{taps}"], results[0][f"row_taps{taps}"]
+            names = []
+            for w in (40, 43):
+                rows = results[0][f"rows{taps}_{w}"]
+                expected, naive = 0.0, 0.0
+                for m in range(taps):
+                    expected = fma_array(col[m], rows[m : m + 2 * COL_BLOCK], expected)
+                    naive = naive + col[m] * rows[m : m + 2 * COL_BLOCK]
+                names.append((f"col{taps}_{w}", expected, naive))
+            for m in (2, 7):
+                cols = results[0][f"cols{taps}_{m}"]
+                expected, naive = 0.0, 0.0
+                for n in range(taps):
+                    expected = fma_array(row[n], cols[:, n : n + 2 * ROW_BLOCK], expected)
+                    naive = naive + row[n] * cols[:, n : n + 2 * ROW_BLOCK]
+                names.append((f"row{taps}_{m}", expected, naive))
+            for name, expected, naive in names:
+                for got in results:
+                    assert got[name].tobytes() == expected.tobytes(), name
+                told_apart += int(np.sum(expected != naive))
+        # the data separate fused from multiply-then-add rounding
+        assert told_apart > 100
 
     def test_replicated_texture_stays_in_band(self):
         base, model = exact_model(FOUR_PAIRS[:2], 50.0, 64, 64)
@@ -298,7 +282,7 @@ class TestApplyFilter:
 
 
 def _direct(image, irf):
-    return _correlate_valid(np.asarray(image, dtype=float), irf.kernel)
+    return correlate_valid(image, irf.kernel)
 
 
 def _close_to_direct(image, irf):
@@ -457,7 +441,7 @@ def _reference_design(base, model, flat, exact_flat=False):
     zx_inv = np.linalg.inv(vandermonde(model.zx, p))
     zy_inv = np.linalg.inv(vandermonde(model.zy, q))
     kernel = (zx_inv.T @ ratio @ zy_inv).real
-    return kernel, noise_dispersion(_correlate_valid(base, kernel), flat)
+    return kernel, noise_dispersion(correlate_valid(base, kernel), flat)
 
 
 def _rgb_scene(noise_sigma):
@@ -945,6 +929,31 @@ class TestStrips:
                 for bad in (None, getattr(buf, name).astype(np.float32)):
                     with pytest.raises(ValueError, match="scratch buffer"):
                         apply_filter(plane, irf, out=replace(buf, **{name: bad}))
+
+    @pytest.mark.parametrize(
+        "shape,p,q,strip",
+        [((7, 1), 4, 1, None), ((2, 1), 2, 1, None), ((12, 5), 4, 5, None),
+         ((4, 30), 4, 3, None), ((12, 40), 3, 7, 1), ((12, 40), 3, 7, 3),
+         ((6, 20), 1, 5, None), ((1, 20), 1, 17, None)],
+        ids=["one-column", "one-pixel", "one-valid-column", "one-row", "one-row-strips",
+             "one-row-last-strip", "one-column-tap", "one-row-one-column-tap"],
+    )
+    @pytest.mark.parametrize("fill", ["small-integers", "negative-zero"])
+    def test_gemm_edge_shapes_are_one_fma_per_tap(self, monkeypatch, shape, p, q, strip, fill):
+        # the shapes where a GEMM would shrink to one row or column, or a
+        # pass to its padded last block, met by design rather than by chance
+        rng = np.random.default_rng(17)
+        irf = IRFilter(np.outer(rng.normal(0, 1, p), rng.normal(0, 1, q)), 0.0, 1.0)
+        if fill == "negative-zero":
+            plane = np.full(shape, -0.0)
+        else:
+            plane = rng.integers(-3, 4, shape).astype(float)
+            plane[rng.random(shape) < 0.3] = -0.0
+        if strip is not None:
+            monkeypatch.setattr(filtering, "STRIP_BYTES", 8 * (shape[1] - q + 1) * strip)
+        out, reference = apply_filter(plane, irf), whole_plane_apply(plane, irf)
+        assert np.array_equal(out, reference)
+        assert np.array_equal(np.signbit(out), np.signbit(reference))
 
     @given(
         p=st.integers(1, 17),

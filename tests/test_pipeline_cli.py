@@ -851,6 +851,18 @@ class TestCli:
         assert capsys.readouterr().err == ("resofilt: configuration error: track_window: "
                                            "more frames than provided are required\n")
 
+    def test_track_window_beyond_the_inputs_is_refused_before_any_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        reads = []
+        monkeypatch.setattr(cli, "read_image", lambda path: reads.append(path))
+        missing = [str(tmp_path / f"f{i}.pgm") for i in range(3)]
+        code = main(["track", "--inputs", *missing, "--order", "8,8", "--window", "25"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("resofilt: configuration error: track_window: "
+                                           "more frames than provided are required\n")
+        assert reads == []
+
     def test_track_fewer_frames_than_window_is_config_error(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
         code = main(["track", "--inputs", str(tex), str(tex), "--order", "8,8"])
@@ -977,7 +989,7 @@ class TestCli:
         bad.write_text('{"kind": "run-report",')
         assert main(["report", "--path", str(bad)]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("resofilt: input error: malformed JSON document: ")
+        assert err.startswith(f"resofilt: input error: malformed JSON document {str(bad)!r}: ")
         assert "Traceback" not in err
 
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
@@ -1506,8 +1518,9 @@ class TestCli:
 
 
 def test_cli_runs_without_scipy_ndimage_or_linalg(tmp_path):
-    # conftest imports ndimage, and with it scipy.linalg, so only a fresh
-    # interpreter shows what importing and running resofilt loads
+    # conftest imports scipy.ndimage, and with it scipy.linalg, so only a
+    # fresh interpreter shows what importing and running resofilt loads:
+    # no scipy module at all
     script = (
         "import sys\n"
         "from resofilt.cli import main\n"
@@ -1520,8 +1533,8 @@ def test_cli_runs_without_scipy_ndimage_or_linalg(tmp_path):
         "             '--estimator', 'ls', '--base', '0,0,48,48']) == 0\n"
         "assert main(['track', '--inputs', *frames, '--order', '6,6',\n"
         "             '--base', '0,0,48,48']) == 0\n"
-        "for name in ('scipy.ndimage', 'scipy.linalg'):\n"
-        "    assert name not in sys.modules, name + ' was imported'\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, f'{loaded} were imported'\n"
         "print('ok')\n"
     )
     package_root = str(Path(pipeline.__file__).resolve().parents[1])
