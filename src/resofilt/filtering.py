@@ -21,21 +21,27 @@ The filter runs in strips of output rows sized by STRIP_BYTES, so its
 buffers stay in L2.  A strip reads only its own source rows, in both
 passes, and carries nothing to the next; it sums the same taps in the
 same order as a whole-plane pass, so strips do not change the result.
-Planes may be 8-bit: each strip's source rows are converted to float64
-as they are read, and the sums go into a ``FilterBuffers`` set the
-caller may own and reuse.  The detector judges the rows it is given in
-one pass into one boolean raster, and may be given that raster and its
-deviation buffer, so a caller that filters a frame one strip at a time
-can detect each strip into its rows of the frame's raster.  A given
+Planes may be 8-bit or strided (the interleaved planes of an rgb frame):
+each strip's source rows are gathered and converted to float64 as they
+are read, and the sums go into a ``FilterBuffers`` set the caller may own
+and reuse, whose output buffer has exactly the filtered width.  A given
 float64 buffer may have more rows than needed; its leading ones are used.
+
+The detector compares each filtered value with two bounds per channel,
+which give exactly the verdict of the rounded |f - E| > k*sigma (see
+``_upper_bound``), so a pixel costs its taps and two comparisons.  It
+judges the rows it is given into one boolean raster, and may be given
+that raster, so a caller that filters a frame one strip at a time can
+detect each strip into its rows of the frame's raster.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ModelError, NumericError
 from .harmonic import UNIT_ROOT_TOL, HarmonicModel, amplitude_basis
@@ -245,14 +251,15 @@ def _block_count(n: int, block: int) -> int:
 
 def _buffer_shapes(shape, irf: IRFilter):
     """Shapes of ``apply_filter``'s buffers for planes of ``shape``: the
-    output buffer, one strip's float64 source rows, and the column pass's
-    sums over them.  The strip buffers have whole column-pass blocks of
-    rows and ROW_BLOCK - 1 columns more than the plane, for the zero
-    padding of the last blocks of each pass."""
+    output buffer, exactly the filtered shape, then one strip's float64
+    source rows and the column pass's sums over them.  The strip buffers
+    have whole column-pass blocks of rows and ROW_BLOCK - 1 columns more
+    than the plane, room for the zero padding of the last blocks of each
+    pass."""
     ox, oy = _valid_shape(shape, irf.kernel.shape)
     w = shape[1] + ROW_BLOCK - 1
     rows = _block_count(min(_strip_rows(oy), ox), COL_BLOCK) * COL_BLOCK
-    return (ox, shape[1]), (rows + irf.kernel.shape[0] - 1, w), (rows, w)
+    return (ox, oy), (rows + irf.kernel.shape[0] - 1, w), (rows, w)
 
 
 @dataclass(frozen=True)
@@ -293,59 +300,56 @@ def _scratch(buf, shape):
     return buf[: shape[0]]
 
 
-def _blocks(a: np.ndarray, axis: int, step: int, shape, count: int, writeable=False):
-    """``count`` views of ``shape`` into the 2D array ``a``, the j-th from
-    element j * step along ``axis``: a stack of blocks or of overlapping
-    windows, as one strided view with no copy.  The caller keeps every
-    block inside ``a``."""
+def _blocks(a: np.ndarray, axis: int, step: int, shape, count: int):
+    """``count`` views of ``shape`` into the C-contiguous 2D float64 array
+    ``a``, the j-th from element j * step along ``axis``: a stack of blocks
+    or of overlapping windows, as one strided view with no copy (numpy
+    refuses one that would reach past ``a``)."""
     strides = (step * a.strides[axis], *a.strides)
-    return as_strided(a, (count, *shape), strides, writeable=writeable)
+    return np.ndarray((count, *shape), np.float64, a, 0, strides)
 
 
-def _column_pass(source: np.ndarray, band: np.ndarray, src: np.ndarray, cols: np.ndarray):
+def _column_pass(source: np.ndarray, band: np.ndarray, src: np.ndarray, cols: np.ndarray,
+                 width: int) -> np.ndarray:
     """cols[i, k] = sum_m col[m] * source[i + m, k], for the i of every
-    source row but the last P - 1 and the k of ``src``'s leading columns:
-    ``band @ windows`` in blocks of COL_BLOCK output rows.  ``source`` is
-    copied into ``src`` as float64, and the rows and columns the last
-    blocks read past it are zeroed."""
+    source row but the last P - 1 and k < ``width``: ``band @ windows`` in
+    blocks of COL_BLOCK output rows.  ``source`` is copied as float64 into
+    the leading elements of the flat buffer ``src``, as rows ``width``
+    wide, and the rows and columns the last blocks read past it are
+    zeroed; the sums fill whole blocks of rows ``width`` wide at the start
+    of the flat buffer ``cols``, and are returned as that 2D view."""
     n, w = source.shape
     p = band.shape[1] - COL_BLOCK + 1
     count = _block_count(n - p + 1, COL_BLOCK)
-    rows = src[: count * COL_BLOCK + p - 1]
+    rows = src[: (count * COL_BLOCK + p - 1) * width].reshape(-1, width)
     rows[:n, :w] = source
     rows[n:] = 0.0
     rows[:n, w:] = 0.0
-    width = rows.shape[1]
-    np.matmul(
-        band,
-        _blocks(rows, 0, COL_BLOCK, (band.shape[1], width), count),
-        out=_blocks(cols, 0, COL_BLOCK, (COL_BLOCK, width), count, writeable=True),
-    )
+    sums = cols[: count * COL_BLOCK * width].reshape(count, COL_BLOCK, width)
+    np.matmul(band, _blocks(rows, 0, COL_BLOCK, (band.shape[1], width), count), out=sums)
+    return sums.reshape(-1, width)
 
 
 def _row_pass(cols: np.ndarray, band: np.ndarray, out: np.ndarray, pad: np.ndarray):
-    """out[i, k] = sum_n row[n] * cols[i, k + n] for every row i of ``out``
-    and the k of its valid columns: ``windows @ band`` in blocks of
+    """out[i, k] = sum_n row[n] * cols[i, k + n] for every row i and column
+    k of the C-contiguous ``out``: ``windows @ band`` in blocks of
     ROW_BLOCK output columns, written through a strided view of ``out``.
     The last, partial block, and every block of a one-row ``out``, run
     padded (to ROW_BLOCK columns and two rows, from the padding
     ``_column_pass`` left in ``cols``) into the flat buffer ``pad`` and
     are copied from there."""
-    h, w = out.shape
-    q = band.shape[0] - ROW_BLOCK + 1
-    oy = w - q + 1
+    h, oy = out.shape
     m = max(h, 2)
     count = _block_count(oy, ROW_BLOCK)
     windows = _blocks(cols[:m], 1, ROW_BLOCK, (m, band.shape[0]), count)
     full = oy // ROW_BLOCK if h > 1 else 0
     if full:
-        np.matmul(windows[:full], band,
-                  out=_blocks(out, 1, ROW_BLOCK, (h, ROW_BLOCK), full, writeable=True))
+        np.matmul(windows[:full], band, out=_blocks(out, 1, ROW_BLOCK, (h, ROW_BLOCK), full))
     if full < count:
         rest = pad[: (count - full) * m * ROW_BLOCK].reshape(count - full, m, ROW_BLOCK)
         np.matmul(windows[full:], band, out=rest)
         tail = rest[:, :h].transpose(1, 0, 2).reshape(h, -1)
-        out[:, full * ROW_BLOCK : oy] = tail[:, : oy - full * ROW_BLOCK]
+        out[:, full * ROW_BLOCK :] = tail[:, : oy - full * ROW_BLOCK]
 
 
 def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
@@ -355,44 +359,44 @@ def apply_filter(image: np.ndarray, irf: IRFilter, *, out=None) -> np.ndarray:
     image rows a..b+P-2 and nothing else, so buffers stay strip-sized, no
     value passes from one strip to the next, and every output pixel sums
     the same taps in the same order as a whole-plane pass.  An 8-bit (or
-    any other) plane is converted to float64 one strip of source rows at a
-    time.  The kernel runs, per strip, as a column pass of its P column
-    taps over the source rows, then a row pass of its Q row taps over that
-    result; each pass is one batch of GEMMs of its band (``irf.bands``)
-    with windows of the rows it reads.  Every GEMM, the last blocks
-    included, is at least two wide and two high and runs on zero padding
-    where the plane ends, so every pixel gets the same arithmetic: one
-    fused multiply-add per tap, in tap order (the band's zeros also meet
-    neighbouring pixels, so a non-finite value in a plane makes NaN of
-    every output of its blocks).
+    any other, and any strided) plane is converted to float64 one strip of
+    source rows at a time, by the copy that feeds the column pass.  The
+    kernel runs, per strip, as a column pass of its P column taps over the
+    source rows, then a row pass of its Q row taps over that result; each
+    pass is one batch of GEMMs of its band (``irf.bands``) with windows of
+    the rows it reads.  Every GEMM, the last blocks included, is at least
+    two wide and two high and runs on zero padding where the plane ends,
+    so every pixel gets the same arithmetic: one fused multiply-add per
+    tap, in tap order (the band's zeros also meet neighbouring pixels, so
+    a non-finite value in a plane makes NaN of every output of its
+    blocks).
 
-    The sums land in the leading n_x - P + 1 rows of a float64 buffer W =
-    n_y columns wide, and the result is their valid ``[:, :n_y - Q + 1]``
-    view; the last Q - 1 columns of each buffer row are scratch.  ``out``
-    is a ``FilterBuffers`` set (``filter_buffers`` makes them) holding that
-    buffer and the strip scratch, so that repeated calls allocate nothing;
-    a bad buffer is refused (``_scratch``) before any sum is written.  When
-    None, the call makes a new set.  A set serves one call at a time: the
-    next call that is given it overwrites the previous result.
+    The result is the leading n_x - P + 1 rows of a C-contiguous float64
+    buffer n_y - Q + 1 columns wide.  ``out`` is a ``FilterBuffers`` set
+    (``filter_buffers`` makes them) holding that buffer and the strip
+    scratch, so that repeated calls allocate nothing; a bad buffer is
+    refused (``_scratch``) before any sum is written.  When None, the call
+    makes a new set.  A set serves one call at a time: the next call that
+    is given it overwrites the previous result.
     """
     image = np.asarray(image)
     out_shape, src_shape, cols_shape = _buffer_shapes(image.shape, irf)
     bufs = filter_buffers(image.shape, [irf])[0] if out is None else out
     out = _scratch(bufs.out, out_shape)
-    src = _scratch(bufs.src, src_shape)
-    cols = _scratch(bufs.cols, cols_shape)
+    src = _scratch(bufs.src, src_shape).reshape(-1)
+    cols = _scratch(bufs.cols, cols_shape).reshape(-1)
     col_band, row_band = irf.bands
-    p = irf.kernel.shape[0]
-    ox, oy = _valid_shape(image.shape, irf.kernel.shape)
+    p, q = irf.kernel.shape
+    ox, oy = out_shape
     # both passes run on the columns the row pass's last block reads
-    width = _block_count(oy, ROW_BLOCK) * ROW_BLOCK + irf.kernel.shape[1] - 1
+    width = _block_count(oy, ROW_BLOCK) * ROW_BLOCK + q - 1
     step = _strip_rows(oy)
     for a in range(0, ox, step):
         b = min(a + step, ox)
-        _column_pass(image[a : b + p - 1], col_band, src[:, :width], cols[:, :width])
+        sums = _column_pass(image[a : b + p - 1], col_band, src, cols, width)
         # the column pass has read src, so the row pass pads into it
-        _row_pass(cols[:, :width], row_band, out[a:b], bufs.src.reshape(-1))
-    return out[:, :oy]
+        _row_pass(sums, row_band, out[a:b], src)
+    return out
 
 
 def noise_dispersion(filtered: np.ndarray, flat_level: float) -> float:
@@ -403,6 +407,58 @@ def noise_dispersion(filtered: np.ndarray, flat_level: float) -> float:
     return float(np.mean((filtered - flat_level) ** 2))
 
 
+def _finite_number(value) -> bool:
+    """An int or float (not a bool) that is neither NaN nor infinite, nor
+    an int beyond the doubles."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<q")
+
+
+def _rank(x: float) -> int:
+    """Position of the double ``x`` in the order of doubles, adjacent
+    doubles one apart (+0.0 and -0.0 both at 0)."""
+    bits = _BITS.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits >= 0 else -(bits + 2**63)
+
+
+def _unrank(rank: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(rank if rank >= 0 else -rank - 2**63))[0]
+
+
+_INF_RANK = _rank(math.inf)
+
+
+def _upper_bound(level: float, t: float) -> float:
+    """The largest double h with fl(h - level) <= t, for a finite
+    ``level`` and t >= 0.  Rounding is monotone, so fl(f - level) > t
+    exactly when f > h, and, being odd, fl(f - level) < -t exactly when
+    f < -_upper_bound(-level, t).  The search starts at fl(level + t),
+    mostly a double or two from h, with steps that double until they pass
+    h, and then halves the bracket."""
+    if t == math.inf:
+        return t
+    # h lies in [low, high): fl(-inf - level) <= t < fl(inf - level)
+    low, high = -_INF_RANK, _INF_RANK
+    rank, step = min(_rank(level + t), high - 1), 1
+    while high - low > 1:
+        if _unrank(rank) - level <= t:
+            low, rank = rank, rank + step
+        else:
+            high, rank = rank, rank - step
+        step *= 2
+        if not low < rank < high:
+            rank = (low + high) // 2
+    return _unrank(low)
+
+
 def detect(
     filtered_channels,
     filters,
@@ -410,21 +466,24 @@ def detect(
     multiplier: float = 3.0,
     *,
     out=None,
-    scratch=None,
 ) -> DetectionMask:
     """Union 3-sigma rule across channels.
 
-    A pixel is anomalous when |filtered - E| exceeds multiplier * sigma in
-    any channel.  The verdicts form one boolean raster of the originals'
-    shape, which every plane must share; that shape and the channel count
-    are all ``original_planes`` gives;
-    the filtered rows given are judged in one pass per channel, whose
-    deviations are taken into a float64 buffer of the filtered shape, so
-    every pass over them runs on contiguous memory.  ``out``, when given,
-    is that raster (a boolean array of the originals' shape, every element
-    of which the call writes), and ``scratch`` that buffer (holding the
-    filtered shape in its leading rows); when None, the call makes them.
+    A pixel is anomalous when |filtered - E| exceeds t = multiplier * sigma
+    in any channel, as float64 arithmetic rounds both; ``multiplier`` must
+    be a finite positive number (ValueError otherwise), and a channel
+    whose t overflows flags nothing.  The verdicts form one boolean raster
+    of the originals' shape, which every plane must share; that shape and
+    the channel count are all ``original_planes`` gives.  Each channel is
+    judged by two comparisons, f > hi or f < lo, against the bounds that
+    give exactly the rounded rule's verdict (``_upper_bound``), into one
+    boolean strip of the filtered shape, which is then copied into the
+    raster.  ``out``, when given, is that raster (a boolean array of the
+    originals' shape, every element of which the call writes); when None,
+    the call makes it.
     """
+    if not (_finite_number(multiplier) and multiplier > 0):
+        raise ValueError(f"multiplier: must be a finite positive number, got {multiplier!r}")
     if len(filtered_channels) != len(filters) or len(filters) != len(original_planes):
         raise ValueError("channel counts of filtered, filters and original differ")
     if not filters:
@@ -432,22 +491,26 @@ def detect(
     shape = np.shape(original_planes[0])
     if any(np.shape(plane) != shape for plane in original_planes):
         raise ValueError("original planes disagree in shape")
-    out_shape = np.asarray(filtered_channels[0]).shape
+    filtered = [np.asarray(plane, dtype=float) for plane in filtered_channels]
+    out_shape = filtered[0].shape
+    if any(plane.shape != out_shape for plane in filtered):
+        raise ValueError("filtered channels disagree in shape")
     ox, oy = out_shape
     if ox > shape[0] or oy > shape[1]:
         raise ValueError("filtered channels exceed the original planes")
-    deviation = _scratch(np.empty(out_shape) if scratch is None else scratch, out_shape)
     verdicts = np.empty(shape, dtype=bool) if out is None else out
     if not (isinstance(verdicts, np.ndarray) and verdicts.dtype == bool
             and verdicts.shape == shape):
         raise ValueError(f"out must be a boolean raster of shape {shape}")
-    verdicts.fill(False)
-    flagged = verdicts[:ox, :oy]
-    for filt_plane, irf in zip(filtered_channels, filters):
-        filt_plane = np.asarray(filt_plane, dtype=float)
-        if filt_plane.shape != out_shape:
-            raise ValueError("filtered channels disagree in shape")
-        np.subtract(filt_plane, irf.flat_level, out=deviation)
-        np.abs(deviation, out=deviation)
-        flagged |= deviation > multiplier * np.sqrt(irf.sigma2)
+    flagged = np.zeros(out_shape, dtype=bool)
+    beyond = np.empty(out_shape, dtype=bool)
+    for plane, irf in zip(filtered, filters):
+        level, t = float(irf.flat_level), float(multiplier) * math.sqrt(irf.sigma2)
+        np.greater(plane, _upper_bound(level, t), out=beyond)
+        flagged |= beyond
+        np.less(plane, -_upper_bound(-level, t), out=beyond)
+        flagged |= beyond
+    verdicts[:ox, :oy] = flagged
+    verdicts[:ox, oy:] = False
+    verdicts[ox:] = False
     return DetectionMask(verdicts=verdicts, valid_shape=out_shape)

@@ -1,7 +1,8 @@
 """Raster I/O: binary PGM/PPM (P5/P6).
 
-Frames are carried as planar channels.  ``read_image`` gives 8-bit
-(uint8) planes, which stay 8-bit up to ``write_image``; consumers that
+Frames are carried as one plane per channel.  ``read_image`` gives 8-bit
+(uint8) planes, views of the bytes read (an rgb frame's stay
+interleaved), which stay 8-bit up to ``write_image``; consumers that
 compute convert only the rows they read to float64.  Planes of any other
 dtype are float64, and only those are quantised at write time: rounded
 half to even and clipped to 0..255.  Parse failures report the byte
@@ -34,8 +35,9 @@ def _plane(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ImageStack:
-    """Planar channels of one raster frame: uint8 planes are kept as
-    given, any other values become float64."""
+    """Channel planes of one raster frame: uint8 planes are kept as given,
+    views included (the planes ``read_image`` gives of an rgb frame stay
+    interleaved), any other values become float64."""
 
     planes: tuple
 
@@ -107,10 +109,12 @@ class _Reader:
 def read_image(path) -> ImageStack:
     """Read a binary PGM (P5) or PPM (P6) file.
 
-    The planes are uint8.  A P5 plane is a read-only view of the bytes
-    read; P6 data is de-interleaved once, so each returned plane is a
-    C-contiguous array of its own.  An input that cannot be opened or read
-    raises ``ImageFormatError`` naming the path.
+    The planes are uint8, read-only views of the bytes read: a P5 plane is
+    C-contiguous, and the three planes of P6 data stay interleaved, each a
+    view with a stride of three bytes along its rows.  Consumers gather a
+    plane's rows as they convert them (``apply_filter``) or as they copy
+    them.  An input that cannot be opened or read raises
+    ``ImageFormatError`` naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -140,8 +144,7 @@ def read_image(path) -> ImageStack:
     raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=rd.pos)
     if channels == 1:
         return ImageStack((raw.reshape(height, width),))
-    planar = np.ascontiguousarray(raw.reshape(height, width, 3).transpose(2, 0, 1))
-    return ImageStack(tuple(planar))
+    return ImageStack(tuple(raw.reshape(height, width, 3).transpose(2, 0, 1)))
 
 
 def _quantize(plane: np.ndarray) -> np.ndarray:

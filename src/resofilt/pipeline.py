@@ -9,9 +9,9 @@ correlation filter judges once the window of L frames they open is
 complete.  A run holds one frame at a time, plus the boolean rasters of
 the last L frames and frame 0's mask.  The frame loop alone cuts a frame
 into row strips (the filter's strip rule), so no filtered plane is ever
-whole: each channel's filter writes a strip into one strip-sized set, and
-the detector judges it into its rows of the frame's verdict raster,
-through one deviation buffer; the run allocates these once.
+whole: each channel's filter writes a strip into one strip-sized set,
+which the run allocates once, and the detector judges it into its rows of
+the frame's verdict raster.
 
 Stages run sequentially and deterministically: identical configuration
 and inputs produce identical reports and masks.
@@ -19,7 +19,6 @@ and inputs produce identical reports and masks.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -29,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ResofiltError
 from .filtering import (
     DetectionMask,
+    _finite_number,
     _strip_rows,
     apply_filter,
     design_filter,
@@ -56,12 +56,6 @@ _ESTIMATORS = ("ls", "pencil")
 # Channel names of each channel mode, in plane order: the one such table.
 _CHANNELS = {"gray": ("gray",), "rgb": ("r", "g", "b")}
 _POSTS = ("hist", "track", "none")
-
-
-def _finite_number(value) -> bool:
-    """An int or float (not a bool) that is neither NaN nor infinite."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and math.isfinite(value)
 
 
 def _integer(value) -> bool:
@@ -344,8 +338,8 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     strip of ``_strip_rows`` output rows at a time: rows a..b-1 are
     filtered from source rows a..b+P-2 into the leading rows of each
     channel's one ``FilterBuffers`` set, then detected into verdict rows
-    a..b-1 (the last strip's run to the frame's end) through one deviation
-    buffer.  The run makes the sets and the buffer once.
+    a..b-1 (the last strip's run to the frame's end).  The run makes the
+    sets once.
     """
     frames = iter(frames)
     first = next(frames, None)
@@ -358,7 +352,6 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
     step = min(_strip_rows(oy), ox)
     with _stage("filter+detect"):
         sets = filter_buffers((step + p - 1, first.shape[1]), filters)
-        scratch = np.empty((step, oy))
 
     first_mask = None
     recent = []
@@ -385,7 +378,6 @@ def run_pipeline(config: PipelineConfig, frames) -> PipelineResult:
                     [plane[rows] for plane in planes],
                     multiplier=config.sigma_multiplier,
                     out=verdicts[rows],
-                    scratch=scratch,
                 )
             mask = DetectionMask(verdicts, valid)
             boxes = connected_components(mask.positive(), min_area=config.min_area)

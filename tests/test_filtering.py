@@ -1,6 +1,7 @@
 """Inverse filter design, convolution application, and the 3-sigma rule."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resofilt import (
+    ConfigError,
     HarmonicModel,
     ImageStack,
     IRFilter,
@@ -141,37 +143,38 @@ class TestApplyFilter:
     def test_non_contiguous_out_buffer_raises(self):
         irf = IRFilter(np.ones((2, 2)), 0.0, 1.0)
         bufs = filter_buffers((5, 6), [irf])[0]
-        out = np.empty((4, 12))[:, ::2]
+        out = np.empty((4, 10))[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
             apply_filter(np.ones((5, 6)), irf, out=replace(bufs, out=out))
 
-    def test_result_is_the_valid_view_of_the_given_buffer(self, rng):
+    def test_result_is_the_given_buffer_of_the_filtered_shape(self, rng):
         image = rng.normal(0, 1, (30, 20))
         irf = IRFilter(np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4)), 0.0, 1.0)
         bufs = filter_buffers(image.shape, [irf])[0]
         out = bufs.out
-        assert out.shape == (26, 20) and out.flags.c_contiguous
+        assert out.shape == (26, 17) and out.flags.c_contiguous
         got = apply_filter(image, irf, out=bufs)
-        assert got.shape == (26, 17) and np.shares_memory(got, out)
+        assert got.shape == (26, 17) and got.flags.c_contiguous
+        assert got.ctypes.data == out.ctypes.data
         assert np.array_equal(got, apply_filter(image, irf))
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda ox, w: np.empty((ox, w - 3)),  # the valid shape, not W wide
-            lambda ox, w: np.empty((ox, w), dtype=np.float32),
-            lambda ox, w: np.empty((ox, w), dtype=complex),
-            lambda ox, w: np.empty((ox, w), order="F"),
-            lambda ox, w: np.empty((ox, 2 * w))[:, ::2],
-            lambda ox, w: None,
+            lambda ox, oy: np.empty((ox, oy + 3)),  # as wide as the plane
+            lambda ox, oy: np.empty((ox, oy), dtype=np.float32),
+            lambda ox, oy: np.empty((ox, oy), dtype=complex),
+            lambda ox, oy: np.empty((ox, oy), order="F"),
+            lambda ox, oy: np.empty((ox, 2 * oy))[:, ::2],
+            lambda ox, oy: None,
         ],
-        ids=["valid-shape", "float32", "complex", "fortran", "strided", "none"],
+        ids=["plane-width", "float32", "complex", "fortran", "strided", "none"],
     )
     def test_wrong_out_buffer_raises(self, rng, make):
         image = rng.normal(0, 1, (30, 20))
         for kernel in (np.ones((5, 4)), np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4))):
             irf = IRFilter(kernel, 0.0, 1.0)
-            bufs = replace(filter_buffers(image.shape, [irf])[0], out=make(26, 20))
+            bufs = replace(filter_buffers(image.shape, [irf])[0], out=make(26, 17))
             given = [b for b in (bufs.out, bufs.src, bufs.cols) if b is not None]
             for buf in given:
                 buf.fill(np.nan)
@@ -182,13 +185,13 @@ class TestApplyFilter:
 
     def test_taller_buffer_set_serves_its_leading_rows(self, rng):
         # a set made for taller planes of the same width is accepted: the
-        # result views the leading rows of its output buffer, bit for bit
-        # a fresh call's result
+        # result is the leading rows of its output buffer, bit for bit a
+        # fresh call's result
         image = rng.normal(0, 1, (30, 20))
         for kernel in (np.ones((5, 4)), np.outer(rng.normal(0, 1, 5), rng.normal(0, 1, 4))):
             irf = IRFilter(kernel, 0.0, 1.0)
             bufs = filter_buffers((31, 20), [irf])[0]
-            assert bufs.out.shape == (27, 20)
+            assert bufs.out.shape == (27, 17)
             got = apply_filter(image, irf, out=bufs)
             assert got.shape == (26, 17)
             assert got.ctypes.data == bufs.out.ctypes.data and got.strides == bufs.out.strides
@@ -252,6 +255,73 @@ class TestApplyFilter:
                 for got in results:
                     assert got[name].tobytes() == expected.tobytes(), name
                 told_apart += int(np.sum(expected != naive))
+        # the data separate fused from multiply-then-add rounding
+        assert told_apart > 100
+
+    @pytest.mark.skipif(
+        usable_cpus() < 2, reason="OpenBLAS runs one thread per usable CPU, so it cannot split"
+    )
+    def test_band_product_split_across_two_threads_is_one_fma_per_tap(self, tmp_path):
+        # The 17-tap bands times one block of windows large enough that
+        # numpy's bundled OpenBLAS splits the GEMM between two threads (it
+        # ran products below about 1e6 multiply-adds on one thread on a
+        # 2-vCPU Xeon): 8 x 24 by 24 x 8000 and 4000 x 32 by 32 x 16.  The
+        # split is checked by the CPU time of the threads other than the
+        # caller's, and the results against the fma reference on every
+        # 40th column and row (the threads' shares are column or row
+        # ranges, so the samples cover both).  A few hundred products give
+        # the helper thread CPU time well above a scheduler tick.
+        script = (
+            "import sys, time\n"
+            "import numpy as np\n"
+            "from resofilt.filtering import COL_BLOCK, ROW_BLOCK, IRFilter, _blocks\n"
+            "rng = np.random.default_rng(31)\n"
+            "irf = IRFilter(np.outer(rng.normal(0, 1, 17), rng.normal(0, 1, 17)), 0.0, 1.0)\n"
+            "col_band, row_band = irf.bands\n"
+            "rows = rng.normal(0, 1, (COL_BLOCK + 16, 8000))\n"
+            "cols = rng.normal(0, 1, (4000, ROW_BLOCK + 16))\n"
+            "col_windows = _blocks(rows, 0, COL_BLOCK, (col_band.shape[1], 8000), 1)\n"
+            "row_windows = _blocks(cols, 1, ROW_BLOCK, (4000, row_band.shape[0]), 1)\n"
+            "products = {'col': lambda: col_band @ col_windows,\n"
+            "            'row': lambda: row_windows @ row_band}\n"
+            "got = dict(col_taps=irf.factors[0], row_taps=irf.factors[1], rows=rows, cols=cols)\n"
+            "for name, product in products.items():\n"
+            "    cpu, own = time.process_time(), time.thread_time()\n"
+            "    for _ in range(400):\n"
+            "        got[name] = product()[0]\n"
+            "    own = time.thread_time() - own\n"
+            "    time.sleep(0.05)  # a tick passes, so a busy helper's CPU time is counted\n"
+            "    got[name + '_helper_cpu'] = (time.process_time() - cpu - own) / own\n"
+            "np.savez(sys.argv[1], **got)\n"
+        )
+        package_root = str(Path(filtering.__file__).resolve().parents[1])
+        results = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package_root)
+            subprocess.run([sys.executable, "-c", script, str(path)],
+                           env=env, capture_output=True, text=True, timeout=120, check=True)
+            with np.load(path) as saved:
+                results.append(dict(saved))
+        one, two = results
+        for name in ("col", "row"):
+            assert one[name + "_helper_cpu"] < 0.05, name
+            assert two[name + "_helper_cpu"] > 0.25, name  # a helper thread did its share
+            assert two[name].tobytes() == one[name].tobytes(), name
+        col, row = one["col_taps"], one["row_taps"]
+        rows, cols = one["rows"][:, ::40], one["cols"][::40]
+        expected, naive = 0.0, 0.0
+        for m in range(17):
+            expected = fma_array(col[m], rows[m : m + COL_BLOCK], expected)
+            naive = naive + col[m] * rows[m : m + COL_BLOCK]
+        assert one["col"][:, ::40].tobytes() == expected.tobytes()
+        told_apart = int(np.sum(expected != naive))
+        expected, naive = 0.0, 0.0
+        for n in range(17):
+            expected = fma_array(row[n], cols[:, n : n + ROW_BLOCK], expected)
+            naive = naive + row[n] * cols[:, n : n + ROW_BLOCK]
+        assert one["row"][::40].tobytes() == expected.tobytes()
+        told_apart += int(np.sum(expected != naive))
         # the data separate fused from multiply-then-add rounding
         assert told_apart > 100
 
@@ -335,8 +405,10 @@ class TestSeparableApply:
         usable_cpus() < 2, reason="OpenBLAS runs one thread per usable CPU, so it cannot split"
     )
     def test_blas_thread_count_does_not_change_bits(self):
-        # each strip daxpy here is ~35k elements, which OpenBLAS splits
-        # across threads when it has two
+        # the filter's GEMMs here are too small for OpenBLAS to split
+        # across threads, so this pins only that the thread count picks no
+        # other kernel; test_band_product_split_across_two_threads_is_one_
+        # fma_per_tap runs GEMMs that are split
         script = (
             "import hashlib, numpy as np\n"
             "from resofilt import IRFilter, apply_filter\n"
@@ -688,23 +760,91 @@ class TestDetect:
         assert np.array_equal(mask.positive(), expected)
         assert mask.valid_shape == out_shape
 
-    def test_scratch_holds_the_filtered_shape_in_its_leading_rows(self, rng):
-        # one pass over all the rows given: a taller deviation buffer is
-        # used in its leading rows, any other is refused before the raster
-        # is written
-        filtered = [rng.normal(0.0, 1.0, (6, 7))]
+    def test_given_raster_is_written_whole_from_strided_rows(self, rng):
+        # every element of the given raster is written, the filtered rows
+        # may be a strided view, and there is no deviation buffer to give
+        filtered = [rng.normal(0.0, 1.0, (6, 14))[:, ::2]]
         irf = IRFilter(np.ones((2, 2)), flat_level=0.0, sigma2=0.25)
         originals = [np.zeros((7, 8))]
         raster = np.ones((7, 8), dtype=bool)
-        mask = detect(filtered, [irf], originals, out=raster, scratch=np.empty((9, 7)))
+        mask = detect(filtered, [irf], originals, out=raster)
         assert np.shares_memory(mask.positive(), raster)
         assert np.array_equal(raster, whole_plane_detect(filtered, [irf], originals, 3.0))
-        for bad in (np.empty((5, 7)), np.empty((6, 8)), np.empty((6, 7), dtype=np.float32),
-                    np.empty((6, 7), order="F")):
-            raster.fill(True)
-            with pytest.raises(ValueError, match="C-contiguous float64"):
-                detect(filtered, [irf], originals, out=raster, scratch=bad)
-            assert raster.all()
+        with pytest.raises(TypeError):
+            detect(filtered, [irf], originals, out=raster, scratch=np.empty((6, 7)))
+
+    @pytest.mark.parametrize(
+        "multiplier",
+        [math.nan, math.inf, -math.inf, 0.0, -1.0, 0, True, "3", None, np.float32(3), 10**400],
+    )
+    def test_multiplier_must_be_a_finite_positive_number(self, multiplier):
+        # the rule PipelineConfig.validate applies to sigma_multiplier
+        filtered = [np.arange(16.0).reshape(4, 4)]
+        irf = IRFilter(np.ones((1, 1)), flat_level=0.0, sigma2=1.0)
+        raster = np.ones((4, 4), dtype=bool)
+        with pytest.raises(ValueError, match="multiplier: must be a finite positive number"):
+            detect(filtered, [irf], [np.zeros((4, 4))], multiplier, out=raster)
+        assert raster.all()
+        with pytest.raises(ConfigError, match="sigma_multiplier: must be a finite positive"):
+            PipelineConfig(sigma_multiplier=multiplier).validate()
+
+    @pytest.mark.parametrize(
+        "flat,values",
+        [(0.1, [0.1, np.nextafter(0.1, 1.0), np.nextafter(0.1, -1.0), np.nan]),
+         (0.0, [0.0, 5e-324, -5e-324, -0.0])],
+    )
+    def test_zero_sigma_flags_every_value_but_the_level(self, flat, values):
+        # t = 0: the doubles next to E are flagged, E itself (of either
+        # sign when it is zero) and NaN are not
+        filt = np.array([values])
+        irf = IRFilter(np.ones((1, 1)), flat_level=flat, sigma2=0.0)
+        got = detect([filt], [irf], [np.zeros(filt.shape)], multiplier=3.0).positive()
+        assert got.tolist() == [[False, True, True, False]]
+        assert np.array_equal(got, whole_plane_detect([filt], [irf], [filt], 3.0))
+
+    def test_overflowing_threshold_flags_nothing(self):
+        # t = 1e300 * sqrt(1e100) overflows to inf, and no |f - E| exceeds it
+        filt = np.array([[np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0]])
+        irf = IRFilter(np.ones((1, 1)), flat_level=-1e308, sigma2=1e100)
+        with np.errstate(over="ignore"):
+            assert 1e300 * np.sqrt(irf.sigma2) == np.inf
+            expected = whole_plane_detect([filt], [irf], [filt], 1e300)
+        got = detect([filt], [irf], [filt], multiplier=1e300)
+        assert not got.positive().any() and not expected.any()
+        # the largest finite t still flags the infinities alone
+        irf = IRFilter(np.ones((1, 1)), flat_level=0.0, sigma2=1.0)
+        got = detect([filt], [irf], [filt], multiplier=np.finfo(float).max).positive()
+        assert got.tolist() == [[True, True, False, False, False, False]]
+
+    @given(
+        level=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1e10,
+                             1e308, -1e308]),
+        ),
+        t=st.one_of(
+            st.floats(min_value=0.0, allow_nan=False),
+            st.sampled_from([0.0, 5e-324, 1e-300, 1e10, 1e308, math.inf]),
+        ),
+        values=st.lists(
+            st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan,
+                                                    math.inf, -math.inf, 1e308, -1e308])),
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_two_bounds_give_the_rounded_rule(self, level, t, values):
+        # f > hi or f < lo is |fl(f - E)| > t, element for element, on the
+        # doubles drawn and on those next to E +- t and to each bound
+        hi = filtering._upper_bound(level, t)
+        lo = -filtering._upper_bound(-level, t)
+        near = [level + t, level - t, hi, lo]
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = [np.nextafter(c, np.inf * s) for c in near for s in (1, -1)]
+            steps += [np.nextafter(c, np.inf * s) for c in steps for s in (1, -1)]
+            f = np.array(values + near + steps, dtype=float)
+            expected = np.abs(f - level) > t
+        assert np.array_equal((f > hi) | (f < lo), expected)
 
     def test_positive_raster_cached_read_only(self):
         filtered = [np.zeros((4, 4)) for _ in range(3)]

@@ -49,15 +49,18 @@ class TestPgm:
         assert np.array_equal(stack.planes[0], [[10.0, 40.0], [70.0, 100.0]])
         assert np.array_equal(stack.planes[2], [[30.0, 60.0], [90.0, 120.0]])
 
-    def test_ppm_planes_contiguous_and_equal_to_interleaved_bytes(self, tmp_path, rng):
+    def test_ppm_planes_are_read_only_views_of_the_interleaved_bytes(self, tmp_path, rng):
+        # the planes are not de-interleaved: each views the one buffer
+        # read, three bytes apart along its rows
         pixels = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
         path = tmp_path / "planar.ppm"
         path.write_bytes(b"P6\n7 5\n255\n" + pixels.tobytes())
         stack = read_image(path)
         for c, plane in enumerate(stack.planes):
-            assert plane.flags.c_contiguous and plane.dtype == np.uint8
+            assert plane.dtype == np.uint8 and plane.strides == (21, 3)
+            assert not plane.flags.writeable
             assert np.array_equal(plane, pixels[:, :, c])
-        assert not np.shares_memory(stack.planes[0], stack.planes[1])
+            assert plane.base is stack.planes[0].base
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
