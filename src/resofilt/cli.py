@@ -15,16 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import (
-    EXIT_INPUT,
-    EXIT_NUMERIC,
-    EXIT_OK,
-    EXIT_USAGE,
-    ConfigError,
-    ImageFormatError,
-    NumericError,
-    ResofiltError,
-)
+from .errors import EXIT_OK, EXIT_USAGE, ConfigError, ImageFormatError, ResofiltError
 from .filtering import apply_filter
 from .harmonic import synth_texture
 from .imageio import ImageStack, draw_boxes, read_image, write_image
@@ -336,18 +327,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"resofilt: configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ImageFormatError as exc:
-        print(f"resofilt: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericError as exc:
-        print(f"resofilt: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ResofiltError as exc:
-        print(f"resofilt: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        print(f"resofilt: {exc.label}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

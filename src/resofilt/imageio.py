@@ -26,6 +26,9 @@ import numpy as np
 from .errors import ConfigError, ImageFormatError
 from .filtering import _strip_rows
 
+# overlay outline value: the top of the 8-bit range
+OUTLINE = 255
+
 
 def _plane(values) -> np.ndarray:
     """An 8-bit (uint8) plane as given; any other values as float64."""
@@ -211,22 +214,18 @@ def write_bytes(path, *chunks):
         raise ConfigError(f"output: cannot write {str(path)!r}: {reason}") from exc
 
 
-def draw_boxes(stack: ImageStack, boxes, intensity: float = 255.0) -> ImageStack:
-    """Copy of the stack with one-pixel rectangle outlines drawn on it.
-
-    On uint8 planes the outline is ``intensity`` quantised as
-    ``write_image`` quantises float planes, so both give the same bytes.
-    """
+def draw_boxes(stack: ImageStack, boxes) -> ImageStack:
+    """Copy of the stack with one-pixel rectangle outlines of ``OUTLINE``
+    drawn on it.  255 is the same value in a uint8 and a float plane, so
+    both write the same bytes."""
     planes = [p.copy() for p in stack.planes]
-    byte = np.clip(np.rint(intensity), 0, 255)
     for box in boxes:
         x0, y0 = max(0, box.x0), max(0, box.y0)
         x1 = min(stack.shape[0] - 1, box.x1)
         y1 = min(stack.shape[1] - 1, box.y1)
         for p in planes:
-            value = byte if p.dtype == np.uint8 else intensity
-            p[x0, y0 : y1 + 1] = value
-            p[x1, y0 : y1 + 1] = value
-            p[x0 : x1 + 1, y0] = value
-            p[x0 : x1 + 1, y1] = value
+            p[x0, y0 : y1 + 1] = OUTLINE
+            p[x1, y0 : y1 + 1] = OUTLINE
+            p[x0 : x1 + 1, y0] = OUTLINE
+            p[x0 : x1 + 1, y1] = OUTLINE
     return ImageStack(tuple(planes))

@@ -41,10 +41,8 @@ def _diag_doc(diag) -> dict:
     for key, value in asdict(diag).items():
         if isinstance(value, np.ndarray):
             out[key] = [float(v) for v in value]
-        elif isinstance(value, np.bool_):
-            out[key] = bool(value)
-        elif isinstance(value, (np.floating, np.integer)):
-            out[key] = float(value)
+        elif isinstance(value, np.generic):  # a NumPy scalar as its Python bool, int or float
+            out[key] = value.item()
         else:
             out[key] = value
     return out

@@ -72,13 +72,15 @@ class PipelineConfig:
     integers; ``validate`` rejects bools, floats and strings.  Fields whose
     defaults are not dictated by the method itself (min_area, the
     histogram threshold policy) are artifact defaults.  The post-filters'
-    fixed operating points (ring width 7 over 256 levels, 5x5 cells at
-    0.75 fill, the "or" channel rule, track boxes grown by 7) are the
-    defaults of the ``postfilter`` functions, which the pipeline calls
-    with them.  The method itself has no switches: the ls estimator solves
-    for palindromic coefficients (so its orders are even), both estimators
-    project their roots onto the unit circle and append the unit root, and
-    every filter drives the texture to the base region's mean.
+    fixed operating points are not fields: 256 gray levels, the "or"
+    channel rule and track boxes grown by 7 are ``postfilter`` constants,
+    and ring width 7 and 5x5 cells at 0.75 fill are the keyword defaults
+    of ``histogram_difference`` and ``density_verdict``, which the
+    pipeline calls with them.  The method itself has no switches: the ls
+    estimator solves for palindromic coefficients (so its orders are
+    even), both estimators project their roots onto the unit circle and
+    append the unit root, and every filter drives the texture to the base
+    region's mean.
     """
 
     base_region: tuple = (0, 0, 64, 64)

@@ -9,6 +9,10 @@ Dynamic scenes: candidate boxes are confirmed by the overlap ratio of
 detection masks, in each box's window, across a short run of consecutive
 frames; transient speckle decorrelates and is dropped.
 
+The constants are fixed (``GRAY_LEVELS``, the "or" channel rule,
+``TRACK_EXTENSION``); only ``e``, ``cell_size`` and ``fill`` stay keyword
+defaults, which the acceptance suite sets.
+
 Coordinates follow (row, column) = (x, y) throughout, boxes inclusive.
 """
 
@@ -18,6 +22,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+# histogram bins: one per 8-bit gray level
+GRAY_LEVELS = 256
+# background pixels a confirmed track box is grown by on each side
+TRACK_EXTENSION = 7
 
 
 @dataclass(frozen=True)
@@ -174,27 +183,24 @@ def connected_components(raster, min_area: int = 1):
     ]
 
 
-def _bins(values: np.ndarray, levels: int) -> np.ndarray:
-    """Integer bin 0..levels-1 of every value (floored, then clipped).
+def _bins(values: np.ndarray) -> np.ndarray:
+    """Integer bin 0..GRAY_LEVELS-1 of every value (floored, then clipped).
 
     An 8-bit value is its own bin, so a uint8 window skips the float copy.
     """
     if values.dtype == np.uint8:
-        # a bound above 255 would not fit the uint8 operand; nothing to clip then
-        return np.minimum(values, min(levels, 256) - 1).astype(np.intp)
-    return np.clip(np.floor(np.asarray(values, dtype=float)).astype(int), 0, levels - 1)
+        return values.astype(np.intp)
+    return np.clip(np.floor(np.asarray(values, dtype=float)).astype(int), 0, GRAY_LEVELS - 1)
 
 
-def _histogram(values: np.ndarray, levels: int) -> np.ndarray:
-    """Unit-mass histogram over integer bins 0..levels-1 (values clipped)."""
-    h = np.bincount(_bins(values.ravel(), levels), minlength=levels).astype(float)
+def _histogram(values: np.ndarray) -> np.ndarray:
+    """Unit-mass histogram over the gray-level bins (values clipped)."""
+    h = np.bincount(_bins(values.ravel()), minlength=GRAY_LEVELS).astype(float)
     total = h.sum()
     return h / total if total > 0 else h
 
 
-def histogram_difference(
-    image_gray: np.ndarray, box: ObjectBox, e: int = 7, levels: int = 256
-) -> HistogramEvidence:
+def histogram_difference(image_gray: np.ndarray, box: ObjectBox, e: int = 7) -> HistogramEvidence:
     """Row and column histogram differences of a box against its ring.
 
     Every histogram (per object row, per object column, and the single
@@ -203,8 +209,6 @@ def histogram_difference(
     counts would dominate the product matrix.
     """
     image_gray = np.asarray(image_gray)
-    if levels < 2:
-        raise ValueError("levels must be at least 2")
     outer = box.extended(e, image_gray.shape)
     if (
         box.x0 - e < 0
@@ -222,20 +226,20 @@ def histogram_difference(
     ring_values = window[ring]
     if ring_values.size == 0:
         raise ValueError("empty ring: extension does not clear the object box")
-    g_ring = _histogram(ring_values, levels)
+    g_ring = _histogram(ring_values)
 
-    # All row histograms in one bincount of row * levels + bin, all column
+    # All row histograms in one bincount of row * GRAY_LEVELS + bin, all column
     # histograms in one of bin * cols + column; each row (column) holds
     # cols (rows) samples, the unit-mass divisor of _histogram.
     rows = box.height
     cols = box.width
-    bins = _bins(window[inner], levels)
-    row_keys = np.arange(rows)[:, np.newaxis] * levels + bins
+    bins = _bins(window[inner])
+    row_keys = np.arange(rows)[:, np.newaxis] * GRAY_LEVELS + bins
     col_keys = bins * cols + np.arange(cols)
-    row_counts = np.bincount(row_keys.ravel(), minlength=rows * levels)
-    col_counts = np.bincount(col_keys.ravel(), minlength=levels * cols)
-    g_row = row_counts.reshape(rows, levels) / float(cols) - g_ring
-    g_col = col_counts.reshape(levels, cols) / float(rows) - g_ring[:, np.newaxis]
+    row_counts = np.bincount(row_keys.ravel(), minlength=rows * GRAY_LEVELS)
+    col_counts = np.bincount(col_keys.ravel(), minlength=GRAY_LEVELS * cols)
+    g_row = row_counts.reshape(rows, GRAY_LEVELS) / float(cols) - g_ring
+    g_col = col_counts.reshape(GRAY_LEVELS, cols) / float(rows) - g_ring[:, np.newaxis]
 
     return HistogramEvidence(g_row=g_row, g_col=g_col, product=g_row @ g_col)
 
@@ -277,14 +281,9 @@ def density_verdict(binary: np.ndarray, cell_size: int = 5, fill: float = 0.75):
     return bool((fills >= fill).any()), fills
 
 
-def combine_binaries(binaries, mode: str = "or") -> np.ndarray:
-    """Channel combination of binary evidence: disjunction or conjunction."""
-    stack = np.stack([np.asarray(b, dtype=bool) for b in binaries])
-    if mode == "or":
-        return stack.any(axis=0).astype(np.uint8)
-    if mode == "and":
-        return stack.all(axis=0).astype(np.uint8)
-    raise ValueError(f"unknown combination mode {mode!r}")
+def combine_binaries(binaries) -> np.ndarray:
+    """Channel combination of binary evidence: their disjunction."""
+    return np.stack([np.asarray(b, dtype=bool) for b in binaries]).any(axis=0).astype(np.uint8)
 
 
 def _window_slices(box: ObjectBox):
@@ -318,8 +317,9 @@ def binary_correlation(track: TrackState, object_index: int) -> float:
     return numerator / denominator
 
 
-def track_filter(track: TrackState, ratios, extension: int = 7):
-    """Confirmed objects, re-emitted with their background-extended boxes.
+def track_filter(track: TrackState, ratios):
+    """Confirmed objects, re-emitted with their boxes grown by
+    ``TRACK_EXTENSION`` pixels of background.
 
     ``ratios`` holds each object's ``binary_correlation`` value; an object
     whose ratio exceeds the track's threshold is confirmed.
@@ -330,5 +330,5 @@ def track_filter(track: TrackState, ratios, extension: int = 7):
     confirmed = []
     for box, r in zip(track.objects, ratios):
         if r > track.r_threshold:
-            confirmed.append(box.extended(extension, shape))
+            confirmed.append(box.extended(TRACK_EXTENSION, shape))
     return confirmed

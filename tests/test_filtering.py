@@ -846,6 +846,21 @@ class TestDetect:
             expected = np.abs(f - level) > t
         assert np.array_equal((f > hi) | (f < lo), expected)
 
+    @pytest.mark.parametrize("level,t,bound", [(-128.0, 128.0, 1.4210854715202004e-14),
+                                                (-1e16, 1e16, 1.0)])
+    def test_bound_far_from_a_cancelled_start(self, level, t, bound):
+        # fl(level + t) cancels to 0.0, some 4.5e18 doubles below the bound,
+        # as when k * sigma comes close to E
+        assert level + t == 0.0
+        assert filtering._upper_bound(level, t) == bound
+        # exact against |fl(f - E)| > t at the bound and at its neighbours
+        assert abs(math.nextafter(bound, -math.inf) - level) <= t
+        assert abs(bound - level) <= t
+        assert abs(math.nextafter(bound, math.inf) - level) > t
+        # and the lower bound for E = -level is -bound
+        lo = -filtering._upper_bound(level, t)
+        assert abs(lo + level) <= t < abs(math.nextafter(lo, -math.inf) + level)
+
     def test_positive_raster_cached_read_only(self):
         filtered = [np.zeros((4, 4)) for _ in range(3)]
         filtered[1][2, 3] = 9.0

@@ -217,19 +217,18 @@ class TestOverlay:
         assert len(edges) == perimeter
 
 
-    @pytest.mark.parametrize("intensity", [255.0, 300.0, -5.0, 127.5, 128.5, 0.4])
-    def test_uint8_outline_bytes_equal_the_float_path(self, tmp_path, rng, intensity):
-        # on 8-bit planes the outline is the intensity quantised as a float
-        # plane is quantised at write time: half to even, clipped to 0..255
+    def test_uint8_outline_bytes_equal_the_float_path(self, tmp_path, rng):
+        # the outline value 255 is the same in a uint8 plane and a float
+        # plane quantised at write time
         planes = tuple(rng.integers(0, 256, (12, 14), dtype=np.uint8) for _ in range(3))
         boxes = [ObjectBox(2, 3, 6, 8), ObjectBox(0, 0, 11, 13), ObjectBox(5, 9, 5, 9)]
         for stack in (ImageStack(planes[:1]), ImageStack(planes)):
             floats = ImageStack(tuple(p.astype(float) for p in stack.planes))
-            drawn = draw_boxes(stack, boxes, intensity)
+            drawn = draw_boxes(stack, boxes)
             assert all(p.dtype == np.uint8 for p in drawn.planes)
             assert np.array_equal(stack.planes[0], planes[0])  # input untouched
             write_image(tmp_path / "u8", drawn)
-            write_image(tmp_path / "f64", draw_boxes(floats, boxes, intensity))
+            write_image(tmp_path / "f64", draw_boxes(floats, boxes))
             assert (tmp_path / "u8").read_bytes() == (tmp_path / "f64").read_bytes()
 
 

@@ -27,7 +27,7 @@ from resofilt import (
     ResofiltError,
     synth_texture,
 )
-from resofilt import cli, filtering, pipeline, postfilter
+from resofilt import cli, errors, filtering, pipeline, postfilter
 from resofilt.cli import main
 from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 from resofilt.filtering import apply_filter, detect
@@ -523,11 +523,14 @@ class TestConfigValidation:
         assert cfg.sigma_multiplier == 3.0
         assert cfg.track_window == 3 and cfg.track_threshold == 0.3
         cfg.validate()
-        # the post-filter operating points live in the function signatures
-        assert _defaults(postfilter.histogram_difference) == {"e": 7, "levels": 256}
+        # the post-filter operating points are constants, bar the three
+        # keyword defaults the acceptance suite sets
+        assert postfilter.GRAY_LEVELS == 256 and postfilter.TRACK_EXTENSION == 7
+        assert _defaults(postfilter.histogram_difference) == {"e": 7}
         assert _defaults(postfilter.density_verdict) == {"cell_size": 5, "fill": 0.75}
-        assert _defaults(postfilter.combine_binaries) == {"mode": "or"}
-        assert _defaults(postfilter.track_filter) == {"extension": 7}
+        assert _defaults(postfilter.combine_binaries) == {}
+        assert _defaults(postfilter.track_filter) == {}
+        assert _defaults(draw_boxes) == {}
 
     @given(
         field=st.sampled_from(
@@ -594,7 +597,8 @@ class TestConfigValidation:
             for given in (fields, numpy_fields)
         ]
         assert docs[1] == docs[0]
-        assert json.loads(dump_json(docs[1])) == json.loads(dump_json(docs[0]))
+        # equal texts: a NumPy integer is written as an integer, not 20.0
+        assert dump_json(docs[1]) == dump_json(docs[0])
 
     @pytest.mark.parametrize(
         "order,split,name",
@@ -964,6 +968,22 @@ class TestCli:
         main(["design", "--input", str(tex), "--order", "8,8", "--model-out", str(model)])
         assert main(["report", "--path", str(model)]) == EXIT_OK
         assert "resonance model" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error,code,line", [
+        (errors.ResofiltError, EXIT_NUMERIC, "resofilt: boom\n"),
+        (errors.ConfigError, EXIT_USAGE, "resofilt: configuration error: boom\n"),
+        (errors.ImageFormatError, EXIT_INPUT, "resofilt: input error: boom\n"),
+        (errors.NumericError, EXIT_NUMERIC, "resofilt: numeric failure: boom\n"),
+        (errors.ModelError, EXIT_NUMERIC, "resofilt: numeric failure: boom\n"),
+    ])
+    def test_each_error_class_gives_its_exit_code_and_label(self, monkeypatch, capsys,
+                                                           error, code, line):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", fail)
+        assert main(["report", "--path", "unused.json"]) == code
+        assert capsys.readouterr().err == line
 
     def test_exit_code_usage(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
@@ -1545,3 +1565,12 @@ def test_cli_runs_without_scipy_ndimage_or_linalg(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().endswith("ok")
+
+
+def test_readme_library_use_example_runs(capsys):
+    # the first python block of README.md, run as it is written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"^```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    count, rest = capsys.readouterr().out.split(" ", 1)
+    assert rest == "anomalous pixels\n" and int(count) > 0

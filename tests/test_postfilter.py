@@ -17,6 +17,8 @@ from resofilt import (
     track_filter,
 )
 from resofilt.postfilter import (
+    GRAY_LEVELS,
+    TRACK_EXTENSION,
     _histogram,
     _window_slices,
     combine_binaries,
@@ -245,18 +247,18 @@ class TestHistogramDifference:
         assert means[1] < 3.0 / 36  # loose 3-sigma style band
 
 
-def _histogram_reference(image, box, e, levels):
+def _histogram_reference(image, box, e):
     """Row and column evidence from one _histogram call per box row and column."""
     outer = box.extended(e, image.shape)
     ring = np.ones((outer.height, outer.width), dtype=bool)
     ring[box.x0 - outer.x0 : box.x1 - outer.x0 + 1, box.y0 - outer.y0 : box.y1 - outer.y0 + 1] = False
-    g_ring = _histogram(image[outer.x0 : outer.x1 + 1, outer.y0 : outer.y1 + 1][ring], levels)
-    g_row = np.empty((box.height, levels))
+    g_ring = _histogram(image[outer.x0 : outer.x1 + 1, outer.y0 : outer.y1 + 1][ring])
+    g_row = np.empty((box.height, GRAY_LEVELS))
     for i in range(box.height):
-        g_row[i] = _histogram(image[box.x0 + i, box.y0 : box.y1 + 1], levels) - g_ring
-    g_col = np.empty((levels, box.width))
+        g_row[i] = _histogram(image[box.x0 + i, box.y0 : box.y1 + 1]) - g_ring
+    g_col = np.empty((GRAY_LEVELS, box.width))
     for j in range(box.width):
-        g_col[:, j] = _histogram(image[box.x0 : box.x1 + 1, box.y0 + j], levels) - g_ring
+        g_col[:, j] = _histogram(image[box.x0 : box.x1 + 1, box.y0 + j]) - g_ring
     return g_row, g_col, g_row @ g_col
 
 
@@ -265,23 +267,22 @@ class TestHistogramEquivalence:
         height=st.integers(1, 12),
         width=st.integers(1, 12),
         e=st.integers(1, 4),
-        levels=st.integers(2, 299),
         integral=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=120, deadline=None)
     def test_bit_equal_to_per_row_and_column_histograms(
-        self, height, width, e, levels, integral, seed
+        self, height, width, e, integral, seed
     ):
-        # values span negatives, fractions and values at or above levels,
-        # so the floor and both clips are exercised
+        # values span negatives, fractions and values at or above the
+        # gray-level count, so the floor and both clips are exercised
         rng = np.random.default_rng(seed)
-        image = rng.uniform(-0.5 * levels, 1.5 * levels, (height + 2 * e, width + 2 * e))
+        image = rng.uniform(-0.5 * GRAY_LEVELS, 1.5 * GRAY_LEVELS, (height + 2 * e, width + 2 * e))
         if integral:
             image = np.floor(image)
         box = ObjectBox(e, e, e + height - 1, e + width - 1)
-        ev = histogram_difference(image, box, e=e, levels=levels)
-        g_row, g_col, product = _histogram_reference(image, box, e, levels)
+        ev = histogram_difference(image, box, e=e)
+        g_row, g_col, product = _histogram_reference(image, box, e)
         assert np.array_equal(ev.g_row, g_row)
         assert np.array_equal(ev.g_col, g_col)
         assert np.array_equal(ev.product, product)
@@ -289,8 +290,7 @@ class TestHistogramEquivalence:
 
 class TestEightBitBins:
     @pytest.mark.filterwarnings("ignore:extended box clipped")
-    @pytest.mark.parametrize("levels", [256, 100, 2, 299])
-    def test_uint8_plane_gives_the_evidence_of_its_float_copy(self, levels):
+    def test_uint8_plane_gives_the_evidence_of_its_float_copy(self):
         # a seeded textured frame with dark and bright patches, some at the
         # border, quantised to 8 bits as frames are read
         rng = np.random.default_rng(9)
@@ -303,10 +303,9 @@ class TestEightBitBins:
                                                             rng.uniform(215, 255)])
             boxes.append(ObjectBox(x, y, x + side - 1, y + side - 1))
         plane = np.clip(np.rint(scene), 0, 255).astype(np.uint8)
-        assert plane.max() >= levels or levels > 255
         for box in boxes:
-            got = histogram_difference(plane, box, levels=levels)
-            want = histogram_difference(plane.astype(np.float64), box, levels=levels)
+            got = histogram_difference(plane, box)
+            want = histogram_difference(plane.astype(np.float64), box)
             assert np.array_equal(got.g_row, want.g_row)
             assert np.array_equal(got.g_col, want.g_col)
             assert np.array_equal(got.product, want.product)
@@ -399,12 +398,11 @@ class TestDensityVerdict:
         b = np.zeros((6, 6), dtype=np.uint8)
         a[0:5, 0:3] = 1
         b[0:5, 2:5] = 1
-        combined = combine_binaries([a, b], "or")
+        combined = combine_binaries([a, b])
+        assert np.array_equal(combined, (a | b).astype(np.uint8))
         verdict, _ = density_verdict(combined, cell_size=5, fill=0.75)
         assert verdict
         assert not density_verdict(a, 5, 0.75)[0]
-        conj = combine_binaries([a, b], "and")
-        assert conj.sum() == 5  # single overlapping column
 
 
 def _track(masks, boxes, threshold=0.3):
@@ -511,10 +509,10 @@ class TestTrackFilter:
         m[20:24, 20:24] = 1.0
         state = _track([m, m, m], connected_components(m))
         ratios = [binary_correlation(state, i) for i in range(len(state.objects))]
-        assert len(track_filter(state, ratios, extension=1)) == 2
-        assert len(track_filter(state, extension=1, ratios=[1.0, 1.0])) == 2
-        kept = track_filter(state, extension=1, ratios=[0.0, 1.0])
-        assert [(b.x0, b.y0) for b in kept] == [(19, 19)]
+        assert len(track_filter(state, ratios)) == 2
+        assert len(track_filter(state, ratios=[1.0, 1.0])) == 2
+        kept = track_filter(state, ratios=[0.0, 1.0])
+        assert [(b.x0, b.y0) for b in kept] == [(20 - TRACK_EXTENSION, 20 - TRACK_EXTENSION)]
         with pytest.raises(ValueError):
             track_filter(state, ratios=[1.0])
 
@@ -534,10 +532,10 @@ class TestTrackFilter:
         boxes = connected_components(f0)
         state = _track([f0, f1, f2], boxes)
         ratios = [binary_correlation(state, i) for i in range(len(boxes))]
-        confirmed = track_filter(state, ratios, extension=2)
+        confirmed = track_filter(state, ratios)
         assert len(confirmed) == 1
         c = confirmed[0]
-        assert (c.x0, c.y0, c.x1, c.y1) == (8, 8, 16, 16)  # extended by 2
+        assert (c.x0, c.y0, c.x1, c.y1) == (3, 3, 21, 21)  # extended by 7
 
     def test_speckle_field_harness(self):
         # Persistent object over three frames plus single-frame speckle
