@@ -217,18 +217,25 @@ class TestOverlay:
         assert len(edges) == perimeter
 
 
-    def test_uint8_outline_bytes_equal_the_float_path(self, tmp_path, rng):
-        # the outline value 255 is the same in a uint8 plane and a float
-        # plane quantised at write time
+    @pytest.mark.parametrize("value", [255.0, 300.0, -5.0, 127.5, 128.5, 0.4])
+    def test_uint8_outline_bytes_equal_the_float_path(self, tmp_path, rng, value):
+        # a float plane is quantised at write time (half to even, clipped to
+        # 0..255), so a patch of ``value`` under the 255 outline writes the
+        # bytes of a uint8 plane holding the quantised patch
         planes = tuple(rng.integers(0, 256, (12, 14), dtype=np.uint8) for _ in range(3))
+        u8 = [p.copy() for p in planes]
+        f64 = [p.astype(float) for p in planes]
+        for u, f in zip(u8, f64):
+            u[3:9, 4:11] = np.clip(np.rint(value), 0, 255)
+            f[3:9, 4:11] = value
         boxes = [ObjectBox(2, 3, 6, 8), ObjectBox(0, 0, 11, 13), ObjectBox(5, 9, 5, 9)]
-        for stack in (ImageStack(planes[:1]), ImageStack(planes)):
-            floats = ImageStack(tuple(p.astype(float) for p in stack.planes))
-            drawn = draw_boxes(stack, boxes)
+        for n in (1, 3):
+            before = u8[0].copy()
+            drawn = draw_boxes(ImageStack(tuple(u8[:n])), boxes)
             assert all(p.dtype == np.uint8 for p in drawn.planes)
-            assert np.array_equal(stack.planes[0], planes[0])  # input untouched
+            assert np.array_equal(u8[0], before)  # input untouched
             write_image(tmp_path / "u8", drawn)
-            write_image(tmp_path / "f64", draw_boxes(floats, boxes))
+            write_image(tmp_path / "f64", draw_boxes(ImageStack(tuple(f64[:n])), boxes))
             assert (tmp_path / "u8").read_bytes() == (tmp_path / "f64").read_bytes()
 
 

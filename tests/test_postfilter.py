@@ -290,9 +290,12 @@ class TestHistogramEquivalence:
 
 class TestEightBitBins:
     @pytest.mark.filterwarnings("ignore:extended box clipped")
-    def test_uint8_plane_gives_the_evidence_of_its_float_copy(self):
+    @pytest.mark.parametrize("top", [256, 100, 2, 299])
+    def test_uint8_plane_gives_the_evidence_of_its_float_copy(self, top):
         # a seeded textured frame with dark and bright patches, some at the
-        # border, quantised to 8 bits as frames are read
+        # border, scaled so its brightest patches reach about ``top`` and
+        # quantised to 8 bits as frames are read: nearly binary at 2, clipped
+        # at 255 above it
         rng = np.random.default_rng(9)
         scene = 128.0 + 30.0 * synth_texture(FOUR_PAIRS, 160, 160, noise_sigma=0.3, seed=9)
         boxes = []
@@ -302,7 +305,8 @@ class TestEightBitBins:
             scene[x : x + side, y : y + side] = rng.choice([rng.uniform(0, 40),
                                                             rng.uniform(215, 255)])
             boxes.append(ObjectBox(x, y, x + side - 1, y + side - 1))
-        plane = np.clip(np.rint(scene), 0, 255).astype(np.uint8)
+        plane = np.clip(np.rint(scene * (top / 255.0)), 0, 255).astype(np.uint8)
+        assert plane.max() == min(top, 255)
         for box in boxes:
             got = histogram_difference(plane, box)
             want = histogram_difference(plane.astype(np.float64), box)
