@@ -9,9 +9,10 @@ eigenpairs are needed, and signal eigenvalues stand orders of magnitude
 above the noise ones, so they come from block subspace iteration.  F is
 block Hankel, so its products with a block of vectors are 2D
 correlations of the region, taken by FFT: the iteration forms neither F
-nor a Gram.  A dense eigensolve of the Gram formed from F takes over when
-the iteration does not converge, or shows after two steps that it cannot
-(no eigen-gap).  Shifted row selections of that subspace form a matrix
+nor a Gram.  numpy's dense eigensolve of the Gram formed from F, which
+computes every eigenpair and keeps the top ones, takes over when the
+iteration does not converge, or shows after two steps that it cannot (no
+eigen-gap).  Shifted row selections of that subspace form a matrix
 pencil whose eigenvalues are the per-axis resonance roots.
 
 Row-extraction convention (frozen; see docs/formats.md): for a data
@@ -40,17 +41,6 @@ _DIAG_TAIL = 8
 # the residual ||G v - theta v|| <= tol * theta_1 every requested pair meets.
 _MAX_STEPS = 8
 _RESIDUAL_TOL = 1e-10
-
-
-def eigh(*args, **kwargs):
-    """``scipy.linalg.eigh``, imported on the dense eigensolve's first call.
-
-    Only that fallback needs ``scipy.linalg``, whose import adds some
-    24 MB of memory and 0.2 s to a process.
-    """
-    from scipy.linalg import eigh as dense_eigh
-
-    return dense_eigh(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -103,9 +93,9 @@ def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
     are zero.  A Gram larger than the block of n_modes + _DIAG_TAIL
     columns goes to ``_subspace_iteration``, which applies F by FFT and
     forms neither F nor the Gram.  A smaller Gram, or one on which the
-    iteration does not converge, is formed from F and handed to the dense
-    ``eigh`` of its top eigenpairs.  Raises when the requested subspace
-    exceeds the numerical rank.
+    iteration does not converge, is formed from F and solved densely
+    (``_dense_eigensolve``).  Raises when the requested subspace exceeds
+    the numerical rank.
     """
     region = np.asarray(region, dtype=float)
     m, n = region.shape
@@ -126,11 +116,7 @@ def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
         windows = _WindowMatrix(region, split, top)
         found = _subspace_iteration(windows, by_positions, (size, top), n_modes)
     if found is None:
-        f = sliding_window_view(region, (wx, wy)).reshape(-1, dim)
-        gram = f @ f.T if by_positions else f.T @ f
-        vals, vecs = eigh(gram, subset_by_index=[size - top, size - 1])
-        vals, vecs = vals[::-1], vecs[:, ::-1][:, :n_modes]
-        found = vals, (f.T @ vecs if by_positions else vecs)
+        found = _dense_eigensolve(region, (wx, wy), by_positions, top, n_modes)
     vals, vecs = found
     vals = np.maximum(vals, 0.0)
     vals = np.concatenate([vals, np.zeros(keep - top)])
@@ -147,6 +133,18 @@ def svd_windows(region: np.ndarray, split: int, n_modes: int) -> SubspaceBasis:
         split=split,
         dims=(m, n),
     )
+
+
+def _dense_eigensolve(region, lags: tuple, by_positions: bool, top: int, n_modes: int):
+    """Top ``top`` eigenvalues and ``n_modes`` eigenvectors of the smaller
+    Gram of F, largest first, from ``np.linalg.eigh`` of every eigenpair.
+    On the position Gram the vectors are F^T U, which the caller scales by
+    1 / sqrt(lambda); on the lag Gram they are copied out of the full
+    eigenvector matrix, so a basis does not hold all of it."""
+    f = sliding_window_view(region, lags).reshape(-1, lags[0] * lags[1])
+    vals, vecs = np.linalg.eigh(f @ f.T if by_positions else f.T @ f)
+    vals, vecs = vals[::-1][:top], vecs[:, ::-1][:, :n_modes]
+    return vals, (f.T @ vecs if by_positions else vecs.copy())
 
 
 class _WindowMatrix:

@@ -256,23 +256,24 @@ def _hist_verdicts(planes, boxes, config: PipelineConfig):
     on the frame's planes of the configured channel mode."""
     records = []
     for box in boxes:
-        binaries = []
-        fill_max = 0.0
         try:
-            for plane in planes:
-                ev = histogram_difference(plane, box)
-                eps = (
-                    config.hist_epsilon
-                    if config.hist_epsilon is not None
-                    else default_evidence_threshold(ev.product)
-                )
-                binaries.append(binarize_evidence(ev.product, eps))
-            verdict, fills = density_verdict(combine_binaries(binaries))
-            fill_max = float(fills.max()) if fills.size else 0.0
+            evidence = [histogram_difference(plane, box).product for plane in planes]
         except ValueError:
-            # Ring unavailable (box at the margin): cannot verify, reject.
-            verdict = False
-        records.append((box, verdict, fill_max))
+            # Empty ring: the box fills the frame, so its extension adds no
+            # pixel (a box at a margin gets a clipped ring and a warning
+            # instead).  It cannot be verified: reject it.
+            records.append((box, False, 0.0))
+            continue
+        binaries = []
+        for product in evidence:
+            eps = (
+                config.hist_epsilon
+                if config.hist_epsilon is not None
+                else default_evidence_threshold(product)
+            )
+            binaries.append(binarize_evidence(product, eps))
+        verdict, fills = density_verdict(combine_binaries(binaries))
+        records.append((box, verdict, float(fills.max()) if fills.size else 0.0))
     return records
 
 

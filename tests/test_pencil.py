@@ -165,7 +165,7 @@ class TestSubspaceIteration:
 
     def test_gapped_region_needs_no_dense_eigensolve(self, monkeypatch):
         region = _noisy_two_harmonics()
-        monkeypatch.setattr(pencil, "eigh", _refuse_dense_eigensolve)
+        monkeypatch.setattr(pencil, "_dense_eigensolve", _refuse_dense_eigensolve)
         model, _ = estimate_model_pencil(region, 4, dc_root=False)
         for got, axis in ((model.zx, "x"), (model.zy, "y")):
             truth = conj_freqs(pairs_subset(2), axis)
@@ -175,22 +175,38 @@ class TestSubspaceIteration:
         with pytest.raises(NumericError):
             svd_windows(synth_texture(pairs_subset(2), 48, 48), 36, 6)
 
-    def test_gap_free_noise_falls_back_to_exact_eigensolve(self, monkeypatch, rng):
+    # split 21: the 484^2 position Gram; split 50: the 196^2 lag Gram
+    @pytest.mark.parametrize("split", [21, 50])
+    def test_gap_free_noise_falls_back_to_exact_eigensolve(self, monkeypatch, rng, split):
         region = rng.normal(0, 1, (64, 64))
         calls = []
+        dense = pencil._dense_eigensolve
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return eigh(*args, **kwargs)
+        def counted(*args):
+            calls.append(args)
+            return dense(*args)
 
-        monkeypatch.setattr(pencil, "eigh", counted)
-        basis = svd_windows(region, 21, 4)
+        monkeypatch.setattr(pencil, "_dense_eigensolve", counted)
+        basis = svd_windows(region, split, 4)
         assert len(calls) == 1
-        f = sliding_window_view(region, (43, 43)).reshape(-1, 43 * 43)
-        vals, vecs = eigh(f @ f.T, subset_by_index=[472, 483])
-        vals, vecs = vals[::-1], vecs[:, ::-1][:, :4]
+        w = 64 - split
+        f = sliding_window_view(region, (w, w)).reshape(-1, w * w)
+        by_positions = (split + 1) ** 2 < w * w
+        gram = f @ f.T if by_positions else f.T @ f
+        vals, vecs = np.linalg.eigh(gram)
+        vals, vecs = vals[::-1][:12], vecs[:, ::-1][:, :4]
+        if by_positions:
+            vecs = (f.T @ vecs) / np.sqrt(vals[:4])
         assert np.array_equal(basis.singular_values, np.maximum(vals, 0.0))
-        assert np.array_equal(basis.vectors, (f.T @ vecs) / np.sqrt(vals[:4]))
+        assert np.array_equal(basis.vectors, vecs)
+        # scipy's subset eigensolve as an independent reference
+        size = gram.shape[0]
+        ref_vals, ref_vecs = eigh(gram, subset_by_index=[size - 12, size - 1])
+        ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1][:, :4]
+        if by_positions:
+            ref_vecs = f.T @ ref_vecs
+        assert np.abs(basis.singular_values - ref_vals).max() <= 1e-12 * ref_vals[0]
+        assert subspace_angles(basis.vectors, ref_vecs).max() < 1e-8
 
     # pure noise, and two harmonics (rank 4) asked for 6 modes: neither Gram
     # has a gap below the requested pairs
@@ -207,14 +223,16 @@ class TestSubspaceIteration:
             events.append("step")
             return tdot(self, block)
 
-        def dense(*args, **kwargs):
-            events.append("eigh")
-            return eigh(*args, **kwargs)
+        dense_eigensolve = pencil._dense_eigensolve
+
+        def dense(*args):
+            events.append("dense")
+            return dense_eigensolve(*args)
 
         monkeypatch.setattr(pencil._WindowMatrix, "tdot", step)
-        monkeypatch.setattr(pencil, "eigh", dense)
+        monkeypatch.setattr(pencil, "_dense_eigensolve", dense)
         svd_windows(region, 21, n_modes)
-        assert events == ["step", "step", "eigh"]
+        assert events == ["step", "step", "dense"]
 
 
 class TestWindowProducts:

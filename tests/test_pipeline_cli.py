@@ -1540,7 +1540,9 @@ class TestCli:
 def test_cli_runs_without_scipy_ndimage_or_linalg(tmp_path):
     # conftest imports scipy.ndimage, and with it scipy.linalg, so only a
     # fresh interpreter shows what importing and running resofilt loads:
-    # no scipy module at all
+    # no scipy module at all.  The pencil run asks for 4 modes of a
+    # one-pair texture (rank 2), so its Gram has no eigen-gap below them
+    # and the dense eigensolve runs.
     script = (
         "import sys\n"
         "from resofilt.cli import main\n"
@@ -1551,6 +1553,8 @@ def test_cli_runs_without_scipy_ndimage_or_linalg(tmp_path):
         "             '--noise', '1.0', '--patch', '60,60,9,9', '--patch-value', '210']) == 0\n"
         "assert main(['detect', '--input', frames[0], '--order', '6,6',\n"
         "             '--estimator', 'ls', '--base', '0,0,48,48']) == 0\n"
+        "assert main(['detect', '--input', frames[0], '--order', '4,4',\n"
+        "             '--estimator', 'pencil', '--base', '0,0,48,48']) == 0\n"
         "assert main(['track', '--inputs', *frames, '--order', '6,6',\n"
         "             '--base', '0,0,48,48']) == 0\n"
         "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
