@@ -74,9 +74,6 @@ def _add_common_estimation(p: _Parser):
                    help=f"model order per axis (default {_listed(PipelineConfig.order)}); "
                         "the pencil estimator needs P = Q")
     p.add_argument("--estimator", choices=("ls", "pencil"))
-    p.add_argument("--split", type=int,
-                   help="splitting parameter of the pencil estimator, in "
-                        "[P, min(H, W) - 2] of the base region")
 
 
 def _add_common_detection(p: _Parser):
@@ -119,7 +116,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     _add_common_estimation(p)
     p.add_argument("--model-out", default=None)
-    p.add_argument("--report-out", default=None, help="diagnostics dump")
 
     p = sub.add_parser("design", help="estimate and design per-channel filters",
                        argument_default=argparse.SUPPRESS)
@@ -209,10 +205,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _, model, diag = estimate(read_image(args.input), _config_from_args(args))
-    doc = model_to_doc(model, diagnostics=diag)
-    text = dump_json(doc, args.model_out)
-    if getattr(args, "report_out", None):
-        dump_json(doc.get("diagnostics", {}), args.report_out)
+    text = dump_json(model_to_doc(model, diagnostics=diag), args.model_out)
     if not args.model_out:
         print(text)
     return EXIT_OK

@@ -116,7 +116,9 @@ def read_image(path) -> ImageStack:
     C-contiguous, and the three planes of P6 data stay interleaved, each a
     view with a stride of three bytes along its rows.  Consumers gather a
     plane's rows as they convert them (``apply_filter``) or as they copy
-    them.  An input that cannot be opened or read raises
+    them.  Samples are used as they are: a maxval below 255 is not
+    rescaled, and a sample above it raises ``ImageFormatError`` at its
+    offset.  An input that cannot be opened or read raises
     ``ImageFormatError`` naming the path.
     """
     try:
@@ -145,6 +147,9 @@ def read_image(path) -> ImageStack:
         rd.pos = len(data)
         rd.fail(f"truncated pixel data: expected {need} bytes")
     raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=rd.pos)
+    if maxval < 255 and raw.max() > maxval:
+        rd.pos += int(np.argmax(raw > maxval))
+        rd.fail(f"sample {data[rd.pos]} above maxval {maxval}")
     if channels == 1:
         return ImageStack((raw.reshape(height, width),))
     return ImageStack(tuple(raw.reshape(height, width, 3).transpose(2, 0, 1)))

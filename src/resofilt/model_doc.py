@@ -32,6 +32,20 @@ def _complex_matrix(matrix: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _numbers(record: dict, key: str):
+    """``record[key]`` once every leaf of its nested lists is a JSON number:
+    an int or a float, not a bool or a string, which ``float``, ``complex``
+    and ``np.array`` would convert."""
+    items = [record[key]]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{key}: {item!r} is not a number")
+    return record[key]
+
+
 def _to_complex(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
@@ -99,22 +113,24 @@ def doc_to_model(doc: dict):
             raise ImageFormatError(
                 f"unsupported model document version {doc.get('format_version')!r}"
             )
-        zx = ResonanceRoots(_to_complex(doc["zx"]), source_moduli=np.array(doc["zx_moduli"]))
-        zy = ResonanceRoots(_to_complex(doc["zy"]), source_moduli=np.array(doc["zy_moduli"]))
-        amp = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["amplitudes"]], dtype=complex
-        )
-        model = HarmonicModel(zx, zy, amp, fit_residual=float(doc["fit_residual"]))
+        zx = ResonanceRoots(_to_complex(_numbers(doc, "zx")),
+                            source_moduli=np.array(_numbers(doc, "zx_moduli")))
+        zy = ResonanceRoots(_to_complex(_numbers(doc, "zy")),
+                            source_moduli=np.array(_numbers(doc, "zy_moduli")))
+        amp = np.array([[complex(re, im) for re, im in row]
+                        for row in _numbers(doc, "amplitudes")], dtype=complex)
+        model = HarmonicModel(zx, zy, amp, fit_residual=float(_numbers(doc, "fit_residual")))
         _check_finite(model, ValueError)
         filters = []
         for f in doc.get("filters", []):
-            irf = IRFilter(np.array(f["kernel"], dtype=float), float(f["flat_level"]),
-                           float(f["sigma2"]), f["channel"])
+            irf = IRFilter(np.array(_numbers(f, "kernel"), dtype=float),
+                           float(_numbers(f, "flat_level")), float(_numbers(f, "sigma2")),
+                           f["channel"])
             if list(f["order"]) != list(irf.order) or irf.order != model.order:
                 raise ValueError(f"{irf.channel} filter: kernel {irf.order} must match "
                                  f"its order {f['order']} and the model's {model.order}")
             filters.append(irf)
-    except (KeyError, TypeError, ValueError, NumericError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, NumericError) as exc:
         raise ImageFormatError(f"malformed model document: {exc}") from exc
     return model, filters
 
@@ -131,12 +147,12 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ImageFormatError(f"cannot read JSON document {path!r}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ImageFormatError(f"malformed JSON document {path!r}: {exc}") from exc
     except RecursionError:
         raise ImageFormatError(f"JSON document {path!r} nests too deeply to parse") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ImageFormatError(f"cannot read JSON document {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ImageFormatError(f"JSON document {path!r} is not an object")
     return doc

@@ -330,23 +330,20 @@ class PencilDiagnostics:
     fit_residual: float
 
 
-def estimate_model_pencil(
-    region: np.ndarray, n_modes: int, split: int = None, dc_root: bool = True
-):
+def estimate_model_pencil(region: np.ndarray, n_modes: int, dc_root: bool = True):
     """Full pencil estimate of a region: roots of both axes plus amplitudes.
 
-    The estimate runs on the mean-removed region, and its roots are
-    projected onto the unit circle; the diagnostics' dampings are those of
-    the roots before projection.  With ``dc_root`` a unit root is appended
-    to both axes afterwards and the amplitudes are fitted on the raw
-    region, so the mean rides on the unit-root component.  Returns
-    (HarmonicModel, PencilDiagnostics).
+    The splitting parameter is ``default_split(region.shape, n_modes)``,
+    which the diagnostics report.  The estimate runs on the mean-removed
+    region, and its roots are projected onto the unit circle; the
+    diagnostics' dampings are those of the roots before projection.  With
+    ``dc_root`` a unit root is appended to both axes afterwards and the
+    amplitudes are fitted on the raw region, so the mean rides on the
+    unit-root component.  Returns (HarmonicModel, PencilDiagnostics).
     """
     region = np.asarray(region, dtype=float)
     work = region - region.mean() if dc_root else region
-    if split is None:
-        split = default_split(region.shape, n_modes)
-    basis = svd_windows(work, split, n_modes)
+    basis = svd_windows(work, default_split(region.shape, n_modes), n_modes)
     u0, ux, uy = extract_submatrices(basis)
     gram_inv = gram_inverse_direct(u0)
     zx = pencil_eigenvalues(u0, ux, gram_inv).projected()
@@ -356,7 +353,7 @@ def estimate_model_pencil(
         singular_values=basis.singular_values,
         dampings_x=zx.dampings,
         dampings_y=zy.dampings,
-        split=split,
+        split=basis.split,
         fit_residual=model.fit_residual,
     )
     return model, diag

@@ -68,8 +68,8 @@ class PipelineConfig:
     """Run settings; defaults follow the reference operating points.
 
     ``base_region`` is (row, col, height, width).  Its entries, ``order``'s,
-    ``min_area``, ``track_window`` and ``split`` are Python or NumPy
-    integers; ``validate`` rejects bools, floats and strings.  Fields whose
+    ``min_area`` and ``track_window`` are Python or NumPy integers;
+    ``validate`` rejects bools, floats and strings.  Fields whose
     defaults are not dictated by the method itself (min_area, the
     histogram threshold policy) are artifact defaults.  The post-filters'
     fixed operating points are not fields: 256 gray levels, the "or"
@@ -79,8 +79,9 @@ class PipelineConfig:
     pipeline calls with them.  The method itself has no switches: the ls
     estimator solves for palindromic coefficients (so its orders are
     even), both estimators project their roots onto the unit circle and
-    append the unit root, and every filter drives the texture to the base
-    region's mean.
+    append the unit root, every filter drives the texture to the base
+    region's mean, and the pencil estimator's splitting parameter is
+    ``pencil.default_split`` of the base region's shape and the order.
     """
 
     base_region: tuple = (0, 0, 64, 64)
@@ -89,7 +90,6 @@ class PipelineConfig:
     channel_mode: str = "gray"
     sigma_multiplier: float = 3.0
     min_area: int = 4
-    split: int = None
     post: str = "hist"
     hist_epsilon: float = None
     track_window: int = 3
@@ -123,39 +123,18 @@ class PipelineConfig:
             raise ConfigError("track_window: must be a positive integer")
         if not (_finite_number(self.track_threshold) and 0 <= self.track_threshold <= 1):
             raise ConfigError("track_threshold: must lie in [0, 1]")
-        if self.split is not None:
-            if not (_integer(self.split) and self.split >= 1):
-                raise ConfigError("split: must be a positive integer or None")
-            if self.estimator != "pencil":
-                raise ConfigError(
-                    f"split: only the pencil estimator takes a split, "
-                    f"not {self.estimator!r}"
-                )
         if self.estimator == "pencil":
             if p != q:
                 raise ConfigError(
                     f"order: the pencil estimator takes one mode count for "
                     f"both axes, got {p},{q}"
                 )
-            if self.split is not None:
-                hi = min(h, w) - 2
-                if not p <= self.split <= hi:
-                    raise ConfigError(
-                        f"split: {self.split} outside [{p}, {hi}] for order "
-                        f"{p} on a {h}x{w} base region"
-                    )
-            split = default_split((h, w), p) if self.split is None else self.split
+            split = default_split((h, w), p)
             rows = (h - split - 1) * (w - split - 1)
             if rows < p:
-                # the default split is derived, so its shortfall is the order's
-                cause = (
-                    f"order: the default split {split}"
-                    if self.split is None
-                    else f"split: {split}"
-                )
                 raise ConfigError(
-                    f"{cause} leaves {rows} pencil rows for {p} modes on a "
-                    f"{h}x{w} base region"
+                    f"order: the default split {split} leaves {rows} pencil rows "
+                    f"for {p} modes on a {h}x{w} base region"
                 )
         if image_shape is not None:
             if x + h > image_shape[0] or y + w > image_shape[1]:
@@ -215,7 +194,7 @@ def estimate_model(base: np.ndarray, config: PipelineConfig):
     p, q = (int(v) for v in config.order)
     if config.estimator == "ls":
         return estimate_model_ls(base, p, q)
-    return estimate_model_pencil(base, p, split=config.split)
+    return estimate_model_pencil(base, p)
 
 
 def estimate(stack: ImageStack, config: PipelineConfig):
@@ -273,7 +252,7 @@ def _hist_verdicts(planes, boxes, config: PipelineConfig):
             )
             binaries.append(binarize_evidence(product, eps))
         verdict, fills = density_verdict(combine_binaries(binaries))
-        records.append((box, verdict, float(fills.max()) if fills.size else 0.0))
+        records.append((box, verdict, float(fills.max())))
     return records
 
 

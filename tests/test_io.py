@@ -83,6 +83,22 @@ class TestPgm:
         assert "truncated pixel data" in str(err.value)
         assert err.value.offset is not None
 
+    @pytest.mark.parametrize("magic,maxval", [(b"P5", 15), (b"P6", 254)])
+    def test_sample_above_maxval_reports_its_offset(self, tmp_path, magic, maxval):
+        # samples are used as they are, so one above maxval is refused
+        channels = 1 if magic == b"P5" else 3
+        header = magic + b"\n3 2\n" + str(maxval).encode() + b"\n"
+        pixels = bytearray([maxval] * 6 * channels)
+        pixels[5] = maxval + 1
+        path = tmp_path / "over.pnm"
+        path.write_bytes(header + bytes(pixels))
+        with pytest.raises(ImageFormatError, match=f"sample {maxval + 1} above maxval") as err:
+            read_image(path)
+        assert err.value.offset == len(header) + 5
+        pixels[5] = maxval
+        path.write_bytes(header + bytes(pixels))
+        assert read_image(path).planes[0].max() == maxval
+
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "odd.pgm"
         path.write_bytes(b"P4\n2 2\n")

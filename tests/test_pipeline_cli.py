@@ -33,6 +33,7 @@ from resofilt.errors import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 from resofilt.filtering import apply_filter, detect
 from resofilt.imageio import draw_boxes, read_image, write_image
 from resofilt.model_doc import dump_json
+from resofilt.pencil import default_split
 from resofilt.pipeline import PipelineConfig, estimate_model, run_pipeline
 from resofilt.postfilter import connected_components
 
@@ -547,7 +548,6 @@ class TestConfigValidation:
                 ("post", "median"),
                 ("track_window", 0),
                 ("track_threshold", 1.5),
-                ("split", 0),
                 ("sigma_multiplier", float("inf")),
                 ("sigma_multiplier", float("nan")),
                 ("sigma_multiplier", True),
@@ -564,7 +564,6 @@ class TestConfigValidation:
                 ("min_area", True),
                 ("min_area", 4.0),
                 ("track_window", True),
-                ("split", True),
             ]
         )
     )
@@ -577,17 +576,15 @@ class TestConfigValidation:
             cfg.validate()
         assert str(err.value).split(":")[0] in (name, "order")
 
-    @pytest.mark.parametrize("estimator,split,post", [("ls", None, "hist"),
-                                                      ("pencil", 20, "track")])
-    def test_numpy_integer_fields_run_as_python_ints(self, estimator, split, post):
+    @pytest.mark.parametrize("estimator,post", [("ls", "hist"), ("pencil", "track")])
+    def test_numpy_integer_fields_run_as_python_ints(self, estimator, post):
         fields = dict(base_region=(0, 0, 48, 48), order=(6, 6), min_area=4,
-                      track_window=3, split=split)
+                      track_window=3)
         numpy_fields = dict(
             base_region=tuple(np.int64(v) for v in fields["base_region"]),
             order=(np.int32(6), np.int64(6)),
             min_area=np.int64(4),
             track_window=np.uint8(3),
-            split=None if split is None else np.int16(split),
         )
         frames = [patch_scene()] * 3
         docs = [
@@ -597,27 +594,13 @@ class TestConfigValidation:
             for given in (fields, numpy_fields)
         ]
         assert docs[1] == docs[0]
-        # equal texts: a NumPy integer is written as an integer, not 20.0
+        # equal texts: a NumPy integer is written as an integer, not 6.0
         assert dump_json(docs[1]) == dump_json(docs[0])
 
-    @pytest.mark.parametrize(
-        "order,split,name",
-        [
-            ((4, 8), None, "order"),  # one mode count for both axes
-            ((4, 4), 3, "split"),  # below the mode count
-            ((4, 4), 63, "split"),  # above min(h, w) - 2
-            ((4, 4), 62, "split"),  # 2x2 lag window: one pencil row
-            ((1, 1), True, "split"),  # a bool, though True == 1 would fit
-        ],
-    )
-    def test_pencil_order_and_split_rejected_by_name(self, order, split, name):
-        cfg = PipelineConfig(estimator="pencil", order=order, split=split)
-        with pytest.raises(ConfigError, match=f"^{name}:"):
-            cfg.validate()
-
-    def test_split_without_pencil_estimator_rejected_by_name(self):
-        cfg = PipelineConfig(estimator="ls", split=21)
-        with pytest.raises(ConfigError, match="^split: only the pencil estimator"):
+    def test_pencil_unequal_orders_rejected_by_name(self):
+        # the pencil estimator takes one mode count for both axes
+        cfg = PipelineConfig(estimator="pencil", order=(4, 8))
+        with pytest.raises(ConfigError, match="^order: the pencil estimator takes one"):
             cfg.validate()
 
     @pytest.mark.parametrize("size,p", [(6, 4), (7, 5)])
@@ -629,18 +612,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^order: the default split"):
             cfg.validate()
 
-    @given(
-        h=st.integers(3, 16),
-        w=st.integers(3, 16),
-        p=st.integers(1, 6),
-        split=st.one_of(st.none(), st.integers(1, 16)),
-    )
+    @given(h=st.integers(3, 16), w=st.integers(3, 16), p=st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
-    def test_validated_pencil_configs_reach_the_estimator(self, h, w, p, split):
+    def test_validated_pencil_configs_reach_the_estimator(self, h, w, p):
         # a pencil config that validates fails, if at all, in the math
-        cfg = PipelineConfig(
-            base_region=(0, 0, h, w), order=(p, p), estimator="pencil", split=split
-        )
+        cfg = PipelineConfig(base_region=(0, 0, h, w), order=(p, p), estimator="pencil")
         try:
             cfg.validate()
         except ConfigError:
@@ -666,10 +642,10 @@ class TestConfigValidation:
             run_pipeline(cfg, [stack])  # validated configs must run
 
 
-def _draw_base_order_split(data, shape, estimator):
-    """Base region, order and split for a frame of ``shape``: most validate,
-    some overhang the frame, leave no room for the order or miss the split
-    range."""
+def _draw_base_order(data, shape, estimator):
+    """Base region and order for a frame of ``shape``: most validate, some
+    overhang the frame, leave no room for the order or leave the default
+    split too few pencil rows."""
     rows, cols = shape
     h = data.draw(st.integers(3, rows))
     w = data.draw(st.integers(3, cols))
@@ -680,10 +656,7 @@ def _draw_base_order_split(data, shape, estimator):
         q = p
     else:
         q = data.draw(st.integers(1, max(1, min(w - 2, 8))))
-    split = None
-    if data.draw(st.booleans()):
-        split = data.draw(st.integers(1, max(1, min(h, w) - 1)))
-    return (x, y, h, w), (p, q), split
+    return (x, y, h, w), (p, q)
 
 
 class TestStageProperties:
@@ -702,7 +675,7 @@ class TestStageProperties:
     def test_stages_give_a_result_or_a_typed_error(
         self, data, shape, channels, scene, estimator, channel_mode, post, n_frames, seed,
     ):
-        base, order, split = _draw_base_order_split(data, shape, estimator)
+        base, order = _draw_base_order(data, shape, estimator)
         rows, cols = shape
         if scene == "texture":
             planes = [synth_texture(FOUR_PAIRS[:2], rows, cols, noise_sigma=1.0,
@@ -714,7 +687,7 @@ class TestStageProperties:
             planes = [np.full(shape, 100.0)] * channels
         stack = ImageStack(tuple(planes))
         cfg = PipelineConfig(
-            base_region=base, order=order, estimator=estimator, split=split,
+            base_region=base, order=order, estimator=estimator,
             channel_mode=channel_mode, post=post,
         )
         try:
@@ -890,11 +863,11 @@ class TestCli:
     def test_options_set_their_config_fields(self):
         args = cli.build_parser().parse_args(
             ["track", "--inputs", "a.pgm", "--base", "1,2,30,40", "--order", "4,4",
-             "--estimator", "pencil", "--split", "5", "--channels", "rgb", "--multiplier", "2.5", "--min-area", "2",
+             "--estimator", "pencil", "--channels", "rgb", "--multiplier", "2.5", "--min-area", "2",
              "--window", "2", "--threshold", "0.5"]
         )
         assert cli._config_from_args(args) == PipelineConfig(
-            base_region=(1, 2, 30, 40), order=(4, 4), estimator="pencil", split=5,
+            base_region=(1, 2, 30, 40), order=(4, 4), estimator="pencil",
             channel_mode="rgb", sigma_multiplier=2.5, min_area=2, post="track", track_window=2,
             track_threshold=0.5,
         )
@@ -1205,7 +1178,8 @@ class TestCli:
                   "track": ["--inputs", str(tex), str(tex), str(tex)]}
         # each flag on every subcommand that took it
         flags = {"--plain": inputs, "--no-project": inputs, "--no-dc": ["estimate"],
-                 "--e-policy=mean": ["design"]}
+                 "--e-policy=mean": ["design"], "--split=5": inputs,
+                 "--report-out=r.json": ["estimate"]}
         for flag, commands in flags.items():
             for command in commands:
                 capsys.readouterr()
@@ -1221,29 +1195,6 @@ class TestCli:
         assert code == EXIT_USAGE
         assert "configuration error: order:" in capsys.readouterr().err
         assert not model.exists()
-
-    @pytest.mark.parametrize(
-        "command,split,reason",
-        [
-            ("estimate", "100", "outside [4, 62]"),
-            ("estimate", "2", "outside [4, 62]"),
-            ("detect", "100", "outside [4, 62]"),
-            ("estimate", "62", "leaves 1 pencil rows"),
-        ],
-    )
-    def test_pencil_split_is_config_error(self, tmp_path, capsys, command, split, reason):
-        tex = self._synth(tmp_path)
-        code = main([command, "--input", str(tex), "--estimator", "pencil",
-                     "--order", "4,4", "--split", split])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "configuration error: split:" in err and reason in err
-
-    def test_split_with_ls_estimator_is_config_error(self, tmp_path, capsys):
-        tex = self._synth(tmp_path)
-        code = main(["estimate", "--input", str(tex), "--order", "8,8", "--split", "100"])
-        assert code == EXIT_USAGE
-        assert "configuration error: split:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,option,target",
@@ -1277,6 +1228,18 @@ class TestCli:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "configuration error: order:" in err and "leaves 1 pencil rows" in err
+
+    def test_pencil_run_reports_its_default_split(self, tmp_path):
+        # the split is derived from the base region's shape and the order
+        tex, report = tmp_path / "tex.pgm", tmp_path / "report.json"
+        assert main(["synth", "--out", str(tex), "--size", "96,80",
+                     "--pair", "0.11,0.23,40,0.3", "--pair", "0.27,0.08,30,1.1",
+                     "--noise", "1.0"]) == EXIT_OK
+        assert main(["detect", "--input", str(tex), "--estimator", "pencil",
+                     "--order", "4,4", "--base", "0,0,60,48",
+                     "--report-out", str(report)]) == EXIT_OK
+        split = json.loads(report.read_text())["model"]["diagnostics"]["split"]
+        assert split == default_split((60, 48), 4) == 16
 
     @pytest.mark.parametrize("command", ["estimate", "design"])
     @pytest.mark.parametrize(
@@ -1402,6 +1365,43 @@ class TestCli:
         model, doc = self._design_doc(tmp_path, tex)
         mutate(doc)
         self._refused(capsys, tex, model, doc, reason)
+
+    @pytest.mark.parametrize(
+        "mutate,reason",
+        [
+            (lambda doc: doc.__setitem__("fit_residual", "3.86"), "fit_residual: '3.86'"),
+            (lambda doc: doc["zx_moduli"].__setitem__(0, "1.0"), "zx_moduli: '1.0'"),
+            (lambda doc: doc["zy_moduli"].__setitem__(-1, "1.0"), "zy_moduli: '1.0'"),
+            (lambda doc: doc["zx"][0].__setitem__(1, False), "zx: False"),
+            (lambda doc: doc["zy"][-1].__setitem__(0, True), "zy: True"),
+            (lambda doc: doc["amplitudes"][0][0].__setitem__(1, False), "amplitudes: False"),
+            (lambda doc: doc["filters"][0]["kernel"][0].__setitem__(0, "0.5"),
+             "kernel: '0.5'"),
+            (lambda doc: doc["filters"][0].__setitem__("flat_level", True),
+             "flat_level: True"),
+            (lambda doc: doc["filters"][0].__setitem__("sigma2", "0.5"), "sigma2: '0.5'"),
+            (lambda doc: doc.__setitem__("fit_residual", 10**400),
+             "int too large to convert to float"),
+        ],
+        ids=["string-fit-residual", "string-zx-modulus", "string-zy-modulus",
+             "bool-zx-root", "bool-zy-root", "bool-amplitude", "string-kernel-tap",
+             "bool-flat-level", "string-sigma2", "huge-int-fit-residual"],
+    )
+    def test_non_number_model_document_is_input_error(self, tmp_path, capsys,
+                                                      mutate, reason):
+        # float(), complex() and np.array() would read these as numbers
+        tex = self._synth(tmp_path)
+        model, doc = self._design_doc(tmp_path, tex)
+        mutate(doc)
+        self._refused(capsys, tex, model, doc, reason)
+
+    def test_integer_of_too_many_digits_is_input_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"kind": "run-report", "format_version": ' + "9" * 5000 + "}")
+        assert main(["report", "--path", str(huge)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"resofilt: input error: malformed JSON document {str(huge)!r}: ")
+        assert "Traceback" not in err
 
     def _design_doc(self, tmp_path, frame, *extra):
         model = tmp_path / "model.json"

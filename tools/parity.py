@@ -17,15 +17,18 @@ with ``DIR/src`` and once with this checkout's ``src`` on ``PYTHONPATH``:
 
 Both sides run the same argv in directories of their own, so every output
 file, the standard output and the exit code of each call must be equal.
-Standard error is not compared: a warning names its source file.  Exit
-code 0 when everything is equal, 1 when anything differs (each difference
-is printed), 2 when DIR holds no resofilt sources.
+Standard error is not compared: a warning names its source file.  For a
+``.json`` output that differs, the first few differing key paths follow
+the difference, such as ``config.split: null -> <missing>``.  Exit code 0
+when everything is equal, 1 when anything differs (each difference is
+printed), 2 when DIR holds no resofilt sources.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -39,6 +42,9 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI = "import sys; from resofilt.cli import main; sys.exit(main())"
 SEEDS = (11, 13)
 SCENES = 2
+# differing key paths printed for each .json output that differs
+KEY_PATHS = 3
+_MISSING = object()
 
 
 def _workloads() -> dict:
@@ -91,6 +97,32 @@ def _files(top: str) -> dict:
     return found
 
 
+def json_diffs(old, new, path=""):
+    """Key paths at which two parsed JSON values differ, depth first in
+    sorted key order, each as ``path: old -> new``.  Lists of equal length
+    are compared item by item; a key on one side only reads ``<missing>``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from json_diffs(old.get(key, _MISSING), new.get(key, _MISSING),
+                                  f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from json_diffs(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        show = [("<missing>" if v is _MISSING else json.dumps(v))[:60] for v in (old, new)]
+        yield f"{path or '<root>'}: {show[0]} -> {show[1]}"
+
+
+def _json_paths(old, new) -> list:
+    """The first ``KEY_PATHS`` differing key paths of two JSON files' bytes,
+    or none when a side is missing or does not parse."""
+    try:
+        docs = [json.loads(side) for side in (old, new)]
+    except (TypeError, ValueError):
+        return []
+    return list(itertools.islice(json_diffs(*docs), KEY_PATHS))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
@@ -132,8 +164,11 @@ def main(argv=None) -> int:
                     written = {side: _files(out) for side, out in outs.items()}
                     files += len(written["change"])
                     for path in sorted(set(written["parent"]) | set(written["change"])):
-                        if written["parent"].get(path) != written["change"].get(path):
-                            diffs.append(f"{tag}: {path} differs or is missing on one side")
+                        old, new = (written[side].get(path) for side in sides)
+                        if old != new:
+                            keys = _json_paths(old, new) if path.endswith(".json") else []
+                            diffs.append("\n    ".join(
+                                [f"{tag}: {path} differs or is missing on one side", *keys]))
     for line in diffs:
         print(line)
     print(f"parity: {calls} calls ({failed} with a nonzero exit on a side), "
