@@ -185,6 +185,8 @@ def _cmd_synth(args) -> int:
         image = synth_texture(args.pair, nx, ny, noise_sigma=0.0, mean=args.mean)
     except ValueError as exc:
         raise ConfigError(f"pair: {exc}") from exc
+    except MemoryError as exc:  # numpy refuses a frame it cannot allocate
+        raise ConfigError(f"size: {nx},{ny} is too large to allocate ({exc})") from exc
     if args.patch is not None:
         r, c, h, w = args.patch
         if r < 0 or c < 0 or h < 1 or w < 1 or r + h > nx or c + w > ny:

@@ -168,12 +168,12 @@ def companion_matrix(coeffs: PolynomialCoeffs) -> np.ndarray:
     return k
 
 
-def polynomial_roots(coeffs: PolynomialCoeffs, project: bool = False) -> ResonanceRoots:
-    """Roots of 1 + sum a_i z^i = 0 via companion-matrix eigenvalues.
+def polynomial_roots(coeffs: PolynomialCoeffs) -> ResonanceRoots:
+    """Roots of 1 + sum a_i z^i = 0 via companion-matrix eigenvalues, as
+    found: ``fit_estimate`` projects an estimator's roots.
 
     Trailing near-zero coefficients are stripped first (they only lower
-    the order).  With ``project`` the roots are moved radially onto the
-    unit circle; the raw moduli stay available as ``source_moduli``.
+    the order).
     """
     a = np.asarray(coeffs.a, dtype=float)
     scale = max(1.0, float(np.abs(a).max()))
@@ -186,9 +186,7 @@ def polynomial_roots(coeffs: PolynomialCoeffs, project: bool = False) -> Resonan
     # np.roots builds the companion matrix of the reversed (monic) polynomial
     # and takes its eigenvalues.
     z = np.roots(np.concatenate([a[::-1], [1.0]]))
-    z = _sorted_roots(np.asarray(z, dtype=complex))
-    roots = ResonanceRoots(z)
-    return roots.projected() if project else roots
+    return ResonanceRoots(_sorted_roots(np.asarray(z, dtype=complex)))
 
 
 def coeffs_from_roots(roots) -> PolynomialCoeffs:
@@ -351,26 +349,25 @@ class HarmonicModel:
 def fit_estimate(
     region: np.ndarray, zx: ResonanceRoots, zy: ResonanceRoots, dc_root: bool
 ) -> HarmonicModel:
-    """Shared ending of both estimators: roots estimated on a region to a model.
+    """Shared ending of both estimators: roots found on a region to a model.
 
-    With ``dc_root`` a unit root is appended to each axis, unless the axis
-    already carries one, which is warned about at the estimator's caller.
-    The amplitudes are fitted on the raw region, so the mean rides on the
-    unit-root component.
+    Each axis's roots are projected onto the unit circle (``projected``,
+    which keeps their moduli as found).  With ``dc_root`` a unit root is
+    then appended to each axis, unless the axis already carries one, which
+    is warned about at the estimator's caller.  The amplitudes are fitted
+    on the raw region, so the mean rides on the unit-root component.
     """
-    if dc_root:
-        axes = []
-        for roots in (zx, zy):
-            if roots.unit_root_index() is not None:
-                warnings.warn(
-                    "estimate already carries a unit root; skipping the mean component",
-                    stacklevel=3,
-                )
-            else:
-                roots = roots.with_appended(1.0)
-            axes.append(roots)
-        zx, zy = axes
-    return HarmonicModel.fit(region, zx, zy)
+    axes = []
+    for roots in (zx.projected(), zy.projected()):
+        if dc_root and roots.unit_root_index() is not None:
+            warnings.warn(
+                "estimate already carries a unit root; skipping the mean component",
+                stacklevel=3,
+            )
+        elif dc_root:
+            roots = roots.with_appended(1.0)
+        axes.append(roots)
+    return HarmonicModel.fit(region, *axes)
 
 
 def reconstruct(model: HarmonicModel, n_x: int, n_y: int) -> np.ndarray:

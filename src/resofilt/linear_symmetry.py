@@ -22,7 +22,7 @@ from .errors import NumericError
 from .harmonic import PolynomialCoeffs, fit_estimate, polynomial_roots
 
 # Condition number beyond which a correlation matrix is treated as rank
-# deficient and solved through a tiny ridge.
+# deficient and inverted through a tiny ridge.
 COND_LIMIT = 1e12
 _RIDGE = 1e-12
 
@@ -33,9 +33,12 @@ class LsSolution:
 
     ``rho_last`` is the last diagonal element of the inverse correlation
     matrix; ``sigma2`` is its reciprocal.  ``condition`` is the condition
-    number of the block the solve inverted, and ``degenerate`` flags that
-    it exceeded COND_LIMIT, so the solve needed ridge regularisation
-    (rank-deficient input, typically an order above the data rank).
+    number of the P x P block that inverse is taken of, and ``degenerate``
+    flags that it exceeded COND_LIMIT (rank-deficient input, typically an
+    order above the data rank), so a tiny ridge was added before the
+    inversion.  The plain solve reads its coefficients from that inverse;
+    the palindromic solve solves a (P/2) x (P/2) system of its own with no
+    ridge, so the ridge reaches its ``sigma2`` and ``rho_last`` only.
     """
 
     coeffs: PolynomialCoeffs
@@ -184,34 +187,31 @@ class LsDiagnostics:
     degenerate_y: bool
     condition_x: float
     condition_y: float
-    fit_residual: float
 
 
 def estimate_model_ls(region: np.ndarray, order_x: int, order_y: int, dc_root: bool = True):
     """Full LS estimate of a region: per-axis roots plus joint amplitudes.
 
     Roots come from the palindromic solve on each axis marginal of the 2D
-    lag correlation, projected onto the unit circle.  The estimate runs on
-    the mean-removed region; with ``dc_root`` a unit root is appended to
-    both axes and the amplitudes are fitted on the raw region so the mean
-    rides on it.  The diagnostics' condition numbers are those the solves
-    judged.  Returns (HarmonicModel, LsDiagnostics).
+    lag correlation of the region (mean-removed with ``dc_root``), and
+    ``fit_estimate`` ends the estimate: it projects them onto the unit
+    circle, appends the unit root with ``dc_root`` and fits the amplitudes
+    on the raw region, so the mean rides on the unit root.  The
+    diagnostics' condition numbers are those the solves judged.  Returns
+    (HarmonicModel, LsDiagnostics).
     """
     region = np.asarray(region, dtype=float)
     work = region - region.mean() if dc_root else region
     rx, ry = marginal_correlations(work, order_x + 1, order_y + 1)
     sol_x = ls_symmetric_coefficients(rx, order_x)
     sol_y = ls_symmetric_coefficients(ry, order_y)
-    zx = polynomial_roots(sol_x.coeffs, project=True)
-    zy = polynomial_roots(sol_y.coeffs, project=True)
-    model = fit_estimate(region, zx, zy, dc_root)
-    diag = LsDiagnostics(
+    model = fit_estimate(region, polynomial_roots(sol_x.coeffs),
+                         polynomial_roots(sol_y.coeffs), dc_root)
+    return model, LsDiagnostics(
         sigma2_x=sol_x.sigma2,
         sigma2_y=sol_y.sigma2,
         degenerate_x=sol_x.degenerate,
         degenerate_y=sol_y.degenerate,
         condition_x=sol_x.condition,
         condition_y=sol_y.condition,
-        fit_residual=model.fit_residual,
     )
-    return model, diag

@@ -16,11 +16,11 @@ eigen-gap).  Shifted row selections of that subspace form a matrix
 pencil whose eigenvalues are the per-axis resonance roots.
 
 Row-extraction convention (frozen; see docs/formats.md): for a data
-window of size (M, N) with splitting parameter L, the lag window is
-(M-L, N-L) and subspace rows are indexed by lag pairs (i_x, i_y) in
-row-major order.  The base selection keeps i_x < M-L-1 and i_y < N-L-1;
-the x-shifted selection moves i_x up by one, the y-shifted selection
-moves i_y up by one.  All three have the same row count.
+window of size (M, N) with splitting parameter L, subspace rows are the
+lag pairs (i_x, i_y) of the (wx, wy) = (M-L, N-L) lag grid in row-major
+order.  The base selection is the grid's slice [:-1, :-1], the x-shifted
+selection [1:, :-1] and the y-shifted selection [:-1, 1:], so all three
+have (wx-1)(wy-1) rows.
 """
 
 from __future__ import annotations
@@ -244,18 +244,10 @@ def _subspace_iteration(windows: _WindowMatrix, by_positions: bool, shape: tuple
     return None
 
 
-def extraction_indices(window_x: int, window_y: int):
-    """Frozen row-index sets (base, x-shift, y-shift) for a lag window."""
-    ix = np.repeat(np.arange(window_x), window_y)
-    iy = np.tile(np.arange(window_y), window_x)
-    base = np.flatnonzero((ix < window_x - 1) & (iy < window_y - 1))
-    shift_x = np.flatnonzero((ix >= 1) & (iy < window_y - 1))
-    shift_y = np.flatnonzero((ix < window_x - 1) & (iy >= 1))
-    return base, shift_x, shift_y
-
-
 def extract_submatrices(basis: SubspaceBasis):
-    """Base and shifted row selections (U0, Ux, Uy) of the subspace."""
+    """Base and shifted row selections (U0, Ux, Uy) of the subspace: the
+    slices [:-1, :-1], [1:, :-1] and [:-1, 1:] of its rows laid out as the
+    (wx, wy) lag grid, each flattened back in row-major order."""
     m, n = basis.dims
     el = basis.split
     if not (basis.n_modes <= el):
@@ -270,9 +262,9 @@ def extract_submatrices(basis: SubspaceBasis):
             f"split {el} leaves {(wx - 1) * (wy - 1)} pencil rows for "
             f"{basis.n_modes} modes: shrink the split or the order"
         )
-    base, shift_x, shift_y = extraction_indices(wx, wy)
-    u = basis.vectors
-    return u[base], u[shift_x], u[shift_y]
+    grid = basis.vectors.reshape(wx, wy, basis.n_modes)
+    return tuple(s.reshape(-1, basis.n_modes)
+                 for s in (grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:]))
 
 
 def gram_inverse_direct(u0: np.ndarray) -> np.ndarray:
@@ -327,34 +319,30 @@ class PencilDiagnostics:
     dampings_x: np.ndarray
     dampings_y: np.ndarray
     split: int
-    fit_residual: float
 
 
 def estimate_model_pencil(region: np.ndarray, n_modes: int, dc_root: bool = True):
     """Full pencil estimate of a region: roots of both axes plus amplitudes.
 
     The splitting parameter is ``default_split(region.shape, n_modes)``,
-    which the diagnostics report.  The estimate runs on the mean-removed
-    region, and its roots are projected onto the unit circle; the
-    diagnostics' dampings are those of the roots before projection.  With
-    ``dc_root`` a unit root is appended to both axes afterwards and the
-    amplitudes are fitted on the raw region, so the mean rides on the
-    unit-root component.  Returns (HarmonicModel, PencilDiagnostics).
+    which the diagnostics report.  The roots come from the region
+    (mean-removed with ``dc_root``), and ``fit_estimate`` ends the
+    estimate: it projects them onto the unit circle, appends the unit root
+    with ``dc_root`` and fits the amplitudes on the raw region, so the mean
+    rides on the unit root.  The diagnostics' dampings are those of the
+    roots as found.  Returns (HarmonicModel, PencilDiagnostics).
     """
     region = np.asarray(region, dtype=float)
     work = region - region.mean() if dc_root else region
     basis = svd_windows(work, default_split(region.shape, n_modes), n_modes)
     u0, ux, uy = extract_submatrices(basis)
     gram_inv = gram_inverse_direct(u0)
-    zx = pencil_eigenvalues(u0, ux, gram_inv).projected()
-    zy = pencil_eigenvalues(u0, uy, gram_inv).projected()
-    model = fit_estimate(region, zx, zy, dc_root)
-    diag = PencilDiagnostics(
+    zx = pencil_eigenvalues(u0, ux, gram_inv)
+    zy = pencil_eigenvalues(u0, uy, gram_inv)
+    return fit_estimate(region, zx, zy, dc_root), PencilDiagnostics(
         singular_values=basis.singular_values,
         dampings_x=zx.dampings,
         dampings_y=zy.dampings,
         split=basis.split,
-        fit_residual=model.fit_residual,
     )
-    return model, diag
 

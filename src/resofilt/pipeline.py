@@ -172,8 +172,6 @@ class PipelineResult:
 def _stage(name: str):
     try:
         yield
-    except ConfigError:
-        raise
     except ResofiltError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
     except (ValueError, np.linalg.LinAlgError) as exc:

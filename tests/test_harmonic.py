@@ -102,7 +102,7 @@ class TestPolynomialRoots:
             polynomial_roots(PolynomialCoeffs([0.0, 0.0]))
 
     def test_projection(self):
-        roots = polynomial_roots(PolynomialCoeffs([-0.5]), project=True)
+        roots = polynomial_roots(PolynomialCoeffs([-0.5])).projected()
         assert np.allclose(np.abs(roots.roots), 1.0)
         assert np.allclose(roots.source_moduli, [2.0])
         assert np.allclose(roots.dampings, [1.0])

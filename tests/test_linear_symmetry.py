@@ -13,6 +13,7 @@ from resofilt import (
     polynomial_roots,
     synth_texture,
 )
+from resofilt import linear_symmetry
 from resofilt.linear_symmetry import COND_LIMIT
 
 from conftest import FOUR_PAIRS, lag_correlation, root_set_error
@@ -265,3 +266,18 @@ class TestDegenerateInputs:
         assert [s.degenerate for s in solutions] == [True, True, False, False]
         for sol in solutions:
             assert sol.degenerate == (sol.condition > COND_LIMIT)
+
+    def test_ridge_reaches_sigma2_but_not_the_palindromic_coefficients(self, monkeypatch):
+        # one pair at order 6: the block is degenerate, so the ridge is added
+        # to the inverse behind sigma2, while the palindromic system is solved
+        # as it is; the plain solve reads its coefficients from that inverse
+        rx, _ = marginal_correlations(synth_texture(FOUR_PAIRS[:1], 64, 64), 7, 7)
+        solutions = []
+        for ridge in (1e-12, 1e-6):
+            monkeypatch.setattr(linear_symmetry, "_RIDGE", ridge)
+            solutions.append((ls_symmetric_coefficients(rx, 6), ls_coefficients(rx, 6)))
+        (sym_a, plain_a), (sym_b, plain_b) = solutions
+        assert sym_a.degenerate and sym_b.degenerate
+        assert np.array_equal(sym_a.coeffs.a, sym_b.coeffs.a)
+        assert sym_b.sigma2 > 1e3 * sym_a.sigma2
+        assert not np.array_equal(plain_a.coeffs.a, plain_b.coeffs.a)

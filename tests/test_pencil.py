@@ -23,7 +23,7 @@ from resofilt import (
     synth_texture,
 )
 from resofilt import pencil
-from resofilt.pencil import SubspaceBasis, default_split, extraction_indices
+from resofilt.pencil import SubspaceBasis, default_split
 
 from conftest import FOUR_PAIRS, conj_freqs, lag_correlation, pairs_subset, root_set_error
 
@@ -266,18 +266,22 @@ class TestWindowProducts:
 
 
 class TestExtraction:
+    @staticmethod
+    def _row_sets(dims):
+        """Row indices (U0, Ux, Uy) that ``extract_submatrices`` selects at
+        split 1, read off a one-mode basis whose vector is its row index."""
+        rows = (dims[0] - 1) * (dims[1] - 1)
+        basis = SubspaceBasis(vectors=np.arange(rows, dtype=float)[:, None],
+                              singular_values=np.ones(1), split=1, dims=dims)
+        return [u[:, 0].astype(int).tolist() for u in extract_submatrices(basis)]
+
     def test_golden_index_sets_window_3x3(self):
         # data window 4x4 with split 1 -> lag window 3x3; hand-enumerated
-        base, shift_x, shift_y = extraction_indices(3, 3)
-        assert base.tolist() == [0, 1, 3, 4]
-        assert shift_x.tolist() == [3, 4, 6, 7]
-        assert shift_y.tolist() == [1, 2, 4, 5]
+        assert self._row_sets((4, 4)) == [[0, 1, 3, 4], [3, 4, 6, 7], [1, 2, 4, 5]]
 
     def test_golden_index_sets_window_3x4(self):
-        base, shift_x, shift_y = extraction_indices(3, 4)
-        assert base.tolist() == [0, 1, 2, 4, 5, 6]
-        assert shift_x.tolist() == [4, 5, 6, 8, 9, 10]
-        assert shift_y.tolist() == [1, 2, 3, 5, 6, 7]
+        assert self._row_sets((4, 5)) == [
+            [0, 1, 2, 4, 5, 6], [4, 5, 6, 8, 9, 10], [1, 2, 3, 5, 6, 7]]
 
     def test_identity_vectors_extraction(self):
         eye = np.eye(9)[:, :1]

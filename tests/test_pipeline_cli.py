@@ -1282,6 +1282,14 @@ class TestCli:
         assert f"configuration error: {option}:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_synth_frame_too_large_to_allocate_is_config_error(self, tmp_path, capsys):
+        # 7.28 TiB of float64, which numpy refuses before touching any memory
+        code = main(["synth", "--out", str(tmp_path / "s.pgm"), "--size", "1000000,1000000"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "configuration error: size: 1000000,1000000 is too large to allocate" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("noise", [[], ["--noise", "1"]])
     def test_synth_negative_seed_is_config_error(self, tmp_path, capsys, noise):
         code = main(["synth", "--out", str(tmp_path / "s.pgm"), "--size", "16,16",

@@ -13,13 +13,18 @@ with ``DIR/src`` and once with this checkout's ``src`` on ``PYTHONPATH``:
   ``--overlay-out`` and ``--report-out``, in the workload's channel mode
   and, for an rgb workload, in gray mode too;
 - ``design`` as the benchmark calls it, then ``filter`` with the model
-  document that call wrote.
+  document that call wrote;
+- ``estimate`` on the scene's first frame with the workload's order and
+  estimator, whose model document goes to standard output;
+- ``report`` on the run report of the workload's channel mode and on the
+  model document.
 
 Both sides run the same argv in directories of their own, so every output
 file, the standard output and the exit code of each call must be equal.
 Standard error is not compared: a warning names its source file.  For a
-``.json`` output that differs, the first few differing key paths follow
-the difference, such as ``config.split: null -> <missing>``.  Exit code 0
+``.json`` output or a JSON standard output that differs, the first few
+differing key paths follow the difference, such as
+``config.split: null -> <missing>``.  Exit code 0
 when everything is equal, 1 when anything differs (each difference is
 printed), 2 when DIR holds no resofilt sources.
 """
@@ -74,6 +79,10 @@ def _calls(wl, scene_dir: str, truth: dict) -> list:
     calls.append(("design", design[:-1] + ["model.json"]))
     calls.append(("filter", ["filter", "--input", inputs[0], "--model", "model.json",
                              "--out", "filtered.out"]))
+    calls.append(("estimate", ["estimate", "--input", inputs[0], "--order", wl.order,
+                               "--estimator", wl.estimator]))
+    calls.append(("report-run", ["report", "--path", f"report-{wl.channels}.json"]))
+    calls.append(("report-model", ["report", "--path", "model.json"]))
     return calls
 
 
@@ -114,13 +123,23 @@ def json_diffs(old, new, path=""):
 
 
 def _json_paths(old, new) -> list:
-    """The first ``KEY_PATHS`` differing key paths of two JSON files' bytes,
+    """The first ``KEY_PATHS`` differing key paths of two JSON texts' bytes,
     or none when a side is missing or does not parse."""
     try:
         docs = [json.loads(side) for side in (old, new)]
     except (TypeError, ValueError):
         return []
     return list(itertools.islice(json_diffs(*docs), KEY_PATHS))
+
+
+def call_diff(tag: str, call: str, old, new):
+    """The difference line of one call's (exit code, stdout) on both sides,
+    with the first differing key paths of a JSON stdout; None when equal."""
+    if old == new:
+        return None
+    (pc, po), (cc, co) = old, new
+    return "\n    ".join([f"{tag} {call}: exit {pc} -> {cc}, stdout "
+                           f"{'equal' if po == co else 'differs'}", *_json_paths(po, co)])
 
 
 def main(argv=None) -> int:
@@ -157,10 +176,9 @@ def main(argv=None) -> int:
                                for side, src in sides.items()}
                         calls += 1
                         failed += any(code != 0 for code, _ in got.values())
-                        if got["parent"] != got["change"]:
-                            (pc, po), (cc, co) = got["parent"], got["change"]
-                            diffs.append(f"{tag} {call}: exit {pc} -> {cc}, stdout "
-                                         f"{'equal' if po == co else 'differs'}")
+                        line = call_diff(tag, call, got["parent"], got["change"])
+                        if line:
+                            diffs.append(line)
                     written = {side: _files(out) for side, out in outs.items()}
                     files += len(written["change"])
                     for path in sorted(set(written["parent"]) | set(written["change"])):
