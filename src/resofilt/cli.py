@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import fields
@@ -317,14 +318,21 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except ResofiltError as exc:
-        print(f"resofilt: {exc.label}{exc}", file=sys.stderr)
-        return exc.exit_code
+        try:
+            args = _PARSER.parse_args(argv)
+            code = _COMMANDS[args.command](args)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        except ResofiltError as exc:
+            print(f"resofilt: {exc.label}{exc}", file=sys.stderr)
+            code = exc.exit_code
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # fd 1 goes to the null device, so the flush at exit finds no pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"resofilt: {ConfigError.label}output: standard output is closed", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -27,9 +27,10 @@ are read, and the sums go into a ``FilterBuffers`` set the caller may own
 and reuse, whose output buffer has exactly the filtered width.  A given
 float64 buffer may have more rows than needed; its leading ones are used.
 
-The detector compares each filtered value with two bounds per channel,
-which give exactly the verdict of the rounded |f - E| > k*sigma (see
-``_upper_bound``), so a pixel costs its taps and two comparisons.  It
+The detector flags a filtered value that lies outside its channel's band
+[fl(E - k*sigma), fl(E + k*sigma)], which is the real-number rule
+|f - E| > k*sigma for every double but one equal to an edge that rounded
+outward; so a pixel costs its taps and two comparisons.  It
 judges the rows it is given into one boolean raster, and may be given
 that raster, so a caller that filters a frame one strip at a time can
 detect each strip into its rows of the frame's raster.
@@ -38,7 +39,6 @@ detect each strip into its rows of the frame's raster.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -418,47 +418,6 @@ def _finite_number(value) -> bool:
         return False
 
 
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<q")
-
-
-def _rank(x: float) -> int:
-    """Position of the double ``x`` in the order of doubles, adjacent
-    doubles one apart (+0.0 and -0.0 both at 0)."""
-    bits = _BITS.unpack(_DOUBLE.pack(x))[0]
-    return bits if bits >= 0 else -(bits + 2**63)
-
-
-def _unrank(rank: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(rank if rank >= 0 else -rank - 2**63))[0]
-
-
-_INF_RANK = _rank(math.inf)
-
-
-def _upper_bound(level: float, t: float) -> float:
-    """The largest double h with fl(h - level) <= t, for a finite
-    ``level`` and t >= 0.  Rounding is monotone, so fl(f - level) > t
-    exactly when f > h, and, being odd, fl(f - level) < -t exactly when
-    f < -_upper_bound(-level, t).  The search starts at fl(level + t),
-    mostly a double or two from h, with steps that double until they pass
-    h, and then halves the bracket."""
-    if t == math.inf:
-        return t
-    # h lies in [low, high): fl(-inf - level) <= t < fl(inf - level)
-    low, high = -_INF_RANK, _INF_RANK
-    rank, step = min(_rank(level + t), high - 1), 1
-    while high - low > 1:
-        if _unrank(rank) - level <= t:
-            low, rank = rank, rank + step
-        else:
-            high, rank = rank, rank - step
-        step *= 2
-        if not low < rank < high:
-            rank = (low + high) // 2
-    return _unrank(low)
-
-
 def detect(
     filtered_channels,
     filters,
@@ -469,18 +428,19 @@ def detect(
 ) -> DetectionMask:
     """Union 3-sigma rule across channels.
 
-    A pixel is anomalous when |filtered - E| exceeds t = multiplier * sigma
-    in any channel, as float64 arithmetic rounds both; ``multiplier`` must
-    be a finite positive number (ValueError otherwise), and a channel
-    whose t overflows flags nothing.  The verdicts form one boolean raster
-    of the originals' shape, which every plane must share; that shape and
-    the channel count are all ``original_planes`` gives.  Each channel is
-    judged by two comparisons, f > hi or f < lo, against the bounds that
-    give exactly the rounded rule's verdict (``_upper_bound``), into one
-    boolean strip of the filtered shape, which is then copied into the
-    raster.  ``out``, when given, is that raster (a boolean array of the
-    originals' shape, every element of which the call writes); when None,
-    the call makes it.
+    A pixel is anomalous when its filtered value f lies outside the band
+    [fl(E - t), fl(E + t)] of any channel, t = multiplier * sigma: two
+    comparisons, f > fl(E + t) or f < fl(E - t).  That is the real-number
+    rule |f - E| > t for every double except one equal to an edge that
+    rounded outward.  NaN is never flagged; ``multiplier`` must be a
+    finite positive number (ValueError otherwise), and a channel whose t
+    overflows flags nothing.  The verdicts form one boolean raster of the
+    originals' shape, which every plane must share; that shape and the
+    channel count are all ``original_planes`` gives.  The channels' flags
+    are ORed into one boolean strip of the filtered shape, which is then
+    copied into the raster.  ``out``, when given, is that raster (a
+    boolean array of the originals' shape, every element of which the call
+    writes); when None, the call makes it.
     """
     if not (_finite_number(multiplier) and multiplier > 0):
         raise ValueError(f"multiplier: must be a finite positive number, got {multiplier!r}")
@@ -506,9 +466,9 @@ def detect(
     beyond = np.empty(out_shape, dtype=bool)
     for plane, irf in zip(filtered, filters):
         level, t = float(irf.flat_level), float(multiplier) * math.sqrt(irf.sigma2)
-        np.greater(plane, _upper_bound(level, t), out=beyond)
+        np.greater(plane, level + t, out=beyond)
         flagged |= beyond
-        np.less(plane, -_upper_bound(-level, t), out=beyond)
+        np.less(plane, level - t, out=beyond)
         flagged |= beyond
     verdicts[:ox, :oy] = flagged
     verdicts[:ox, oy:] = False

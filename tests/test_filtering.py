@@ -819,12 +819,16 @@ class TestDetect:
     @given(
         level=st.one_of(
             st.floats(allow_nan=False, allow_infinity=False),
-            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1e10,
-                             1e308, -1e308]),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -128.0,
+                             -1e16, 1e308, -1e308, 1.7976931348623157e308]),
         ),
-        t=st.one_of(
-            st.floats(min_value=0.0, allow_nan=False),
-            st.sampled_from([0.0, 5e-324, 1e-300, 1e10, 1e308, math.inf]),
+        multiplier=st.one_of(
+            st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+            st.sampled_from([5e-324, 1e-300, 3.0, 128.0, 1e16, 1e308, 1.7976931348623157e308]),
+        ),
+        sigma2=st.one_of(
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, 5e-324, 1e-300, 2.25, 1e300, 1.7e308]),
         ),
         values=st.lists(
             st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan,
@@ -833,33 +837,39 @@ class TestDetect:
         ),
     )
     @settings(max_examples=300, deadline=None)
-    def test_two_bounds_give_the_rounded_rule(self, level, t, values):
-        # f > hi or f < lo is |fl(f - E)| > t, element for element, on the
-        # doubles drawn and on those next to E +- t and to each bound
-        hi = filtering._upper_bound(level, t)
-        lo = -filtering._upper_bound(-level, t)
-        near = [level + t, level - t, hi, lo]
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = [np.nextafter(c, np.inf * s) for c in near for s in (1, -1)]
-            steps += [np.nextafter(c, np.inf * s) for c in steps for s in (1, -1)]
-            f = np.array(values + near + steps, dtype=float)
-            expected = np.abs(f - level) > t
-        assert np.array_equal((f > hi) | (f < lo), expected)
+    def test_band_is_the_real_number_rule_but_at_its_edges(self, level, multiplier, sigma2,
+                                                           values):
+        # with sigma2 = 1 the threshold t is the multiplier; with the drawn
+        # sigma2 it is multiplier * sqrt(sigma2), which may be 0 or overflow
+        for s2 in (1.0, sigma2):
+            t = multiplier * math.sqrt(s2)
+            edges = [level - t, level + t]
+            near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+            near += [math.nextafter(e, d) for e in near for d in (-math.inf, math.inf)]
+            f = values + edges + near + [level]
+            irf = IRFilter(np.ones((1, 1)), flat_level=level, sigma2=s2)
+            got = detect([np.array([f])], [irf], [np.zeros((1, len(f)))], multiplier)
+            for value, flagged in zip(f, got.positive()[0].tolist()):
+                if value in edges:
+                    continue
+                if math.isnan(value) or t == math.inf:
+                    expected = False
+                elif math.isinf(value):
+                    expected = True
+                else:
+                    expected = abs(Fraction(value) - Fraction(level)) > Fraction(t)
+                assert flagged == expected, (value, level, t)
 
-    @pytest.mark.parametrize("level,t,bound", [(-128.0, 128.0, 1.4210854715202004e-14),
-                                                (-1e16, 1e16, 1.0)])
-    def test_bound_far_from_a_cancelled_start(self, level, t, bound):
-        # fl(level + t) cancels to 0.0, some 4.5e18 doubles below the bound,
-        # as when k * sigma comes close to E
-        assert level + t == 0.0
-        assert filtering._upper_bound(level, t) == bound
-        # exact against |fl(f - E)| > t at the bound and at its neighbours
-        assert abs(math.nextafter(bound, -math.inf) - level) <= t
-        assert abs(bound - level) <= t
-        assert abs(math.nextafter(bound, math.inf) - level) > t
-        # and the lower bound for E = -level is -bound
-        lo = -filtering._upper_bound(level, t)
-        assert abs(lo + level) <= t < abs(math.nextafter(lo, -math.inf) + level)
+    @pytest.mark.parametrize("level,t,inside,outside", [(-128.0, 128.0, 0.0, 1e-14),
+                                                         (-1e16, 1e16, 0.0, 0.5)])
+    def test_cancelled_band_edge(self, level, t, inside, outside):
+        # fl(E + t) cancels to 0.0: a value just above it is more than t
+        # from E, and 0.0, exactly t from E, is not
+        assert level + t == 0.0 and abs(Fraction(outside) - Fraction(level)) > t
+        irf = IRFilter(np.ones((1, 1)), flat_level=level, sigma2=1.0)
+        filt = np.array([[inside, outside]])
+        got = detect([filt], [irf], [np.zeros(filt.shape)], multiplier=t).positive()
+        assert got.tolist() == [[False, True]]
 
     def test_positive_raster_cached_read_only(self):
         filtered = [np.zeros((4, 4)) for _ in range(3)]
@@ -976,7 +986,8 @@ def whole_plane_apply(image, irf):
 
 def whole_plane_detect(filtered, filters, originals, multiplier):
     """Reference: union flags over whole planes, padded with False to the
-    originals' shape."""
+    originals' shape.  Its rounded subtraction |fl(f - E)| > t agrees with
+    ``detect``'s band edges except within a few ulps of an edge."""
     ox, oy = filtered[0].shape
     flagged = np.zeros((ox, oy), dtype=bool)
     for f, irf in zip(filtered, filters):

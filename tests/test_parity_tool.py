@@ -50,6 +50,20 @@ def test_calls_end_in_estimate_and_report_on_the_documents_written_before():
         assert any(argv[0] == "design" and argv[-1] == model for argv in writes)
 
 
+def test_raw_detect_runs_a_second_band_after_the_detect_calls():
+    for wl in parity._workloads().values():
+        calls = parity._calls(wl, "scene", {"inputs": ["f0.pgm", "f1.pgm"]})
+        names = [name for name, _ in calls]
+        modes = list(dict.fromkeys((wl.channels, "gray")))
+        raw = names.index("detect-raw")
+        assert names[raw - len(modes) : raw] == [f"detect-{mode}" for mode in modes]
+        assert calls[raw][1] == [
+            "detect", "--input", "scene/f0.pgm", "--order", wl.order,
+            "--estimator", wl.estimator, "--channels", wl.channels, "--post", "none",
+            "--multiplier", "2.5", "--min-area", "2",
+            "--mask-out", "raw-mask.out", "--report-out", "raw-report.json"]
+
+
 def test_call_diff_names_the_key_paths_of_a_json_stdout():
     doc = b'{"diagnostics": {"fit_residual": 0.5, "split": 4}, "fit_residual": 0.5}'
     trimmed = b'{"diagnostics": {"split": 4}, "fit_residual": 0.5}'

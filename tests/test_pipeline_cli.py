@@ -753,6 +753,34 @@ class TestCli:
                      "--out", str(filtered)]) == EXIT_OK
         assert filtered.exists()
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["report", "detect"])
+    def test_closed_standard_output_is_config_error(self, tmp_path, command, unbuffered):
+        # a buffered stdout fails at main's flush, an unbuffered one at the
+        # first print; either way one line on stderr and no traceback
+        tex = self._synth(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["design", "--input", str(tex), "--order", "8,8",
+                     "--model-out", str(model)]) == EXIT_OK
+        argv = {"report": ["report", "--path", str(model)],
+                "detect": ["detect", "--input", str(tex), "--order", "8,8"]}[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from resofilt.cli import main; "
+                 "sys.exit(main())", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "resofilt: configuration error: output: standard output is closed\n"
+
     def test_estimate_prints_document(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
         assert main(["estimate", "--input", str(tex), "--order", "8,8"]) == EXIT_OK

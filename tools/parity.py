@@ -12,6 +12,9 @@ with ``DIR/src`` and once with this checkout's ``src`` on ``PYTHONPATH``:
 - ``detect`` on the scene's first frame with ``--mask-out``,
   ``--overlay-out`` and ``--report-out``, in the workload's channel mode
   and, for an rgb workload, in gray mode too;
+- ``detect`` on that frame in the workload's channel mode with no
+  post-filter, ``--multiplier 2.5`` and ``--min-area 2``, so that a
+  second band and its raw candidates are compared;
 - ``design`` as the benchmark calls it, then ``filter`` with the model
   document that call wrote;
 - ``estimate`` on the scene's first frame with the workload's order and
@@ -73,6 +76,10 @@ def _calls(wl, scene_dir: str, truth: dict) -> list:
             "--estimator", wl.estimator, "--channels", mode, "--hist-epsilon", "0.05",
             "--mask-out", f"mask-{mode}.out", "--overlay-out", f"overlay-{mode}.out",
             "--report-out", f"report-{mode}.json"]))
+    calls.append(("detect-raw", [
+        "detect", "--input", inputs[0], "--order", wl.order, "--estimator", wl.estimator,
+        "--channels", wl.channels, "--post", "none", "--multiplier", "2.5", "--min-area", "2",
+        "--mask-out", "raw-mask.out", "--report-out", "raw-report.json"]))
     design = wl.design_argv(scene_dir, truth)
     if design[-2] != "--model-out":
         raise SystemExit(f"parity: design argv {design} does not end in --model-out")
