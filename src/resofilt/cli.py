@@ -326,7 +326,9 @@ def main(argv=None) -> int:
         except ResofiltError as exc:
             print(f"resofilt: {exc.label}{exc}", file=sys.stderr)
             code = exc.exit_code
-        sys.stdout.flush()
+        # None when fd 1 was closed at start: print wrote nothing, as it may
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # fd 1 goes to the null device, so the flush at exit finds no pipe

@@ -850,15 +850,15 @@ class TestDetect:
             irf = IRFilter(np.ones((1, 1)), flat_level=level, sigma2=s2)
             got = detect([np.array([f])], [irf], [np.zeros((1, len(f)))], multiplier)
             for value, flagged in zip(f, got.positive()[0].tolist()):
-                if value in edges:
-                    continue
                 if math.isnan(value) or t == math.inf:
                     expected = False
                 elif math.isinf(value):
                     expected = True
                 else:
                     expected = abs(Fraction(value) - Fraction(level)) > Fraction(t)
-                assert flagged == expected, (value, level, t)
+                # a band edge is never flagged, so it differs from the
+                # real-number rule only where it rounded outward
+                assert flagged == (expected and value not in edges), (value, level, t)
 
     @pytest.mark.parametrize("level,t,inside,outside", [(-128.0, 128.0, 0.0, 1e-14),
                                                          (-1e16, 1e16, 0.0, 0.5)])
@@ -987,7 +987,8 @@ def whole_plane_apply(image, irf):
 def whole_plane_detect(filtered, filters, originals, multiplier):
     """Reference: union flags over whole planes, padded with False to the
     originals' shape.  Its rounded subtraction |fl(f - E)| > t agrees with
-    ``detect``'s band edges except within a few ulps of an edge."""
+    ``detect``'s band edges except where the rounding of f - E crosses t,
+    which cancellation can put far from an edge in ulps."""
     ox, oy = filtered[0].shape
     flagged = np.zeros((ox, oy), dtype=bool)
     for f, irf in zip(filtered, filters):

@@ -753,11 +753,8 @@ class TestCli:
                      "--out", str(filtered)]) == EXIT_OK
         assert filtered.exists()
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("command", ["report", "detect"])
-    def test_closed_standard_output_is_config_error(self, tmp_path, command, unbuffered):
-        # a buffered stdout fails at main's flush, an unbuffered one at the
-        # first print; either way one line on stderr and no traceback
+    def _child(self, tmp_path, command, unbuffered=False, **run_kw):
+        """Run ``resofilt <command>`` on a synthetic frame in a subprocess."""
         tex = self._synth(tmp_path)
         model = tmp_path / "model.json"
         assert main(["design", "--input", str(tex), "--order", "8,8",
@@ -768,18 +765,32 @@ class TestCli:
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from resofilt.cli import main; "
+             "sys.exit(main())", *argv],
+            stderr=subprocess.PIPE, env=env, text=True, timeout=120, **run_kw,
+        )
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["report", "detect"])
+    def test_closed_standard_output_is_config_error(self, tmp_path, command, unbuffered):
+        # a buffered stdout fails at main's flush, an unbuffered one at the
+        # first print; either way one line on stderr and no traceback
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(
-                [sys.executable, "-c", "import sys; from resofilt.cli import main; "
-                 "sys.exit(main())", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
-            )
+            done = self._child(tmp_path, command, unbuffered, stdout=write_end)
         finally:
             os.close(write_end)
         assert done.returncode == EXIT_USAGE
         assert done.stderr == "resofilt: configuration error: output: standard output is closed\n"
+
+    @pytest.mark.parametrize("command", ["report", "detect"])
+    def test_no_standard_output_at_start_prints_nothing(self, tmp_path, command):
+        # with fd 1 closed before the interpreter starts, sys.stdout is None:
+        # print writes nothing and the command ends as it would otherwise
+        done = self._child(tmp_path, command, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
 
     def test_estimate_prints_document(self, tmp_path, capsys):
         tex = self._synth(tmp_path)
